@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace sympack::core {
 
@@ -60,6 +62,67 @@ idx_t BlockStore::row_offset_in_block(idx_t k, BlockSlot slot,
   const auto it = std::lower_bound(begin, end, row);
   if (it == end || *it != row) return -1;
   return static_cast<idx_t>(it - begin);
+}
+
+void BlockStore::row_offsets_in_block(idx_t k, BlockSlot slot,
+                                      const idx_t* rows, idx_t m,
+                                      idx_t* out) const {
+  const auto& sn = sym_->snode(k);
+  const auto missing = [&](idx_t row) {
+    throw std::logic_error("BlockStore: row " + std::to_string(row) +
+                           " is not in block (" + std::to_string(k) + ", " +
+                           std::to_string(slot) + ")");
+  };
+  if (slot == 0) {
+    for (idx_t i = 0; i < m; ++i) {
+      if (rows[i] < sn.first || rows[i] > sn.last) missing(rows[i]);
+      out[i] = rows[i] - sn.first;
+    }
+    return;
+  }
+  const auto& blk = sn.blocks[slot - 1];
+  const idx_t* block_rows = sn.below.data() + blk.row_off;
+  idx_t p = 0;
+  for (idx_t i = 0; i < m; ++i) {
+    while (p < blk.nrows && block_rows[p] < rows[i]) ++p;
+    if (p == blk.nrows || block_rows[p] != rows[i]) missing(rows[i]);
+    out[i] = p;
+  }
+}
+
+void BlockStore::scatter_update(idx_t j, idx_t si, idx_t ti, BlockSlot tslot,
+                                const double* product, double* target,
+                                taskrt::Scratch<idx_t>& offsets) const {
+  const auto& sn = sym_->snode(j);
+  const auto& sblk = sn.blocks[si - 1];
+  const auto& tblk = sn.blocks[ti - 1];
+  const idx_t t = tblk.target;
+  const idx_t m = sblk.nrows;
+  const idx_t ld = nrows_[base_[t] + tslot];
+  const idx_t* src_rows = sn.below.data() + sblk.row_off;
+  if (si == ti) {
+    // SYRK: the product holds -L L^T on its lower triangle.
+    idx_t* rows = offsets.get(static_cast<std::size_t>(m));
+    row_offsets_in_block(t, 0, src_rows, m, rows);
+    for (idx_t c = 0; c < m; ++c) {
+      double* col = target + rows[c] * ld;
+      const double* p = product + c * m;
+      for (idx_t r = c; r < m; ++r) col[rows[r]] += p[r];
+    }
+    return;
+  }
+  // GEMM: rows land in block (t, tslot), columns are the pivot block's
+  // rows as columns of supernode t.
+  const idx_t np = tblk.nrows;
+  idx_t* rows = offsets.get(static_cast<std::size_t>(m + np));
+  idx_t* cols = rows + m;
+  row_offsets_in_block(t, tslot, src_rows, m, rows);
+  row_offsets_in_block(t, 0, sn.below.data() + tblk.row_off, np, cols);
+  for (idx_t c = 0; c < np; ++c) {
+    double* col = target + cols[c] * ld;
+    const double* p = product + c * m;
+    for (idx_t r = 0; r < m; ++r) col[rows[r]] -= p[r];
+  }
 }
 
 void BlockStore::assemble(const sparse::CscMatrix& a) {

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "core/taskrt/scratch.hpp"
 #include "pgas/runtime.hpp"
 #include "sparse/csc.hpp"
 #include "symbolic/view.hpp"
@@ -74,6 +75,26 @@ class BlockStore {
   /// supernode k; -1 if absent.
   [[nodiscard]] idx_t row_offset_in_block(idx_t k, BlockSlot slot,
                                           idx_t row) const;
+
+  /// Offsets inside block `slot` of supernode k of the m ascending global
+  /// rows `rows`, in one merge walk of the two sorted row lists: out[i]
+  /// is row_offset_in_block(k, slot, rows[i]). Throws std::logic_error
+  /// when a row is absent, so rows that do not nest in the block fail
+  /// loudly instead of scattering out of bounds.
+  void row_offsets_in_block(idx_t k, BlockSlot slot, const idx_t* rows,
+                            idx_t m, idx_t* out) const;
+
+  /// Scatter update U_{j,si,ti}'s dense product into `target`, a buffer
+  /// shaped like the block the update folds into (the block itself in
+  /// fan-out, an aggregate vector in fan-in). `product` is column-major
+  /// with leading dimension m = rows of block (j, si). si == ti (SYRK):
+  /// the lower triangle of the m x m product is added into the diagonal
+  /// block of t (tslot is 0). Otherwise (GEMM): the m x np product is
+  /// subtracted from block (t, tslot). The product's row and column
+  /// offsets in the target are looked up once per call into `offsets`.
+  void scatter_update(idx_t j, idx_t si, idx_t ti, BlockSlot tslot,
+                      const double* product, double* target,
+                      taskrt::Scratch<idx_t>& offsets) const;
 
  private:
   const symbolic::SymbolicView* sym_;

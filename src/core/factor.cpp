@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
 #include "pgas/pool.hpp"
 
@@ -261,13 +260,14 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
       });
       data = rf.device.local<double>();
     } else {
-      rf.host.resize(static_cast<std::size_t>(elems));
+      rf.host = std::make_unique_for_overwrite<double[]>(
+          static_cast<std::size_t>(elems));
       ready = net_.with_retry(rank, [&] {
         return rank.rget(store_->gptr(bid),
-                         reinterpret_cast<std::byte*>(rf.host.data()), bytes,
+                         reinterpret_cast<std::byte*>(rf.host.get()), bytes,
                          pgas::MemKind::kHost);
       });
-      data = rf.host.data();
+      data = rf.host.get();
     }
     rf.ref = FactorRef{data, ready, on_device, bid};
   } else {
@@ -452,12 +452,7 @@ void FactorEngine::execute_diag(pgas::Rank& rank, const Task& task) {
   const int w = static_cast<int>(sn.width());
   const idx_t bid = store_->block_id(task.k, 0);
   const int info = offload_->run_potrf(rank, w, store_->data(bid), w);
-  if (info != 0) {
-    throw std::runtime_error(
-        "sympack: matrix is not positive definite (pivot failure at "
-        "column " +
-        std::to_string(sn.first + info - 1) + ")");
-  }
+  if (info != 0) throw NotPositiveDefiniteError(sn.first + info - 1);
   publish(rank, task.k, 0);
 }
 
@@ -501,26 +496,17 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
   const idx_t t = tblk.target;
   const int m = static_cast<int>(sblk.nrows);
   const int np = static_cast<int>(tblk.nrows);
-  const auto& tgt_sn = sym_->snode(t);
   const bool numeric = store_->numeric();
 
   if (s == t) {
     // SYRK: update the diagonal block of supernode t.
     const idx_t tbid = store_->block_id(t, 0);
     if (numeric) {
-      std::vector<double> scratch(static_cast<std::size_t>(m) * m, 0.0);
-      offload_->run_syrk(rank, m, w, st.src.data, m, scratch.data(), m,
+      double* product = pr.product.get(static_cast<std::size_t>(m) * m);
+      offload_->run_syrk(rank, m, w, st.src.data, m, product, m,
                          st.src.on_device);
-      // Scatter-add (scratch holds -L L^T on its lower triangle).
-      double* target = store_->data(tbid);
-      const idx_t ld = store_->nrows(tbid);
-      for (int c = 0; c < m; ++c) {
-        const idx_t gc = sn.below[sblk.row_off + c] - tgt_sn.first;
-        for (int r = c; r < m; ++r) {
-          const idx_t gr = sn.below[sblk.row_off + r] - tgt_sn.first;
-          target[gr + gc * ld] += scratch[r + static_cast<std::size_t>(c) * m];
-        }
-      }
+      store_->scatter_update(j, task.si, task.ti, 0, product,
+                             store_->data(tbid), pr.offsets);
     } else {
       offload_->run_syrk(rank, m, w, nullptr, m, nullptr, m,
                          st.src.on_device);
@@ -533,20 +519,11 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
     const idx_t tslot = sym_->find_block(t, s) + 1;
     const idx_t tbid = store_->block_id(t, tslot);
     if (numeric) {
-      std::vector<double> scratch(static_cast<std::size_t>(m) * np);
+      double* product = pr.product.get(static_cast<std::size_t>(m) * np);
       offload_->run_gemm(rank, m, np, w, st.src.data, m, st.piv.data, np,
-                         scratch.data(), m, st.src.on_device,
-                         st.piv.on_device);
-      double* target = store_->data(tbid);
-      const idx_t ld = store_->nrows(tbid);
-      for (int c = 0; c < np; ++c) {
-        const idx_t gc = sn.below[tblk.row_off + c] - tgt_sn.first;
-        for (int r = 0; r < m; ++r) {
-          const idx_t gr =
-              store_->row_offset_in_block(t, tslot, sn.below[sblk.row_off + r]);
-          target[gr + gc * ld] -= scratch[r + static_cast<std::size_t>(c) * m];
-        }
-      }
+                         product, m, st.src.on_device, st.piv.on_device);
+      store_->scatter_update(j, task.si, task.ti, tslot, product,
+                             store_->data(tbid), pr.offsets);
     } else {
       offload_->run_gemm(rank, m, np, w, nullptr, m, nullptr, np, nullptr, m,
                          st.src.on_device, st.piv.on_device);

@@ -40,11 +40,13 @@
 
 #include "core/block_store.hpp"
 #include "core/checkpoint.hpp"
+#include "core/errors.hpp"
 #include "core/offload.hpp"
 #include "core/options.hpp"
 #include "core/taskrt/dep_tracker.hpp"
 #include "core/taskrt/endpoint.hpp"
 #include "core/taskrt/ready_queue.hpp"
+#include "core/taskrt/scratch.hpp"
 #include "core/taskrt/stats.hpp"
 #include "core/taskrt/use_cache.hpp"
 #include "core/trace.hpp"
@@ -70,10 +72,10 @@ class FactorEngine {
   FactorEngine(const FactorEngine&) = delete;
   FactorEngine& operator=(const FactorEngine&) = delete;
 
-  /// Run the factorization to completion. Throws std::runtime_error if a
-  /// diagonal pivot fails (matrix not positive definite), and
-  /// pgas::RankDeathError when a killed rank is confirmed dead (the
-  /// solver's recovery loop catches that one).
+  /// Run the factorization to completion. Throws NotPositiveDefiniteError
+  /// (with the column in the factor's own ordering) if a diagonal pivot
+  /// fails, and pgas::RankDeathError when a killed rank is confirmed dead
+  /// (the solver's recovery loop catches that one).
   void run();
 
  private:
@@ -97,8 +99,10 @@ class FactorEngine {
   };
 
   struct RemoteFactor {
-    std::vector<double> host;  // host copy (when not device resident)
-    pgas::GlobalPtr device;    // device copy (when resident)
+    // Host copy (when not device resident), uninitialised until the rget
+    // fills it.
+    std::unique_ptr<double[]> host;
+    pgas::GlobalPtr device;  // device copy (when resident)
     /// Eager-inlined payload (shared with the producer's other
     /// recipients); keeps the pooled buffer alive for this consumer's
     /// uses when the signal carried the data inline.
@@ -137,6 +141,11 @@ class FactorEngine {
     std::unordered_map<idx_t, FactorRef> diag_ref;  // key: supernode
     idx_t done_factor = 0;
     idx_t done_update = 0;
+    // Numeric scratch, grown on demand and reused by every task of the
+    // rank (DESIGN.md §4k): an update's dense product and its offsets in
+    // the target block.
+    taskrt::Scratch<double> product;
+    taskrt::Scratch<idx_t> offsets;
   };
 
   static std::uint64_t ukey(idx_t j, idx_t si, idx_t ti) {

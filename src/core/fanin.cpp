@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 #include <unordered_set>
 
 #include "pgas/pool.hpp"
@@ -278,13 +277,13 @@ void FanInEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
   RemotePivot rp;
   double ready;
   if (store_->numeric()) {
-    rp.host.resize(bytes / sizeof(double));
+    rp.host = std::make_unique_for_overwrite<double[]>(bytes / sizeof(double));
     ready = net_.with_retry(rank, [&] {
       return rank.rget(store_->gptr(bid),
-                       reinterpret_cast<std::byte*>(rp.host.data()), bytes,
+                       reinterpret_cast<std::byte*>(rp.host.get()), bytes,
                        pgas::MemKind::kHost);
     });
-    rp.ref = PivotRef{rp.host.data(), ready, bid};
+    rp.ref = PivotRef{rp.host.get(), ready, bid};
   } else {
     ready = rank.transfer_completion(bytes, store_->owner(bid),
                                      pgas::MemKind::kHost,
@@ -460,11 +459,7 @@ void FanInEngine::execute(pgas::Rank& rank, const Task& task) {
       const int w = static_cast<int>(sn.width());
       const idx_t bid = store_->block_id(task.k, 0);
       const int info = offload_->run_potrf(rank, w, store_->data(bid), w);
-      if (info != 0) {
-        throw std::runtime_error(
-            "sympack(fan-in): matrix is not positive definite (column " +
-            std::to_string(sn.first + info - 1) + ")");
-      }
+      if (info != 0) throw NotPositiveDefiniteError(sn.first + info - 1);
       publish_factor(rank, task.k, 0);
       break;
     }
@@ -534,7 +529,6 @@ void FanInEngine::execute_update(pgas::Rank& rank, const Task& task) {
   const idx_t t = tblk.target;
   const int m = static_cast<int>(sblk.nrows);
   const int np = static_cast<int>(tblk.nrows);
-  const auto& tgt_sn = sym_->snode(t);
   const BlockSlot tslot = (s == t) ? 0 : sym_->find_block(t, s) + 1;
   const idx_t tbid = store_->block_id(t, tslot);
   const bool numeric = store_->numeric();
@@ -543,20 +537,13 @@ void FanInEngine::execute_update(pgas::Rank& rank, const Task& task) {
   if (numeric && agg.buf.empty()) {
     agg.buf.assign(store_->bytes(tbid) / sizeof(double), 0.0);
   }
-  const idx_t ld = store_->nrows(tbid);
 
   if (s == t) {
     if (numeric) {
-      std::vector<double> scratch(static_cast<std::size_t>(m) * m, 0.0);
-      offload_->run_syrk(rank, m, w, st.src.data, m, scratch.data(), m,
-                         false);
-      for (int c = 0; c < m; ++c) {
-        const idx_t gc = sn.below[sblk.row_off + c] - tgt_sn.first;
-        for (int r = c; r < m; ++r) {
-          const idx_t gr = sn.below[sblk.row_off + r] - tgt_sn.first;
-          agg.buf[gr + gc * ld] += scratch[r + static_cast<std::size_t>(c) * m];
-        }
-      }
+      double* product = pr.product.get(static_cast<std::size_t>(m) * m);
+      offload_->run_syrk(rank, m, w, st.src.data, m, product, m, false);
+      store_->scatter_update(j, task.si, task.ti, 0, product, agg.buf.data(),
+                             pr.offsets);
     } else {
       offload_->run_syrk(rank, m, w, nullptr, m, nullptr, m, false);
     }
@@ -564,17 +551,11 @@ void FanInEngine::execute_update(pgas::Rank& rank, const Task& task) {
                              sizeof(double) * static_cast<std::size_t>(m) * m);
   } else {
     if (numeric) {
-      std::vector<double> scratch(static_cast<std::size_t>(m) * np);
+      double* product = pr.product.get(static_cast<std::size_t>(m) * np);
       offload_->run_gemm(rank, m, np, w, st.src.data, m, st.piv.data, np,
-                         scratch.data(), m, false, false);
-      for (int c = 0; c < np; ++c) {
-        const idx_t gc = sn.below[tblk.row_off + c] - tgt_sn.first;
-        for (int r = 0; r < m; ++r) {
-          const idx_t gr = store_->row_offset_in_block(
-              t, tslot, sn.below[sblk.row_off + r]);
-          agg.buf[gr + gc * ld] -= scratch[r + static_cast<std::size_t>(c) * m];
-        }
-      }
+                         product, m, false, false);
+      store_->scatter_update(j, task.si, task.ti, tslot, product,
+                             agg.buf.data(), pr.offsets);
     } else {
       offload_->run_gemm(rank, m, np, w, nullptr, m, nullptr, np, nullptr, m,
                          false, false);

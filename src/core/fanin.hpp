@@ -34,11 +34,13 @@
 
 #include "core/block_store.hpp"
 #include "core/checkpoint.hpp"
+#include "core/errors.hpp"
 #include "core/offload.hpp"
 #include "core/options.hpp"
 #include "core/taskrt/dep_tracker.hpp"
 #include "core/taskrt/endpoint.hpp"
 #include "core/taskrt/ready_queue.hpp"
+#include "core/taskrt/scratch.hpp"
 #include "core/taskrt/stats.hpp"
 #include "core/taskrt/use_cache.hpp"
 #include "core/trace.hpp"
@@ -65,6 +67,7 @@ class FanInEngine {
   FanInEngine(const FanInEngine&) = delete;
   FanInEngine& operator=(const FanInEngine&) = delete;
 
+  /// Run the factorization to completion; throws like FactorEngine::run.
   void run();
 
  private:
@@ -82,7 +85,7 @@ class FanInEngine {
     idx_t cache_bid = -1;
   };
   struct RemotePivot {
-    std::vector<double> host;
+    std::unique_ptr<double[]> host;  // uninitialised until the rget fills it
     /// Eager-inlined payload shared with the producer's other
     /// recipients (null on the rendezvous path).
     std::shared_ptr<const double> eager;
@@ -126,6 +129,10 @@ class FanInEngine {
     std::vector<pgas::GlobalPtr> out_buffers;      // sent aggregates
     idx_t done_factor = 0;
     idx_t done_update = 0;
+    // Numeric scratch, same roles as in the fan-out engine (DESIGN.md
+    // §4k).
+    taskrt::Scratch<double> product;
+    taskrt::Scratch<idx_t> offsets;
   };
 
   static std::uint64_t ukey(idx_t j, idx_t si, idx_t ti) {

@@ -145,7 +145,7 @@ void Offload::run_syrk(pgas::Rank& rank, int n, int k, const double* a,
     auto& dev = devices_.device_for(rank);
     if (numeric_) {
       gpu::dev_syrk(rank, dev, blas::UpLo::kLower, blas::Trans::kNo, n, k,
-                    -1.0, a, lda, 1.0, c, ldc);
+                    -1.0, a, lda, 0.0, c, ldc);
     } else {
       rank.merge_clock(dev.submit(gpu::Op::kSyrk, flops, rank.now()));
     }
@@ -154,7 +154,7 @@ void Offload::run_syrk(pgas::Rank& rank, int n, int k, const double* a,
   } else {
     if (numeric_) {
       blas::syrk(blas::UpLo::kLower, blas::Trans::kNo, n, k, -1.0, a, lda,
-                 1.0, c, ldc);
+                 0.0, c, ldc);
     }
     rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kSyrk, flops));
     ++counts_[rank.id()].cpu[idx(gpu::Op::kSyrk)];

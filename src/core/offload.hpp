@@ -46,8 +46,11 @@ class Offload {
   int run_potrf(pgas::Rank& rank, int w, double* a, int lda);
   void run_trsm(pgas::Rank& rank, int m, int w, const double* diag, int ldd,
                 double* b, int ldb, bool diag_resident);
+  /// c := -a a^T on the lower triangle of the n-by-n c; the upper
+  /// triangle is neither read nor written, so c may be uninitialised.
   void run_syrk(pgas::Rank& rank, int n, int k, const double* a, int lda,
                 double* c, int ldc, bool a_resident);
+  /// c := a b^T (m-by-n); c may be uninitialised.
   void run_gemm(pgas::Rank& rank, int m, int n, int k, const double* a,
                 int lda, const double* b, int ldb, double* c, int ldc,
                 bool a_resident, bool b_resident);

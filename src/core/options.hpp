@@ -73,11 +73,13 @@ struct FaultToleranceOptions {
   /// threshold doubles after each re-request round (reset on progress),
   /// so a rank that is merely slow does not storm the wire.
   int rerequest_idle_limit = 32;
-  /// Hard cap on re-request rounds per rank per phase. After this many
-  /// rounds the rank stops re-requesting and lets the driver's stall
-  /// guard / watchdog fire — an unrecoverable bug must still abort
-  /// instead of re-requesting forever (which would count as work and
-  /// defeat the stall detection).
+  /// Hard cap on re-request rounds a rank fires without a new message
+  /// arriving (the count restarts each phase and whenever a message the
+  /// rank had not seen arrives; replayed duplicates do not restart it).
+  /// After this many rounds the rank stops re-requesting and lets the
+  /// stall guard / watchdog of Runtime::drive fire — an unrecoverable bug
+  /// must still abort instead of re-requesting forever (which would count
+  /// as work and defeat the stall detection).
   int max_rerequest_rounds = 1000;
   /// Backoff schedule for transient one-sided transfer failures
   /// (pgas::TransferError from rget/copy).

@@ -228,7 +228,8 @@ void SolveEngine::publish_solution(pgas::Rank& rank, idx_t k, bool backward) {
 
   // Consumers: forward, the owners of panel-k blocks (they multiply by
   // y_k); backward, the owners of blocks *targeting* k (they need x_k).
-  std::vector<int> consumers;
+  std::vector<int>& consumers = per_rank_[me].consumers;
+  consumers.clear();
   if (!backward) {
     for (BlockSlot slot = 1;
          slot <= static_cast<idx_t>(sn.blocks.size()); ++slot) {
@@ -380,14 +381,13 @@ void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
   }
   const double* z = nullptr;
   double ready;
-  std::vector<double> tmp;
   if (store_->numeric()) {
-    tmp.resize(msg.bytes / sizeof(double));
+    double* copy = pr.fetched.get(msg.bytes / sizeof(double));
     ready = net_.with_retry(rank, [&] {
-      return rank.rget(msg.data, reinterpret_cast<std::byte*>(tmp.data()),
+      return rank.rget(msg.data, reinterpret_cast<std::byte*>(copy),
                        msg.bytes, pgas::MemKind::kHost);
     });
-    z = tmp.data();
+    z = copy;
   } else {
     const auto& blk = sym_->snode(msg.panel).blocks[msg.slot - 1];
     const int sender = tg_->mapping()(blk.target, msg.panel);
@@ -419,18 +419,17 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
   // Forward: z = B y_panel (m x nrhs). Backward: z = B^T x_s|rows
   // (w x nrhs).
   const int out_rows = backward ? w : m;
-  std::vector<double> z;
-  if (numeric) z.resize(static_cast<std::size_t>(out_rows) * nrhs_);
+  double* z =
+      numeric ? pr.z.get(static_cast<std::size_t>(out_rows) * nrhs_) : nullptr;
   if (!backward) {
     offload_->run_gemm_any(rank, blas::Trans::kNo, m, nrhs_, w, 1.0,
-                           store_->data(bid), m, task.operand, w, 0.0,
-                           numeric ? z.data() : nullptr, m);
+                           store_->data(bid), m, task.operand, w, 0.0, z, m);
   } else {
     // Extract the rows of x_s this block touches.
     const auto& tgt = sym_->snode(s);
-    std::vector<double> xsub;
+    double* xsub =
+        numeric ? pr.xsub.get(static_cast<std::size_t>(m) * nrhs_) : nullptr;
     if (numeric) {
-      xsub.resize(static_cast<std::size_t>(m) * nrhs_);
       for (int c = 0; c < nrhs_; ++c) {
         for (int r = 0; r < m; ++r) {
           const idx_t gr = sn.below[blk.row_off + r] - tgt.first;
@@ -440,9 +439,7 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
       }
     }
     offload_->run_gemm_any(rank, blas::Trans::kYes, w, nrhs_, m, 1.0,
-                           store_->data(bid), m,
-                           numeric ? xsub.data() : nullptr, m, 0.0,
-                           numeric ? z.data() : nullptr, w);
+                           store_->data(bid), m, xsub, m, 0.0, z, w);
   }
   ++pr.done_contrib;
 
@@ -459,8 +456,7 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
   }
   const int dest_owner = tg_->mapping()(dest, dest);
   if (dest_owner == me) {
-    apply_contribution(rank, panel, slot, numeric ? z.data() : nullptr,
-                       rank.now(), backward);
+    apply_contribution(rank, panel, slot, z, rank.now(), backward);
     return;
   }
   const std::size_t bytes =
@@ -470,7 +466,7 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
     m.eager_bytes = static_cast<std::uint32_t>(bytes);
     if (numeric) {
       auto payload = pgas::shared_host_buffer(rank, bytes / sizeof(double));
-      std::memcpy(payload.get(), z.data(), bytes);
+      std::memcpy(payload.get(), z, bytes);
       m.payload = std::move(payload);
     }
     net_.send(rank, dest_owner, std::move(m));
@@ -479,7 +475,7 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
   pgas::GlobalPtr buf{};
   if (numeric) {
     buf = rank.pool_allocate_host(bytes);
-    std::memcpy(buf.addr, z.data(), bytes);
+    std::memcpy(buf.addr, z, bytes);
     pr.owned_buffers.push_back(buf);
   }
   net_.send(rank, dest_owner,

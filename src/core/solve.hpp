@@ -41,6 +41,7 @@
 #include "core/taskrt/dep_tracker.hpp"
 #include "core/taskrt/endpoint.hpp"
 #include "core/taskrt/ready_queue.hpp"
+#include "core/taskrt/scratch.hpp"
 #include "core/taskrt/stats.hpp"
 #include "core/trace.hpp"
 #include "pgas/runtime.hpp"
@@ -127,6 +128,14 @@ class SolveEngine {
     /// reference until the phase resets (reset_phase drops them —
     /// stale payloads never leak into the next sweep).
     std::vector<std::shared_ptr<const double>> eager_refs;
+    // Scratch, grown on demand and reused by every task of the rank
+    // (DESIGN.md §4k): the consumer ranks of a published segment, a
+    // contribution's partial sum and the x rows it reads, and the host
+    // copy of a pulled partial sum.
+    std::vector<int> consumers;
+    taskrt::Scratch<double> z;
+    taskrt::Scratch<double> xsub;
+    taskrt::Scratch<double> fetched;
   };
 
   pgas::Step step(pgas::Rank& rank, bool backward);

@@ -229,6 +229,9 @@ void SymPackSolver::factorize() {
         engine.run();
       }
       break;
+    } catch (const NotPositiveDefiniteError& e) {
+      // The engines name the column in the factor's ordering.
+      throw NotPositiveDefiniteError(perm_[e.column()]);
     } catch (const pgas::RankDeathError& e) {
       if (rec == nullptr || attempt >= opts_.resilience.max_recoveries) {
         throw;

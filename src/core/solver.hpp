@@ -18,6 +18,7 @@
 
 #include "core/block_store.hpp"
 #include "core/checkpoint.hpp"
+#include "core/errors.hpp"
 #include "core/offload.hpp"
 #include "core/options.hpp"
 #include "core/report.hpp"
@@ -43,6 +44,9 @@ class SymPackSolver {
 
   /// Phase 2: numeric factorization. May be called repeatedly (the panels
   /// are re-assembled from A each time); requires symbolic_factorize.
+  /// Throws NotPositiveDefiniteError (core/errors.hpp) naming the failing
+  /// column in A's ordering when a pivot fails; it is never retried as a
+  /// rank death.
   void factorize();
 
   /// Numeric refactorization: adopt new values for a matrix with the

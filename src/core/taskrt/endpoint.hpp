@@ -253,7 +253,7 @@ class Endpoint {
     int idle_streak = 0;               // consecutive idle steps
     int death_scan_streak = 0;         // idle steps since last peer scan
     int rerequest_threshold = 0;       // idle steps before re-request
-    int rerequest_rounds = 0;          // re-request rounds fired so far
+    int rerequest_rounds = 0;          // rounds since the last new message
   };
 
   void unregister_dumper() {
@@ -301,13 +301,21 @@ class Endpoint {
   /// target (dedup/stash/release-run). Passing the inlined payload size
   /// here means a ledger retransmit re-carries (and recharges) the
   /// payload — an eager message is whole on every delivery attempt.
+  /// A message the target had not seen (admit counts every copy it
+  /// discards as a duplicate) restores its re-request budget: the round
+  /// cap counts rounds since the last new message, so idle rounds spent
+  /// waiting on slow peers cannot use up the budget a later loss needs.
   void post(pgas::Rank& rank, int to, std::uint64_t seq, const Msg& m) {
     const int from = rank.id();
     dispatch(
         rank, to,
         [this, from, seq, m](pgas::Rank& target) {
           Slot& ts = slots_[target.id()];
+          const auto dups = target.stats().duplicates_dropped;
           ts.link.admit(from, seq, m, ts.inbox, target.stats());
+          if (target.stats().duplicates_dropped == dups) {
+            ts.rerequest_rounds = 0;
+          }
         },
         inline_payload_bytes(m));
   }

@@ -27,6 +27,12 @@
 
 namespace sympack::support {
 
+// Each read returns `fallback` when the variable is unset. A value that
+// does not parse in full as the type (trailing garbage such as "4k", an
+// empty string, an out-of-range number, a boolean other than 1/0,
+// true/false, yes/no, on/off in any case) throws std::invalid_argument
+// naming the variable and its value, so a typo never silently turns a
+// knob on or off.
 std::string env_string(const char* name, const std::string& fallback);
 std::int64_t env_int(const char* name, std::int64_t fallback);
 double env_double(const char* name, double fallback);

@@ -393,6 +393,33 @@ TEST(ReliableLinkEdges, RerequestRoundCapExhaustionAbortsTheDrive) {
   EXPECT_THROW(solver.factorize(), std::runtime_error);
 }
 
+// The round cap counts rounds since the last new message, not rounds per
+// phase: ranks fire rounds while they wait on slow peers, and with a
+// per-phase count that waiting used up the budget before a later drop
+// needed it (the drive then stalled on a message nobody re-requested).
+// A tiny cap with frequent rounds must still recover every drop.
+TEST(ReliableLinkEdges, RoundBudgetRestartsOnNewMessages) {
+  const auto a = sparse::flan_proxy(0.02);
+  pgas::Runtime::Config cfg = cluster(8, /*threaded=*/false);
+  cfg.faults.enabled = true;
+  cfg.faults.seed = 17;
+  cfg.faults.drop_rate = 0.05;
+  pgas::Runtime rt(cfg);
+  core::SolverOptions opts;
+  opts.fault.rerequest_idle_limit = 2;
+  opts.fault.max_rerequest_rounds = 4;
+  core::SymPackSolver solver(rt, opts);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  const pgas::CommStats stats = rt.total_stats();
+  EXPECT_GT(stats.retransmits, 0u);
+  EXPECT_GT(stats.dropped_detected,
+            static_cast<std::uint64_t>(opts.fault.max_rerequest_rounds) *
+                static_cast<std::uint64_t>(rt.nranks()));
+  const auto b = sparse::rhs_for_ones(a);
+  EXPECT_LT(sparse::relative_residual(a, solver.solve(b), b), 1e-10);
+}
+
 // ------------------------------------------------------------------
 // RMA-retry exhaustion satellite: the typed error carries the
 // rank/attempt/backoff context and ticks the rma_exhausted counter.

@@ -275,6 +275,86 @@ TEST(Solver, IndefiniteMatrixThrows) {
   EXPECT_THROW(solver.factorize(), std::runtime_error);
 }
 
+// The grid Laplacian with column `bad`'s diagonal made negative. Every
+// principal submatrix without `bad` stays positive definite, so in any
+// elimination order the first pivot to fail is bad's own.
+CscMatrix indefinite_at(idx_t bad) {
+  auto a = sparse::grid2d_laplacian(8, 8);
+  for (idx_t p = a.colptr()[bad]; p < a.colptr()[bad + 1]; ++p) {
+    if (a.rowind()[p] == bad) a.values()[p] = -1.0;
+  }
+  return a;
+}
+
+struct NotPdCase {
+  const char* name;
+  Variant variant;
+  bool threaded;
+  int buddy_replicas;
+};
+
+class NotPositiveDefinite : public ::testing::TestWithParam<NotPdCase> {};
+
+// A failed pivot surfaces once per factorize() as NotPositiveDefiniteError
+// naming the column in A's own ordering, from either engine and either
+// drive mode; with buddy checkpointing on it is not mistaken for a rank death
+// (no recovery runs), and the solver stays usable afterwards.
+TEST_P(NotPositiveDefinite, SurfacesOnceWithOriginalColumn) {
+  const NotPdCase& c = GetParam();
+  const idx_t bad = 37;
+  const auto a = indefinite_at(bad);
+  pgas::Runtime::Config cfg = cluster(4);
+  cfg.threaded = c.threaded;
+  pgas::Runtime rt(cfg);
+  SolverOptions opts;
+  opts.variant = c.variant;
+  opts.resilience.buddy_replicas = c.buddy_replicas;
+  SymPackSolver solver(rt, opts);
+  solver.symbolic_factorize(a);
+  const auto& perm = solver.permutation();
+  ASSERT_NE(perm[bad], bad) << "ordering must move the column, or the "
+                               "test cannot tell the two orderings apart";
+
+  int caught = 0;
+  idx_t column = -1;
+  try {
+    solver.factorize();
+  } catch (const NotPositiveDefiniteError& e) {
+    ++caught;
+    column = e.column();
+  }
+  EXPECT_EQ(caught, 1);
+  EXPECT_EQ(column, bad);
+  const pgas::CommStats stats = rt.total_stats();
+  EXPECT_EQ(stats.peer_deaths_detected, 0u);
+  EXPECT_EQ(stats.ckpt_restores, 0u);
+  EXPECT_EQ(stats.blocks_reassembled, 0u);
+  for (int r = 0; r < rt.nranks(); ++r) EXPECT_TRUE(rt.rank(r).alive());
+
+  // Same pattern, positive definite values: the unwound attempt left
+  // nothing behind.
+  const auto spd = sparse::grid2d_laplacian(8, 8);
+  solver.refactorize(spd);
+  const auto b = sparse::rhs_for_ones(spd);
+  EXPECT_LT(sparse::relative_residual(spd, solver.solve(b), b), 1e-12);
+  for (int d = 0; d < rt.num_devices(); ++d) {
+    EXPECT_EQ(rt.device_bytes_in_use(d), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DriveModes, NotPositiveDefinite,
+    ::testing::Values(
+        NotPdCase{"FanOutSequential", Variant::kFanOut, false, 0},
+        NotPdCase{"FanOutThreaded", Variant::kFanOut, true, 0},
+        NotPdCase{"FanOutBuddy", Variant::kFanOut, false, 1},
+        NotPdCase{"FanInSequential", Variant::kFanIn, false, 0},
+        NotPdCase{"FanInThreaded", Variant::kFanIn, true, 0},
+        NotPdCase{"FanInBuddy", Variant::kFanIn, false, 1}),
+    [](const ::testing::TestParamInfo<NotPdCase>& info) {
+      return std::string(info.param.name);
+    });
+
 TEST(Solver, MultipleRhs) {
   pgas::Runtime rt(cluster(4));
   const auto a = sparse::grid2d_laplacian(9, 9);

@@ -250,10 +250,49 @@ TEST(Env, ReadsTypedValues) {
   ::unsetenv("SYMPACK_TEST_BOOL");
 }
 
-TEST(Env, MalformedFallsBack) {
-  ::setenv("SYMPACK_TEST_BAD", "12abc", 1);
-  EXPECT_EQ(env_int("SYMPACK_TEST_BAD", 3), 3);
+// A value that does not parse in full is an error naming the variable and
+// its value, so SYMPACK_EAGER_BYTES=4k cannot silently turn eager sends
+// off.
+TEST(Env, MalformedThrows) {
+  const auto message = [](auto read) {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  ::setenv("SYMPACK_TEST_BAD", "4k", 1);
+  const std::string m = message([] { env_int("SYMPACK_TEST_BAD", 3); });
+  EXPECT_NE(m.find("SYMPACK_TEST_BAD"), std::string::npos) << m;
+  EXPECT_NE(m.find("4k"), std::string::npos) << m;
+  EXPECT_THROW(env_double("SYMPACK_TEST_BAD", 0.5), std::invalid_argument);
+  ::setenv("SYMPACK_TEST_BAD", "", 1);
+  EXPECT_THROW(env_int("SYMPACK_TEST_BAD", 3), std::invalid_argument);
+  EXPECT_THROW(env_double("SYMPACK_TEST_BAD", 0.5), std::invalid_argument);
+  EXPECT_THROW(env_bool("SYMPACK_TEST_BAD", true), std::invalid_argument);
+  ::setenv("SYMPACK_TEST_BAD", "99999999999999999999", 1);
+  EXPECT_THROW(env_int("SYMPACK_TEST_BAD", 3), std::invalid_argument);
   ::unsetenv("SYMPACK_TEST_BAD");
+}
+
+// A misspelled boolean is an error, so SYMPACK_COALESCE=fasle cannot turn
+// coalescing on.
+TEST(Env, MisspelledBoolThrows) {
+  ::setenv("SYMPACK_TEST_BOOL", "fasle", 1);
+  try {
+    (void)env_bool("SYMPACK_TEST_BOOL", false);
+    ADD_FAILURE() << "env_bool accepted \"fasle\"";
+  } catch (const std::invalid_argument& e) {
+    const std::string m = e.what();
+    EXPECT_NE(m.find("SYMPACK_TEST_BOOL"), std::string::npos) << m;
+    EXPECT_NE(m.find("fasle"), std::string::npos) << m;
+  }
+  ::setenv("SYMPACK_TEST_BOOL", "OFF", 1);
+  EXPECT_FALSE(env_bool("SYMPACK_TEST_BOOL", true));
+  ::setenv("SYMPACK_TEST_BOOL", "Yes", 1);
+  EXPECT_TRUE(env_bool("SYMPACK_TEST_BOOL", false));
+  ::unsetenv("SYMPACK_TEST_BOOL");
 }
 
 }  // namespace

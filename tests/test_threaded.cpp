@@ -1,6 +1,7 @@
 // Threaded-mode hardening suite (the TSan CI job runs exactly these
 // binaries): threaded-vs-sequential parity on the three paper proxy
-// generators across all four scheduling policies, seeded-interleaving
+// generators across all four scheduling policies (and for the fan-in
+// engine), seeded-interleaving
 // replay at the solver level, and the duplicate-signal device-leak
 // regression for FactorEngine::handle_signal.
 //
@@ -85,11 +86,13 @@ struct RunResult {
 };
 
 RunResult run_solver(const CscMatrix& a, int nranks, bool threaded,
-                     core::Policy policy, std::uint64_t seed = 0) {
+                     core::Policy policy, std::uint64_t seed = 0,
+                     core::Variant variant = core::Variant::kFanOut) {
   pgas::Runtime rt(cluster(nranks, threaded));
   core::SolverOptions opts;
   opts.policy = policy;
   opts.interleave_seed = seed;
+  opts.variant = variant;
   core::SymPackSolver solver(rt, opts);
   solver.symbolic_factorize(a);
   solver.factorize();
@@ -180,6 +183,32 @@ INSTANTIATE_TEST_SUITE_P(
                                          core::Policy::kPriority,
                                          core::Policy::kCriticalPath)),
     parity_name);
+
+// The fan-in engine under both drive modes (it always runs FIFO): its
+// per-rank aggregate vectors, update scratch and fetched-pivot copies are
+// single-writer like the fan-out engine's.
+class ThreadedFanInParity : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ThreadedFanInParity, MatchesSequentialMode) {
+  const auto a = proxy_matrix(GetParam());
+  const RunResult seq = run_solver(a, 8, /*threaded=*/false,
+                                   core::Policy::kFifo, 0,
+                                   core::Variant::kFanIn);
+  const RunResult thr = run_solver(a, 8, /*threaded=*/true,
+                                   core::Policy::kFifo, 0,
+                                   core::Variant::kFanIn);
+  EXPECT_LT(seq.factor_residual, 1e-10);
+  EXPECT_LT(thr.factor_residual, 1e-10);
+  ASSERT_EQ(seq.factor.size(), thr.factor.size());
+  for (std::size_t i = 0; i < seq.factor.size(); ++i) {
+    ASSERT_NEAR(seq.factor[i], thr.factor[i], 1e-9) << "entry " << i;
+  }
+  expect_stats_equal(seq.stats, thr.stats);
+  EXPECT_EQ(thr.device_bytes_left, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Proxies, ThreadedFanInParity,
+                         ::testing::Values("flan", "bones", "thermal"));
 
 // ------------------------------------------------------------------
 // Seeded interleaving fuzzer at the solver level.
