@@ -1,6 +1,6 @@
 // Ablation F: fan-out vs fan-in (Ashcraft's taxonomy, paper §2.3). The
 // paper's symPACK "is inspired by the fan-out algorithm"; this bench
-// quantifies that choice against a fan-in engine with aggregate-vector
+// quantifies that choice against the fan-in variant with aggregate-vector
 // messages on the same block distribution, across node counts and all
 // three proxy matrices.
 //

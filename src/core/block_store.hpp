@@ -85,8 +85,9 @@ class BlockStore {
                             idx_t m, idx_t* out) const;
 
   /// Scatter update U_{j,si,ti}'s dense product into `target`, a buffer
-  /// shaped like the block the update folds into (the block itself in
-  /// fan-out, an aggregate vector in fan-in). `product` is column-major
+  /// shaped like the block the update folds into (FactorEngine passes the
+  /// block itself in fan-out and the running rank's aggregate for it in
+  /// fan-in). `product` is column-major
   /// with leading dimension m = rows of block (j, si). si == ti (SYRK):
   /// the lower triangle of the m x m product is added into the diagonal
   /// block of t (tslot is 0). Otherwise (GEMM): the m x np product is

@@ -8,7 +8,8 @@
 // victim had completed; recovery resurrects the victim, pulls those
 // blocks back from the buddies, re-assembles the still-incomplete blocks
 // from the original matrix, and re-drives the phase with the completed
-// sub-DAG cut out (core/factor.cpp, core/fanin.cpp warm start).
+// sub-DAG cut out (FactorEngine's warm start in core/factor.cpp, for
+// both variants).
 //
 // Cost honesty: the replica buffers live in the buddy's shared segment
 // (slab-pool backed) and every save/restore is charged like any other

@@ -13,7 +13,8 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
                            Offload& offload, const SolverOptions& opts,
                            Tracer* tracer, RecoveryContext* rec)
     : rt_(&rt), sym_(&sym), tg_(&tg), store_(&store), offload_(&offload),
-      opts_(opts), stats_(tracer, opts.trace.metadata), rec_(rec) {
+      opts_(opts), fan_in_(tg.variant() == Variant::kFanIn),
+      stats_(tracer, opts.trace.metadata), rec_(rec) {
   per_rank_.resize(rt.nranks());
   for (PerRank& pr : per_rank_) pr.rtq.set_policy(opts_.policy);
   net_.init(rt, opts_.fault, tracer, opts_.comm, opts_.resilience);
@@ -59,19 +60,21 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
       }
     }
   }
-  if (rec_ != nullptr) {
-    // Updates folding into a complete block never re-run: shrink their
-    // owners' termination goals to match (the owner of U_{k,si,ti} is
-    // the owner of its target block).
-    const auto& map = tg.mapping();
-    for (idx_t k = 0; k < sym.num_snodes(); ++k) {
-      const auto& sn = sym.snode(k);
-      const idx_t nbk = static_cast<idx_t>(sn.blocks.size());
-      for (idx_t si = 1; si <= nbk; ++si) {
-        for (idx_t ti = 1; ti <= si; ++ti) {
-          if (update_needed(k, si, ti)) continue;
-          --goal_update_[map(sn.blocks[si - 1].target,
-                             sn.blocks[ti - 1].target)];
+  if (rec_ == nullptr && !fan_in_) return;
+  // Sweep the update tasks. Those folding into a complete block never
+  // re-run, so their ranks' termination goals shrink; in fan-in, each one
+  // that runs is owed to its rank's aggregate for the target block.
+  for (idx_t k = 0; k < sym.num_snodes(); ++k) {
+    const auto& sn = sym.snode(k);
+    const idx_t nbk = static_cast<idx_t>(sn.blocks.size());
+    for (idx_t si = 1; si <= nbk; ++si) {
+      for (idx_t ti = 1; ti <= si; ++ti) {
+        const int r = tg.update_rank(sn.blocks[si - 1].target, k,
+                                     sn.blocks[ti - 1].target);
+        if (!update_needed(k, si, ti)) {
+          --goal_update_[r];
+        } else if (fan_in_) {
+          ++per_rank_[r].aggs[update_target_bid(k, si, ti)].pending;
         }
       }
     }
@@ -80,14 +83,23 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
 
 FactorEngine::~FactorEngine() {
   // An abnormal unwind (rank death mid-phase) can leave fetched blocks
-  // parked in the use caches; return their device allocations so the
-  // next attempt starts with the full segment.
+  // parked in the use caches and sent aggregates unconsumed; return their
+  // device and pool allocations so the next attempt starts with the full
+  // segments.
   for (int r = 0; r < static_cast<int>(per_rank_.size()); ++r) {
     pgas::Rank& rank = rt_->rank(r);
     per_rank_[r].cache.for_each([&rank](sparse::idx_t, RemoteFactor& rf) {
       if (!rf.device.is_null()) rank.deallocate(rf.device);
     });
     per_rank_[r].cache.clear();
+  }
+  free_out_buffers();
+}
+
+void FactorEngine::free_out_buffers() {
+  for (int r = 0; r < static_cast<int>(per_rank_.size()); ++r) {
+    for (auto& g : per_rank_[r].out_buffers) rt_->rank(r).pool_deallocate(g);
+    per_rank_[r].out_buffers.clear();
   }
 }
 
@@ -107,6 +119,9 @@ void FactorEngine::run() {
   if (rec_ != nullptr) publish_restored();
   rt_->drive([this](pgas::Rank& rank) { return step(rank); },
              /*stall_limit=*/10000, opts_.interleave_seed);
+  // Sent aggregates are consumed by their receivers before their ranks
+  // report done.
+  free_out_buffers();
 }
 
 void FactorEngine::publish_restored() {
@@ -114,17 +129,8 @@ void FactorEngine::publish_restored() {
     const idx_t nslots = 1 + static_cast<idx_t>(sym_->snode(k).blocks.size());
     for (BlockSlot slot = 0; slot < nslots; ++slot) {
       const idx_t bid = store_->block_id(k, slot);
-      if (rec_->complete[bid] == 0) continue;
-      pgas::Rank& owner = rt_->rank(store_->owner(bid));
-      // Local consumers with pending tasks read the restored data in
-      // place; remote ones get a plain rendezvous signal and pull it.
-      if (local_uses(owner.id(), k, slot) > 0) {
-        deliver(owner, k, slot,
-                FactorRef{store_->data(bid), owner.now(), false, -1});
-      }
-      for (int r : tg_->recipients(k, slot)) {
-        if (local_uses(r, k, slot) == 0) continue;
-        net_.send(owner, r, Signal{k, slot});
+      if (rec_->complete[bid] != 0) {
+        share(rt_->rank(store_->owner(bid)), k, slot);
       }
     }
   }
@@ -188,12 +194,13 @@ int FactorEngine::local_uses(int rank, idx_t k, BlockSlot slot) const {
   const idx_t si = slot;
   const idx_t s = sn.blocks[si - 1].target;
   for (idx_t ti = 1; ti <= si; ++ti) {
-    if (map(s, sn.blocks[ti - 1].target) == rank && update_needed(k, si, ti)) {
+    if (tg_->update_rank(s, k, sn.blocks[ti - 1].target) == rank &&
+        update_needed(k, si, ti)) {
       ++uses;
     }
   }
   for (idx_t si2 = si + 1; si2 <= nb; ++si2) {
-    if (map(sn.blocks[si2 - 1].target, s) == rank &&
+    if (tg_->update_rank(sn.blocks[si2 - 1].target, k, s) == rank &&
         update_needed(k, si2, si)) {
       ++uses;
     }
@@ -202,6 +209,10 @@ int FactorEngine::local_uses(int rank, idx_t k, BlockSlot slot) const {
 }
 
 void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
+  if (sig.from >= 0) {
+    receive_aggregate(rank, sig);
+    return;
+  }
   // A signal dereferences the source panel's metadata on the consumer;
   // under a sharded view a non-resident panel costs one metadata pull
   // here (then caches).
@@ -233,7 +244,8 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
   }
 
   RemoteFactor rf;
-  bool on_device = offload_->device_resident(elems);
+  // Pull mode keeps fetched blocks on the host (DESIGN.md §4l).
+  bool on_device = !fan_in_ && offload_->device_resident(elems);
   double ready;
   if (store_->numeric()) {
     const double* data = nullptr;
@@ -298,6 +310,25 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
   deliver(rank, sig.k, sig.slot, entry->ref);
 }
 
+void FactorEngine::receive_aggregate(pgas::Rank& rank, const Signal& sig) {
+  if (sig.eager_bytes > 0) {
+    // Eager: the aggregate arrived inline (wire bytes and arrival time
+    // already charged at the Rank layer); fold it in directly.
+    apply_aggregate(rank, sig.k, sig.slot,
+                    sig.payload ? sig.payload.get() : nullptr, rank.now());
+    return;
+  }
+  // Pull the aggregate from the sender's staging buffer.
+  const std::size_t bytes = store_->bytes(store_->block_id(sig.k, sig.slot));
+  const double ready = rank.transfer_completion(
+      bytes, sig.from, pgas::MemKind::kHost, pgas::MemKind::kHost);
+  rank.advance(rt_->model().rma_issue_s);
+  ++rank.stats().gets;
+  rank.stats().bytes_from_host += bytes;
+  rank.merge_clock(std::max(sig.sent, rank.now()));
+  apply_aggregate(rank, sig.k, sig.slot, sig.data, ready);
+}
+
 void FactorEngine::deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
                            const FactorRef& ref) {
   const int me = rank.id();
@@ -325,14 +356,15 @@ void FactorEngine::deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
   // As the source operand of U_{s,k,t}, t <= s (includes the SYRK task
   // at ti == si, which has a single operand).
   for (idx_t ti = 1; ti <= si; ++ti) {
-    if (map(s, sn.blocks[ti - 1].target) == me && update_needed(k, si, ti)) {
+    if (tg_->update_rank(s, k, sn.blocks[ti - 1].target) == me &&
+        update_needed(k, si, ti)) {
       satisfy_update(rank, k, si, ti, ref, /*as_source=*/true);
     }
   }
   // As the pivot operand of U_{s',k,s}, s' > s (strictly, so the SYRK
   // task is not double-counted).
   for (idx_t si2 = si + 1; si2 <= nb; ++si2) {
-    if (map(sn.blocks[si2 - 1].target, s) == me &&
+    if (tg_->update_rank(sn.blocks[si2 - 1].target, k, s) == me &&
         update_needed(k, si2, si)) {
       satisfy_update(rank, k, si2, si, ref, /*as_source=*/false);
     }
@@ -374,9 +406,13 @@ void FactorEngine::publish(pgas::Rank& rank, idx_t k, BlockSlot slot) {
       });
     }
   }
+  share(rank, k, slot);
+}
+
+void FactorEngine::share(pgas::Rank& rank, idx_t k, BlockSlot slot) {
+  const idx_t bid = store_->block_id(k, slot);
   // Local consumers are satisfied directly (no message, data in place).
   if (local_uses(rank.id(), k, slot) > 0) {
-    const idx_t bid = store_->block_id(k, slot);
     deliver(rank, k, slot,
             FactorRef{store_->data(bid), rank.now(), false, -1});
   }
@@ -384,28 +420,29 @@ void FactorEngine::publish(pgas::Rank& rank, idx_t k, BlockSlot slot) {
   // the block with a one-sided get when they next poll — unless the
   // block is small enough for the eager protocol, in which case the
   // data rides inside the signal and the pull round trip is skipped.
-  const auto& recipients = tg_->recipients(k, slot);
-  if (recipients.empty()) return;
-  const idx_t bid = store_->block_id(k, slot);
+  const std::vector<int>* recipients = &tg_->recipients(k, slot);
+  std::vector<int> pending;
+  if (rec_ != nullptr) {
+    for (int r : *recipients) {
+      if (local_uses(r, k, slot) > 0) pending.push_back(r);
+    }
+    recipients = &pending;
+  }
+  if (recipients->empty()) return;
   const std::size_t bytes = store_->bytes(bid);
+  Signal sig{k, slot};
   if (net_.eager(bytes)) {
-    Signal sig{k, slot};
     sig.eager_bytes = static_cast<std::uint32_t>(bytes);
     if (store_->numeric()) {
       // One pooled buffer serves every recipient (the signal copies
       // share it); it returns to the pool when the last consumer's
       // uses drain.
-      auto buf =
-          pgas::shared_host_buffer(rank, bytes / sizeof(double));
+      auto buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
       std::memcpy(buf.get(), store_->data(bid), bytes);
       sig.payload = std::move(buf);
     }
-    for (int r : recipients) net_.send(rank, r, sig);
-    return;
   }
-  for (int r : recipients) {
-    net_.send(rank, r, Signal{k, slot});
-  }
+  for (int r : *recipients) net_.send(rank, r, sig);
 }
 
 void FactorEngine::execute(pgas::Rank& rank, const Task& task) {
@@ -496,52 +533,106 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
   const idx_t t = tblk.target;
   const int m = static_cast<int>(sblk.nrows);
   const int np = static_cast<int>(tblk.nrows);
+  const BlockSlot tslot = (s == t) ? 0 : sym_->find_block(t, s) + 1;
+  const idx_t tbid = store_->block_id(t, tslot);
   const bool numeric = store_->numeric();
 
-  if (s == t) {
-    // SYRK: update the diagonal block of supernode t.
-    const idx_t tbid = store_->block_id(t, 0);
-    if (numeric) {
-      double* product = pr.product.get(static_cast<std::size_t>(m) * m);
-      offload_->run_syrk(rank, m, w, st.src.data, m, product, m,
-                         st.src.on_device);
-      store_->scatter_update(j, task.si, task.ti, 0, product,
-                             store_->data(tbid), pr.offsets);
-    } else {
-      offload_->run_syrk(rank, m, w, nullptr, m, nullptr, m,
-                         st.src.on_device);
+  // Push mode folds the product into the target block in place; pull
+  // mode into this rank's aggregate for it.
+  Aggregate* agg = nullptr;
+  double* target = numeric ? store_->data(tbid) : nullptr;
+  if (fan_in_) {
+    agg = &pr.aggs.at(tbid);
+    if (numeric && agg->buf.empty()) {
+      agg->buf.assign(store_->bytes(tbid) / sizeof(double), 0.0);
     }
-    offload_->charge_scatter(rank,
-                             sizeof(double) * static_cast<std::size_t>(m) * m);
-    complete_target_update(rank, t, 0);
-  } else {
-    // GEMM: update block B_{s,t} of supernode t.
-    const idx_t tslot = sym_->find_block(t, s) + 1;
-    const idx_t tbid = store_->block_id(t, tslot);
-    if (numeric) {
-      double* product = pr.product.get(static_cast<std::size_t>(m) * np);
-      offload_->run_gemm(rank, m, np, w, st.src.data, m, st.piv.data, np,
-                         product, m, st.src.on_device, st.piv.on_device);
-      store_->scatter_update(j, task.si, task.ti, tslot, product,
-                             store_->data(tbid), pr.offsets);
-    } else {
-      offload_->run_gemm(rank, m, np, w, nullptr, m, nullptr, np, nullptr, m,
-                         st.src.on_device, st.piv.on_device);
-    }
-    offload_->charge_scatter(
-        rank, sizeof(double) * static_cast<std::size_t>(m) * np);
-    complete_target_update(rank, t, tslot);
+    target = agg->buf.data();
   }
 
+  // SYRK (s == t) updates the diagonal block of t with an m x m product;
+  // GEMM updates block B_{s,t} with an m x np one.
+  const int cols = (s == t) ? m : np;
+  double* product =
+      numeric ? pr.product.get(static_cast<std::size_t>(m) * cols) : nullptr;
+  if (s == t) {
+    offload_->run_syrk(rank, m, w, st.src.data, m, product, m,
+                       st.src.on_device);
+  } else {
+    offload_->run_gemm(rank, m, np, w, st.src.data, m, st.piv.data, np,
+                       product, m, st.src.on_device, st.piv.on_device);
+  }
+  if (numeric) {
+    store_->scatter_update(j, task.si, task.ti, tslot, product, target,
+                           pr.offsets);
+  }
+  offload_->charge_scatter(
+      rank, sizeof(double) * static_cast<std::size_t>(m) * cols);
+
+  if (!fan_in_) {
+    complete_target_update(rank, t, tslot, rank.now());
+  } else if (--agg->pending == 0) {
+    flush_aggregate(rank, t, tslot);
+  }
   ++pr.done_update;
   release_ref(rank, st.src);
   if (task.si != task.ti) release_ref(rank, st.piv);
 }
 
-void FactorEngine::complete_target_update(pgas::Rank& rank, idx_t t,
-                                          BlockSlot slot) {
+void FactorEngine::flush_aggregate(pgas::Rank& rank, idx_t t,
+                                   BlockSlot slot) {
+  const int me = rank.id();
+  PerRank& pr = per_rank_[me];
   const idx_t bid = store_->block_id(t, slot);
-  if (deps_.satisfy(bid, rank.now())) {
+  const auto it = pr.aggs.find(bid);
+  const double* buf = it->second.buf.empty() ? nullptr : it->second.buf.data();
+  const int owner = store_->owner(bid);
+  if (owner == me) {
+    apply_aggregate(rank, t, slot, buf, rank.now());
+  } else {
+    // Send the aggregate (one message carrying the whole block
+    // contribution, §2.3's second message type). Small aggregates go
+    // eager — inlined into the signal, no staging buffer and no pull on
+    // the receiver; larger ones are staged in a pool buffer the receiver
+    // pulls from.
+    const std::size_t bytes = store_->bytes(bid);
+    Signal sig{t, slot};
+    sig.from = me;
+    if (net_.eager(bytes)) {
+      sig.eager_bytes = static_cast<std::uint32_t>(bytes);
+      if (store_->numeric()) {
+        auto payload = pgas::shared_host_buffer(rank, bytes / sizeof(double));
+        std::memcpy(payload.get(), buf, bytes);
+        sig.payload = std::move(payload);
+      }
+    } else if (store_->numeric()) {
+      auto g = rank.pool_allocate_host(bytes);
+      std::memcpy(g.addr, buf, bytes);
+      pr.out_buffers.push_back(g);
+      sig.data = g.local<double>();
+    }
+    sig.sent = rank.now();
+    net_.send(rank, owner, sig);
+  }
+  pr.aggs.erase(it);
+}
+
+void FactorEngine::apply_aggregate(pgas::Rank& rank, idx_t t, BlockSlot slot,
+                                   const double* buf, double ready) {
+  const idx_t bid = store_->block_id(t, slot);
+  if (store_->numeric() && buf != nullptr) {
+    // The aggregate holds the (negative) update sum to be added.
+    double* target = store_->data(bid);
+    const std::size_t elems = store_->bytes(bid) / sizeof(double);
+    for (std::size_t i = 0; i < elems; ++i) target[i] += buf[i];
+  }
+  offload_->charge_scatter(rank, store_->bytes(bid));
+  complete_target_update(rank, t, slot, std::max(ready, rank.now()));
+}
+
+void FactorEngine::complete_target_update(pgas::Rank& rank, idx_t t,
+                                          BlockSlot slot, double ready) {
+  const idx_t bid = store_->block_id(t, slot);
+  if (deps_.satisfy(bid, ready)) {
     enqueue(per_rank_[rank.id()],
             Task{slot == 0 ? TaskType::kDiag : TaskType::kFactor, t, slot,
                  0, 0, deps_.ready(bid)});

@@ -1,4 +1,5 @@
-// The fan-out numeric factorization engine (paper §3.2-§3.4, Figures 3-4).
+// The numeric factorization engine (paper §3.2-§3.4, Figures 3-4), for
+// both members of Ashcraft's taxonomy the solver runs (paper §2.3).
 //
 // Every rank runs the same loop (one call = one "step"):
 //   1. progress(): execute incoming signal RPCs, which append to the
@@ -14,23 +15,34 @@
 // signal RPC. A rank is done when all of its statically assigned tasks
 // (its LTQ) have executed.
 //
+// The variant (SolverOptions::variant, baked into the task graph) only
+// decides which rank runs U_{s,j,t} (symbolic::TaskGraph::update_rank);
+// everything above is shared. The engine branches on it in two places:
+//   - where an update lands: fan-out (push) scatters it into the target
+//     block in place; fan-in (pull) scatters it into the running rank's
+//     aggregate for the target, sent to the target's owner as one
+//     message once the rank has folded in every update it owes the block
+//     (§2.3's second message type), then freed;
+//   - where a fetched block lives: fan-in keeps it on the host.
+//
 // The engine owns only the *algorithm*: which tasks exist, what unlocks
 // them, and what executing one does. The task-runtime substrate —
 // policy-driven ready queue, dependency counters, signal transport with
 // the full recovery protocol, use-counted fetch cache, tracer hook —
-// lives in core/taskrt/ and is shared with the fan-in and solve engines.
+// lives in core/taskrt/ and is shared with the solve engine.
 //
 // Thread-safety (audited; see DESIGN.md "Threading memory model" and
 // §4d): the engine holds no locks because every mutable member is
-// single-writer. per_rank_[r] (RTQ, caches, counters) and the endpoint's
-// slot r are touched only by the thread driving rank r — signal RPCs
-// mutate the *target's* slot, but RPC bodies execute inside the target's
-// progress(), i.e. on the target's own thread. deps_[bid] is touched
-// only by the thread driving owner(bid): deliver() and
-// complete_target_update() run on the consuming rank, and in fan-out the
-// consumer of every U/F dependency is the block's owner. Reads of
-// published factor-block data after a signal are ordered by the
-// inbox-mutex release/acquire pair in Rank::rpc/progress.
+// single-writer. per_rank_[r] (RTQ, caches, aggregates, counters) and the
+// endpoint's slot r are touched only by the thread driving rank r —
+// signal RPCs mutate the *target's* slot, but RPC bodies execute inside
+// the target's progress(), i.e. on the target's own thread. deps_[bid]
+// is touched only by the thread driving owner(bid): deliver() and
+// complete_target_update() run on the consuming rank, the consumer of a
+// block's D/F dependencies is its owner in fan-out, and fan-in applies
+// aggregates at the owner. Reads of published factor-block data after a
+// signal are ordered by the inbox-mutex release/acquire pair in
+// Rank::rpc/progress.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +75,8 @@ class FactorEngine {
   /// the completed sub-DAG is cut out: those blocks' tasks never re-run,
   /// their data (restored by the solver) is re-published to the
   /// still-pending consumers from run()'s prologue, and the per-rank
-  /// termination goals shrink accordingly.
+  /// termination goals (and, in fan-in, the aggregates' pending update
+  /// counts) shrink accordingly.
   FactorEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
                const symbolic::TaskGraphView& tg, BlockStore& store,
                Offload& offload, const SolverOptions& opts,
@@ -116,17 +129,30 @@ class FactorEngine {
     FactorRef piv;  // L_{t,j} (same as src for SYRK tasks)
   };
 
+  /// Fan-in: one rank's running sum of the updates it owes one block.
+  struct Aggregate {
+    std::vector<double> buf;  // shape of the block; empty in dry runs
+    int pending = 0;          // updates this rank still owes the block
+  };
+
+  /// Factor block (k, slot) is ready — or, when `from` >= 0 (fan-in),
+  /// rank `from` sends its aggregate for block (k, slot). Applying an
+  /// aggregate is not idempotent, so duplicates must be filtered by the
+  /// link's dedup, not by the handler.
   struct Signal {
     idx_t k;
     BlockSlot slot;
-    /// Eager protocol (DESIGN.md §4e): nonzero means the factor block's
-    /// bytes ride inside this signal and the consumer skips the pull
-    /// rget. Set even in protocol-only runs (wire accounting without
+    /// Eager protocol (DESIGN.md §4e): nonzero means the block's (or the
+    /// aggregate's) bytes ride inside this signal and the consumer skips
+    /// the pull. Set even in protocol-only runs (wire accounting without
     /// data); `payload` is null there. A copy of the signal in the
     /// ReliableLink ledger shares the payload buffer, so retransmits
     /// replay the data inline.
     std::uint32_t eager_bytes = 0;
-    std::shared_ptr<const double> payload;
+    std::shared_ptr<const double> payload{};
+    int from = -1;
+    const double* data = nullptr;  // rendezvous aggregate: staging buffer
+    double sent = 0.0;             // aggregate: simulated send time
 
     /// taskrt::Endpoint's eager contract (found via ADL).
     friend std::size_t inline_payload_bytes(const Signal& s) {
@@ -139,6 +165,8 @@ class FactorEngine {
     std::unordered_map<std::uint64_t, UpdateState> pending_updates;
     taskrt::UseCache<RemoteFactor> cache;           // key: block id
     std::unordered_map<idx_t, FactorRef> diag_ref;  // key: supernode
+    std::unordered_map<idx_t, Aggregate> aggs;      // fan-in; key: block id
+    std::vector<pgas::GlobalPtr> out_buffers;       // sent aggregates
     idx_t done_factor = 0;
     idx_t done_update = 0;
     // Numeric scratch, grown on demand and reused by every task of the
@@ -156,6 +184,7 @@ class FactorEngine {
 
   pgas::Step step(pgas::Rank& rank);
   void handle_signal(pgas::Rank& rank, const Signal& sig);
+  void receive_aggregate(pgas::Rank& rank, const Signal& sig);
   /// Count the U/F tasks at `rank` that consume factor block (k, slot).
   /// On a recovery attempt, tasks whose target block is already complete
   /// are excluded (they will not re-run).
@@ -174,12 +203,25 @@ class FactorEngine {
   void satisfy_update(pgas::Rank& rank, idx_t j, idx_t si, idx_t ti,
                       const FactorRef& ref, bool as_source);
   void publish(pgas::Rank& rank, idx_t k, BlockSlot slot);
+  /// Hand factor block (k, slot), held by its owner `rank`, to the local
+  /// tasks that use it and signal the remote consumers (on a recovery
+  /// attempt, only those with tasks left to run).
+  void share(pgas::Rank& rank, idx_t k, BlockSlot slot);
   void execute(pgas::Rank& rank, const Task& task);
   void execute_diag(pgas::Rank& rank, const Task& task);
   void execute_factor(pgas::Rank& rank, const Task& task);
   void execute_update(pgas::Rank& rank, const Task& task);
-  void complete_target_update(pgas::Rank& rank, idx_t t, BlockSlot slot);
+  /// Fan-in: send (or, at the owner, apply) this rank's finished
+  /// aggregate for block (t, slot), then free it.
+  void flush_aggregate(pgas::Rank& rank, idx_t t, BlockSlot slot);
+  void apply_aggregate(pgas::Rank& rank, idx_t t, BlockSlot slot,
+                       const double* buf, double ready);
+  /// One update contribution to block (t, slot) has landed at `ready`.
+  void complete_target_update(pgas::Rank& rank, idx_t t, BlockSlot slot,
+                              double ready);
   void release_ref(pgas::Rank& rank, const FactorRef& ref);
+  /// Return the sent aggregates' staging buffers to the pool.
+  void free_out_buffers();
   /// Push a task with its policy priority (kPriority: -supernode;
   /// kCriticalPath: elimination-tree depth; queue order otherwise).
   void enqueue(PerRank& pr, const Task& task);
@@ -190,6 +232,8 @@ class FactorEngine {
   BlockStore* store_;
   Offload* offload_;
   SolverOptions opts_;
+  /// Pull mode (fan-in): updates land in aggregates (see the header).
+  bool fan_in_;
   taskrt::EngineStats stats_;
   /// Resilience hand-off (null without buddy checkpointing). The solver
   /// owns it; it outlives every factorization attempt's engine.
@@ -217,7 +261,8 @@ class FactorEngine {
   // Immutable after construction.
   std::vector<idx_t> snode_depth_;
 
-  /// White-box access for regression tests (duplicate-signal leak test).
+  /// White-box access for regression tests (duplicate-signal leak,
+  /// aggregates freed at flush).
   friend struct FactorEngineTestPeer;
 };
 

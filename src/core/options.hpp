@@ -9,6 +9,7 @@
 #include "support/backoff.hpp"
 #include "symbolic/mapping.hpp"
 #include "symbolic/symbolic.hpp"
+#include "symbolic/taskgraph.hpp"
 
 namespace sympack::core {
 
@@ -55,10 +56,10 @@ struct GpuOptions {
   GpuFallback fallback = GpuFallback::kCpu;
 };
 
-/// Which member of Ashcraft's algorithm taxonomy (paper §2.3) runs the
-/// numeric phase. The paper's symPACK is fan-out; the fan-in variant is
-/// provided for the algorithm-family ablation.
-enum class Variant { kFanOut, kFanIn };
+/// Which member of Ashcraft's taxonomy runs the numeric phase (defined
+/// with the placement rule it selects, symbolic::TaskGraph::update_rank;
+/// both variants run in core::FactorEngine).
+using Variant = symbolic::Variant;
 
 Variant parse_variant(const std::string& name);
 std::string variant_name(Variant v);
@@ -93,8 +94,8 @@ struct FaultToleranceOptions {
 /// golden schedule hash is bit-identical to a build without it.
 struct ResilienceOptions {
   /// Buddy copies kept of every completed supernode factor panel
-  /// (replicated to rank (owner+1) mod nranks as it completes). 0 = off;
-  /// currently at most 1 is meaningful (single-failure model).
+  /// (replicated to rank (owner+1) mod nranks as it completes). 0 = off,
+  /// 1 = on; nothing else is accepted (single-failure model).
   int buddy_replicas = 0;
   /// Consecutive idle step() calls before a rank scans its peers for a
   /// death (the failure-detection timeout, in units of the rank's own
@@ -228,5 +229,13 @@ struct SolverOptions {
   /// event stream byte-for-byte).
   TraceOptions trace{};
 };
+
+/// Check every numeric field against its documented range and throw
+/// std::invalid_argument naming the first field out of range and its
+/// value. The SymPackSolver constructor calls this after the SYMPACK_*
+/// overlays, so a bad environment value fails the same way. Two fields
+/// are exempt: interleave_seed (any value is a seed) and kernel_tiles,
+/// whose contract is to clamp (blas/kernels/tiling.hpp).
+void validate_options(const SolverOptions& opts);
 
 }  // namespace sympack::core

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/critpath.hpp"
 #include "core/factor.hpp"
-#include "core/fanin.hpp"
 #include "core/solve.hpp"
 #include "core/taskrt/reliable.hpp"
 #include "ordering/etree.hpp"
@@ -57,6 +58,66 @@ symbolic::SymbolicOptions env_symbolic_options(symbolic::SymbolicOptions base) {
   return base;
 }
 
+void validate_options(const SolverOptions& opts) {
+  auto check = [](bool ok, const char* field, auto value, const char* range) {
+    if (ok) return;
+    std::ostringstream msg;
+    msg << "SolverOptions: " << field << " = " << value
+        << " is out of range (" << range << ")";
+    throw std::invalid_argument(msg.str());
+  };
+  auto non_negative = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  const auto& sym = opts.symbolic;
+  check(non_negative(sym.relax_ratio) && sym.relax_ratio <= 1.0,
+        "symbolic.relax_ratio", sym.relax_ratio, "[0, 1]");
+  check(sym.relax_small >= 0, "symbolic.relax_small", sym.relax_small, ">= 0");
+  check(sym.max_width >= 0, "symbolic.max_width", sym.max_width,
+        ">= 0, 0 = unlimited");
+  const auto& gpu = opts.gpu;
+  check(gpu.potrf_threshold >= 0, "gpu.potrf_threshold", gpu.potrf_threshold,
+        ">= 0");
+  check(gpu.trsm_threshold >= 0, "gpu.trsm_threshold", gpu.trsm_threshold,
+        ">= 0");
+  check(gpu.syrk_threshold >= 0, "gpu.syrk_threshold", gpu.syrk_threshold,
+        ">= 0");
+  check(gpu.gemm_threshold >= 0, "gpu.gemm_threshold", gpu.gemm_threshold,
+        ">= 0");
+  check(gpu.device_resident_threshold >= 0, "gpu.device_resident_threshold",
+        gpu.device_resident_threshold, ">= 0");
+  const auto& fault = opts.fault;
+  check(fault.rerequest_idle_limit >= 1, "fault.rerequest_idle_limit",
+        fault.rerequest_idle_limit, ">= 1");
+  check(fault.max_rerequest_rounds >= 0, "fault.max_rerequest_rounds",
+        fault.max_rerequest_rounds, ">= 0");
+  const auto& rma = fault.rma_backoff;
+  check(non_negative(rma.base_s), "fault.rma_backoff.base_s", rma.base_s,
+        ">= 0");
+  check(std::isfinite(rma.multiplier) && rma.multiplier >= 1.0,
+        "fault.rma_backoff.multiplier", rma.multiplier, ">= 1");
+  check(non_negative(rma.cap_s), "fault.rma_backoff.cap_s", rma.cap_s, ">= 0");
+  check(non_negative(rma.jitter) && rma.jitter <= 1.0,
+        "fault.rma_backoff.jitter", rma.jitter, "[0, 1]");
+  check(rma.max_retries >= 0, "fault.rma_backoff.max_retries",
+        rma.max_retries, ">= 0");
+  const auto& res = opts.resilience;
+  check(res.buddy_replicas == 0 || res.buddy_replicas == 1,
+        "resilience.buddy_replicas", res.buddy_replicas, "0 or 1");
+  check(res.detect_idle >= 1, "resilience.detect_idle", res.detect_idle,
+        ">= 1");
+  check(non_negative(res.restart_delay_s), "resilience.restart_delay_s",
+        res.restart_delay_s, ">= 0");
+  check(res.max_recoveries >= 0, "resilience.max_recoveries",
+        res.max_recoveries, ">= 0");
+  // Eager payload sizes travel in a 32-bit signal field.
+  check(opts.comm.eager_bytes >= 0 &&
+            opts.comm.eager_bytes <= std::numeric_limits<std::uint32_t>::max(),
+        "comm.eager_bytes", opts.comm.eager_bytes, "[0, 2^32 - 1], 0 = off");
+  check(opts.solve.rhs_panel >= 0, "solve.rhs_panel", opts.solve.rhs_panel,
+        ">= 0, 0 = unbounded");
+  check(opts.solve.server_max_queue >= 0, "solve.server_max_queue",
+        opts.solve.server_max_queue, ">= 0, 0 = unlimited");
+}
+
 Policy parse_policy(const std::string& name) {
   if (name == "fifo") return Policy::kFifo;
   if (name == "lifo") return Policy::kLifo;
@@ -91,14 +152,15 @@ std::string variant_name(Variant v) {
 
 SymPackSolver::SymPackSolver(pgas::Runtime& rt, SolverOptions opts)
     : rt_(&rt), opts_(opts) {
-  // The dense-kernel tile configuration is process-wide (the blocked
-  // BLAS routines read it on every call); adopt this solver's choice.
-  blas::kernels::set_config(opts_.kernel_tiles);
   opts_.comm = env_comm_options(opts_.comm);
   opts_.resilience = env_resilience_options(opts_.resilience);
   opts_.solve = env_solve_options(opts_.solve);
   opts_.trace = env_trace_options(opts_.trace);
   opts_.symbolic = env_symbolic_options(opts_.symbolic);
+  validate_options(opts_);
+  // The dense-kernel tile configuration is process-wide (the blocked
+  // BLAS routines read it on every call); adopt this solver's choice.
+  blas::kernels::set_config(opts_.kernel_tiles);
 }
 
 SymPackSolver::~SymPackSolver() = default;
@@ -145,7 +207,8 @@ void SymPackSolver::symbolic_factorize(const sparse::CscMatrix& a) {
       opts_.mapping == symbolic::Mapping::Kind::kProportional
           ? symbolic::Mapping::proportional(rt_->nranks(), sym_)
           : symbolic::Mapping(rt_->nranks(), opts_.mapping));
-  tg_ = std::make_unique<symbolic::TaskGraph>(sym_, std::move(mapping));
+  tg_ = std::make_unique<symbolic::TaskGraph>(sym_, std::move(mapping),
+                                              opts_.variant);
   if (opts_.symbolic.shard) {
     auto sv = std::make_unique<symbolic::ShardedSymbolicView>(
         sym_, *tg_, rt_->model(), rt_->nranks(), sym_stats_);
@@ -219,15 +282,9 @@ void SymPackSolver::factorize() {
   // phase's simulated makespan (the overhead gate measures exactly this).
   for (int attempt = 0;; ++attempt) {
     try {
-      if (opts_.variant == Variant::kFanOut) {
-        FactorEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_,
-                            opts_, tracer_, rec);
-        engine.run();
-      } else {
-        FanInEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_,
-                           opts_, tracer_, rec);
-        engine.run();
-      }
+      FactorEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_, opts_,
+                          tracer_, rec);
+      engine.run();
       break;
     } catch (const NotPositiveDefiniteError& e) {
       // The engines name the column in the factor's ordering.

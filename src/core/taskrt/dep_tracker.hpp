@@ -1,15 +1,16 @@
 // Generic dependency tracking for the engines' task graphs.
 //
 // Every engine keeps the same two parallel arrays over its dependency
-// nodes (factor blocks for the factorization engines, supernode segments
+// nodes (factor blocks for the factorization engine, supernode segments
 // for the solve engine): an outstanding-dependency counter and the
 // simulated time at which the last-arriving input became available. A
 // node becomes ready when its counter hits zero; the max of the input
 // ready times is the earliest simulated start of the task it unlocks.
 //
 // Ownership (DESIGN.md §4d): each node id is touched only by the thread
-// driving the rank that consumes it — in fan-out/fan-in the consumer of
-// a block's dependencies is the block's owner, and in the solve engine
+// driving the rank that consumes it — in the factorization engine the
+// consumer of a block's dependencies is the block's owner under either
+// variant (fan-in applies aggregates there), and in the solve engine
 // the segment owner folds in remote contributions itself — so the
 // counters never see a remote writer and need no atomics.
 #pragma once

@@ -8,8 +8,8 @@
 //   * ReliableLink sequencing: send() records outgoing messages in a
 //     per-peer ledger and delivers them through admit(), which dedups,
 //     stashes out-of-order arrivals, and releases in-order runs. Dedup
-//     here is load-bearing: several engine handlers (fan-in kAggregate,
-//     solve kX/kContrib) are not idempotent.
+//     here is load-bearing: several engine handlers (the factorization
+//     engine's fan-in aggregates, solve kX/kContrib) are not idempotent.
 //   * Idle-triggered pull re-requests: on_idle() counts consecutive idle
 //     steps and, past a doubling threshold (capped rounds), broadcasts
 //     next_expected to every peer so producers replay their ledger

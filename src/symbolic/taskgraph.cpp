@@ -5,8 +5,9 @@
 
 namespace sympack::symbolic {
 
-TaskGraph::TaskGraph(const Symbolic& sym, std::shared_ptr<const Mapping> map)
-    : sym_(&sym), map_(std::move(map)) {
+TaskGraph::TaskGraph(const Symbolic& sym, std::shared_ptr<const Mapping> map,
+                     Variant variant)
+    : sym_(&sym), map_(std::move(map)), variant_(variant) {
   const Mapping& m = *map_;
   const idx_t ns = sym.num_snodes();
   ucount_.resize(ns);
@@ -15,6 +16,12 @@ TaskGraph::TaskGraph(const Symbolic& sym, std::shared_ptr<const Mapping> map)
   }
   owned_f_.assign(m.nranks(), 0);
   owned_u_.assign(m.nranks(), 0);
+  // Fan-in: the ranks already counted as sending each block an aggregate.
+  std::vector<std::vector<std::vector<int>>> senders;
+  if (variant_ == Variant::kFanIn) {
+    senders.resize(ns);
+    for (idx_t k = 0; k < ns; ++k) senders[k].resize(ucount_[k].size());
+  }
 
   for (idx_t j = 0; j < ns; ++j) {
     const auto& sn = sym.snode(j);
@@ -40,9 +47,18 @@ TaskGraph::TaskGraph(const Symbolic& sym, std::shared_ptr<const Mapping> map)
           }
           slot = bi + 1;
         }
-        ++ucount_[t][slot];
-        ++owned_u_[m(s, t)];
+        const int r = update_rank(s, j, t);
+        ++owned_u_[r];
         ++total_u_;
+        if (variant_ == Variant::kFanOut) {
+          ++ucount_[t][slot];
+          continue;
+        }
+        std::vector<int>& seen = senders[t][slot];
+        if (std::find(seen.begin(), seen.end(), r) == seen.end()) {
+          seen.push_back(r);
+          ++ucount_[t][slot];
+        }
       }
     }
   }
@@ -50,8 +66,8 @@ TaskGraph::TaskGraph(const Symbolic& sym, std::shared_ptr<const Mapping> map)
   build_consumer_tables();
 }
 
-TaskGraph::TaskGraph(const Symbolic& sym, const Mapping& map)
-    : TaskGraph(sym, std::make_shared<const Mapping>(map)) {}
+TaskGraph::TaskGraph(const Symbolic& sym, const Mapping& map, Variant variant)
+    : TaskGraph(sym, std::make_shared<const Mapping>(map), variant) {}
 
 int TaskGraph::owner(idx_t k, BlockSlot slot) const {
   const Mapping& m = *map_;
@@ -81,12 +97,12 @@ void TaskGraph::build_consumer_tables() {
         // As the source operand of U_{s,k,t} for every t <= s in the
         // panel.
         for (idx_t ti = 0; ti <= bi; ++ti) {
-          out.push_back(m(s, sn.blocks[ti].target));
+          out.push_back(update_rank(s, k, sn.blocks[ti].target));
         }
         // As the pivot operand of U_{s',k,s} for every s' >= s in the
         // panel.
         for (idx_t si = bi; si < static_cast<idx_t>(sn.blocks.size()); ++si) {
-          out.push_back(m(sn.blocks[si].target, s));
+          out.push_back(update_rank(sn.blocks[si].target, k, s));
         }
       }
       std::sort(out.begin(), out.end());

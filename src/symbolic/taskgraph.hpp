@@ -5,17 +5,21 @@
 //   F_{s,k}   factor off-diagonal block B_{s,k}                   (TRSM)
 //   U_{s,j,t} update B_{s,t} with L_{s,j} * L_{t,j}^T         (SYRK/GEMM)
 // U_{s,j,t} exists for every panel j and every ordered pair of its blocks
-// (t <= s); it executes on the owner of the *target* block B_{s,t} — the
-// defining property of the fan-out family.
+// (t <= s). Which rank executes it is the one decision that separates
+// the two members of Ashcraft's taxonomy (paper §2.3) the solver runs,
+// and update_rank() is its only home: fan-out runs it on the owner of the
+// *target* block B_{s,t}, so factor blocks are broadcast to the updates;
+// fan-in runs it on the owner of the *source* block L_{s,j}, so each rank
+// sums its updates to a block into one aggregate and sends that instead.
 //
-// This class precomputes, for a given block->process mapping:
-//   - the number of updates landing in every block (the initial
+// This class precomputes, for a given block->process mapping and variant:
+//   - the update contributions every block waits for (the initial
 //     dependency counters of the D and F tasks),
 //   - per-rank task totals (termination detection),
 //   - the recipient sets P_F and P_D of every factor block (who must be
 //     signalled when it completes). The sets are materialized once at
 //     build and served as const references — recipients() sits on the
-//     per-signal hot path of every engine.
+//     per-signal hot path of the factorization engine.
 #pragma once
 
 #include <cstddef>
@@ -31,13 +35,20 @@ namespace sympack::symbolic {
 /// slot b+1 is Supernode::blocks[b].
 using BlockSlot = idx_t;
 
+/// Which member of Ashcraft's algorithm taxonomy (paper §2.3) runs the
+/// numeric phase. The paper's symPACK is fan-out; fan-in is kept for the
+/// algorithm-family ablation.
+enum class Variant { kFanOut, kFanIn };
+
 class TaskGraph {
  public:
   /// The mapping is shared, not copied: every consumer of the graph
   /// (engines, recovery, autotune pilots) reads the same immutable
   /// Mapping instance through mapping()/mapping_ptr().
-  TaskGraph(const Symbolic& sym, std::shared_ptr<const Mapping> map);
-  TaskGraph(const Symbolic& sym, const Mapping& map);
+  TaskGraph(const Symbolic& sym, std::shared_ptr<const Mapping> map,
+            Variant variant = Variant::kFanOut);
+  TaskGraph(const Symbolic& sym, const Mapping& map,
+            Variant variant = Variant::kFanOut);
 
   [[nodiscard]] const Symbolic& symbolic() const { return *sym_; }
   [[nodiscard]] const Mapping& mapping() const { return *map_; }
@@ -45,7 +56,17 @@ class TaskGraph {
     return map_;
   }
 
-  /// Number of update tasks whose target is block `slot` of supernode k.
+  [[nodiscard]] Variant variant() const { return variant_; }
+
+  /// The rank that runs U_{s,j,t}: the owner of B_{s,t} (fan-out) or of
+  /// L_{s,j} (fan-in).
+  [[nodiscard]] int update_rank(idx_t s, idx_t j, idx_t t) const {
+    return variant_ == Variant::kFanOut ? (*map_)(s, t) : (*map_)(s, j);
+  }
+
+  /// Update contributions block `slot` of supernode k waits for: one per
+  /// update task targeting it (fan-out), one aggregate per distinct rank
+  /// running such a task (fan-in).
   [[nodiscard]] idx_t update_count(idx_t k, BlockSlot slot) const {
     return ucount_[k][slot];
   }
@@ -53,7 +74,8 @@ class TaskGraph {
   /// Owner rank of block slot of supernode k.
   [[nodiscard]] int owner(idx_t k, BlockSlot slot) const;
 
-  /// Per-rank totals for termination detection.
+  /// Per-rank totals for termination detection (update tasks are counted
+  /// at update_rank()).
   [[nodiscard]] idx_t owned_factor_tasks(int rank) const {
     return owned_f_[rank];
   }
@@ -92,6 +114,7 @@ class TaskGraph {
 
   const Symbolic* sym_;
   std::shared_ptr<const Mapping> map_;
+  Variant variant_;
   std::vector<std::vector<idx_t>> ucount_;  // [snode][slot]
   std::vector<std::vector<std::vector<int>>> consumers_;   // [snode][slot]
   std::vector<std::vector<std::vector<int>>> recipients_;  // [snode][slot]

@@ -164,6 +164,10 @@ class TaskGraphView {
   [[nodiscard]] const TaskGraph& graph() const { return *tg_; }
   [[nodiscard]] const Symbolic& symbolic() const { return tg_->symbolic(); }
   [[nodiscard]] const Mapping& mapping() const { return tg_->mapping(); }
+  [[nodiscard]] Variant variant() const { return tg_->variant(); }
+  [[nodiscard]] int update_rank(idx_t s, idx_t j, idx_t t) const {
+    return tg_->update_rank(s, j, t);
+  }
   [[nodiscard]] idx_t update_count(idx_t k, BlockSlot slot) const {
     return tg_->update_count(k, slot);
   }

@@ -1,5 +1,5 @@
 // Tests for the fan-in factorization variant (Ashcraft taxonomy,
-// paper §2.3): numerics must match the fan-out engine exactly; the
+// paper §2.3): numerics must match fan-out to rounding; the
 // communication pattern differs (aggregate vectors fan in to target
 // owners, factor blocks travel only down their panel columns).
 #include <gtest/gtest.h>
@@ -67,7 +67,9 @@ INSTANTIATE_TEST_SUITE_P(
         FanInCase{"arrow_r4", 4, [] { return sparse::arrow(30); }}),
     [](const auto& info) { return info.param.name; });
 
-TEST(FanIn, FactorMatchesFanOutEntrywise) {
+/// Fan-in under `policy` against fan-out (fifo): same ordering, factor
+/// entries equal to rounding.
+void expect_fanin_factor_matches_fanout(Policy policy) {
   const auto a = sparse::thermal_irregular(8, 9, 0.5, 21);
   pgas::Runtime rt(cluster(4));
 
@@ -79,6 +81,7 @@ TEST(FanIn, FactorMatchesFanOutEntrywise) {
 
   SolverOptions in_opts;
   in_opts.variant = Variant::kFanIn;
+  in_opts.policy = policy;
   SymPackSolver fan_in(rt, in_opts);
   fan_in.symbolic_factorize(a);
   fan_in.factorize();
@@ -91,6 +94,29 @@ TEST(FanIn, FactorMatchesFanOutEntrywise) {
     EXPECT_NEAR(lo[i], li[i], 1e-10);
   }
 }
+
+TEST(FanIn, FactorMatchesFanOutEntrywise) {
+  expect_fanin_factor_matches_fanout(Policy::kFifo);
+}
+
+// The scheduling policy reorders fan-in's tasks, and with them the order
+// updates fold into each aggregate; the factor must still match.
+class FanInPolicy : public ::testing::TestWithParam<Policy> {};
+
+TEST_P(FanInPolicy, FactorMatchesFanOutEntrywise) {
+  expect_fanin_factor_matches_fanout(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, FanInPolicy,
+    ::testing::Values(Policy::kLifo, Policy::kPriority, Policy::kCriticalPath),
+    [](const ::testing::TestParamInfo<Policy>& info) {
+      std::string n = policy_name(info.param);
+      for (char& c : n) {
+        if (c == '-') c = '_';
+      }
+      return n;
+    });
 
 TEST(FanIn, WorksWithGpuOffload) {
   pgas::Runtime rt(cluster(4));

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include "blas/blas.hpp"
 #include "core/solver.hpp"
@@ -354,6 +356,112 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<NotPdCase>& info) {
       return std::string(info.param.name);
     });
+
+// ------------------------------------------------------------------
+// Option ranges: a numeric SolverOptions field out of range makes the
+// constructor throw std::invalid_argument naming the field and its value,
+// whether it was set in code or through a SYMPACK_* variable.
+
+struct BadOption {
+  const char* name;
+  const char* expect;  // "field = value" as the message must show it
+  void (*set)(SolverOptions&);
+  const char* env_var = nullptr;  // set to env_value instead of calling set
+  const char* env_value = nullptr;
+};
+
+class InvalidOption : public ::testing::TestWithParam<BadOption> {};
+
+TEST_P(InvalidOption, ConstructorThrowsNamingField) {
+  const BadOption& c = GetParam();
+  SolverOptions opts;
+  if (c.set != nullptr) c.set(opts);
+  if (c.env_var != nullptr) ASSERT_EQ(::setenv(c.env_var, c.env_value, 1), 0);
+  pgas::Runtime rt(cluster(2));
+  std::string message;
+  try {
+    SymPackSolver solver(rt, opts);
+  } catch (const std::invalid_argument& e) {
+    message = e.what();
+  }
+  if (c.env_var != nullptr) ::unsetenv(c.env_var);
+  EXPECT_NE(message.find(c.expect), std::string::npos)
+      << "message: \"" << message << "\"";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OptionRanges, InvalidOption,
+    ::testing::Values(
+        BadOption{"RelaxRatio", "symbolic.relax_ratio = 1.5",
+                  [](SolverOptions& o) { o.symbolic.relax_ratio = 1.5; }},
+        BadOption{"RelaxSmall", "symbolic.relax_small = -1",
+                  [](SolverOptions& o) { o.symbolic.relax_small = -1; }},
+        BadOption{"MaxWidth", "symbolic.max_width = -1",
+                  [](SolverOptions& o) { o.symbolic.max_width = -1; }},
+        BadOption{"PotrfThreshold", "gpu.potrf_threshold = -1",
+                  [](SolverOptions& o) { o.gpu.potrf_threshold = -1; }},
+        BadOption{"TrsmThreshold", "gpu.trsm_threshold = -1",
+                  [](SolverOptions& o) { o.gpu.trsm_threshold = -1; }},
+        BadOption{"SyrkThreshold", "gpu.syrk_threshold = -1",
+                  [](SolverOptions& o) { o.gpu.syrk_threshold = -1; }},
+        BadOption{"GemmThreshold", "gpu.gemm_threshold = -1",
+                  [](SolverOptions& o) { o.gpu.gemm_threshold = -1; }},
+        BadOption{"DeviceResidentThreshold",
+                  "gpu.device_resident_threshold = -1",
+                  [](SolverOptions& o) {
+                    o.gpu.device_resident_threshold = -1;
+                  }},
+        BadOption{"RerequestIdleLimit", "fault.rerequest_idle_limit = 0",
+                  [](SolverOptions& o) { o.fault.rerequest_idle_limit = 0; }},
+        BadOption{"MaxRerequestRounds", "fault.max_rerequest_rounds = -1",
+                  [](SolverOptions& o) { o.fault.max_rerequest_rounds = -1; }},
+        BadOption{"BackoffBase", "fault.rma_backoff.base_s = -1",
+                  [](SolverOptions& o) { o.fault.rma_backoff.base_s = -1.0; }},
+        BadOption{"BackoffMultiplier", "fault.rma_backoff.multiplier = 0.5",
+                  [](SolverOptions& o) {
+                    o.fault.rma_backoff.multiplier = 0.5;
+                  }},
+        BadOption{"BackoffCap", "fault.rma_backoff.cap_s = -1",
+                  [](SolverOptions& o) { o.fault.rma_backoff.cap_s = -1.0; }},
+        BadOption{"BackoffJitter", "fault.rma_backoff.jitter = 1.5",
+                  [](SolverOptions& o) { o.fault.rma_backoff.jitter = 1.5; }},
+        BadOption{"BackoffMaxRetries", "fault.rma_backoff.max_retries = -1",
+                  [](SolverOptions& o) {
+                    o.fault.rma_backoff.max_retries = -1;
+                  }},
+        BadOption{"BuddyReplicas", "resilience.buddy_replicas = 2",
+                  [](SolverOptions& o) { o.resilience.buddy_replicas = 2; }},
+        BadOption{"DetectIdle", "resilience.detect_idle = 0",
+                  [](SolverOptions& o) { o.resilience.detect_idle = 0; }},
+        BadOption{"RestartDelay", "resilience.restart_delay_s = -1",
+                  [](SolverOptions& o) {
+                    o.resilience.restart_delay_s = -1.0;
+                  }},
+        BadOption{"MaxRecoveries", "resilience.max_recoveries = -1",
+                  [](SolverOptions& o) { o.resilience.max_recoveries = -1; }},
+        BadOption{"EagerBytes", "comm.eager_bytes = -1",
+                  [](SolverOptions& o) { o.comm.eager_bytes = -1; }},
+        BadOption{"RhsPanel", "solve.rhs_panel = -1",
+                  [](SolverOptions& o) { o.solve.rhs_panel = -1; }},
+        BadOption{"ServerMaxQueue", "solve.server_max_queue = -1",
+                  [](SolverOptions& o) { o.solve.server_max_queue = -1; }},
+        BadOption{"EagerBytesFromEnv", "comm.eager_bytes = -1", nullptr,
+                  "SYMPACK_EAGER_BYTES", "-1"}),
+    [](const ::testing::TestParamInfo<BadOption>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(OptionRanges, DefaultsAndDocumentedEdgesAreAccepted) {
+  EXPECT_NO_THROW(validate_options(SolverOptions{}));
+  SolverOptions edges;
+  edges.symbolic.max_width = 0;      // unlimited
+  edges.comm.eager_bytes = 0;        // eager off
+  edges.solve.rhs_panel = 0;         // one fused sweep
+  edges.solve.server_max_queue = 0;  // unlimited
+  edges.resilience.buddy_replicas = 1;
+  edges.fault.rma_backoff.jitter = 0.0;
+  EXPECT_NO_THROW(validate_options(edges));
+}
 
 TEST(Solver, MultipleRhs) {
   pgas::Runtime rt(cluster(4));

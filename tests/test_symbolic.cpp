@@ -298,6 +298,42 @@ TEST(TaskGraphT, DiagonalRecipientsAreFTaskOwners) {
   }
 }
 
+// Fan-in places U_{s,j,t} on the owner of L_{s,j}: the same tasks, but
+// each block waits for one aggregate per distinct sending rank, and an
+// off-diagonal factor block only travels down its own panel column.
+TEST(TaskGraphT, FanInTablesFollowTheSourceOwner) {
+  const auto a = ordered(sparse::grid2d_laplacian(14, 14));
+  const auto sym = analyze_matrix(a);
+  Mapping map(6);
+  TaskGraph out(sym, map);
+  TaskGraph in(sym, map, Variant::kFanIn);
+  EXPECT_EQ(in.total_updates(), out.total_updates());
+  idx_t sum_u = 0;
+  for (int r = 0; r < 6; ++r) sum_u += in.owned_update_tasks(r);
+  EXPECT_EQ(sum_u, in.total_updates());
+  for (idx_t k = 0; k < sym.num_snodes(); ++k) {
+    const auto& sn = sym.snode(k);
+    std::set<int> column;  // owners of panel k's blocks
+    for (BlockSlot slot = 0;
+         slot <= static_cast<idx_t>(sn.blocks.size()); ++slot) {
+      column.insert(in.owner(k, slot));
+    }
+    for (BlockSlot slot = 0;
+         slot <= static_cast<idx_t>(sn.blocks.size()); ++slot) {
+      const idx_t updates = out.update_count(k, slot);
+      EXPECT_LE(in.update_count(k, slot), updates);
+      EXPECT_EQ(in.update_count(k, slot) > 0, updates > 0);
+      if (slot > 0) {
+        EXPECT_EQ(in.update_rank(sn.blocks[slot - 1].target, k,
+                                 sn.blocks[0].target),
+                  in.owner(k, slot));
+        for (int r : in.recipients(k, slot)) EXPECT_EQ(column.count(r), 1u);
+      }
+    }
+    EXPECT_EQ(in.recipients(k, 0), out.recipients(k, 0));
+  }
+}
+
 TEST(TaskGraphT, SingleRankOwnsEverything) {
   const auto a = ordered(sparse::grid2d_laplacian(9, 9));
   const auto sym = analyze_matrix(a);

@@ -1,9 +1,10 @@
 // Threaded-mode hardening suite (the TSan CI job runs exactly these
 // binaries): threaded-vs-sequential parity on the three paper proxy
 // generators across all four scheduling policies (and for the fan-in
-// engine), seeded-interleaving
-// replay at the solver level, and the duplicate-signal device-leak
-// regression for FactorEngine::handle_signal.
+// variant), seeded-interleaving
+// replay at the solver level, the duplicate-signal device-leak
+// regression for FactorEngine::handle_signal, and fan-in aggregates freed
+// under both drivers.
 //
 // Parity is *numeric*, not bitwise: the threaded schedule changes the
 // order scatter-adds fold update contributions into a block, so entries
@@ -42,6 +43,9 @@ struct FactorEngineTestPeer {
   static std::size_t cache_entries(const FactorEngine& e, int rank) {
     return e.per_rank_[rank].cache.size();
   }
+  static std::size_t aggregates(const FactorEngine& e, int rank) {
+    return e.per_rank_[rank].aggs.size();
+  }
   static void drain_cache(FactorEngine& e, pgas::Rank& rank) {
     auto& cache = e.per_rank_[rank.id()].cache;
     cache.for_each([&](sparse::idx_t, FactorEngine::RemoteFactor& rf) {
@@ -75,6 +79,35 @@ CscMatrix proxy_matrix(const std::string& name) {
   if (name == "bones") return sparse::bones_proxy(0.02);
   return sparse::thermal_proxy(0.005);
 }
+
+/// The pieces SymPackSolver builds around a FactorEngine (replicated
+/// views, numeric store assembled from A), for tests that drive the
+/// engine directly. The task graph is built for `opts.variant`.
+struct EngineParts {
+  EngineParts(const CscMatrix& a, pgas::Runtime& rt,
+              const core::SolverOptions& opts)
+      : ap(sparse::permute_symmetric(
+            a, ordering::compute_ordering(a, opts.ordering))),
+        sym(symbolic::analyze(ap, ordering::elimination_tree(ap),
+                              opts.symbolic)),
+        mapping(rt.nranks(), opts.mapping),
+        tg(sym, mapping, opts.variant),
+        sview(sym, tg, 0.0),
+        tgview(tg, sview),
+        store(sview, tgview, rt, /*numeric=*/true),
+        offload(opts.gpu, rt, /*numeric=*/true) {
+    store.assemble(ap);
+  }
+
+  CscMatrix ap;
+  symbolic::Symbolic sym;
+  symbolic::Mapping mapping;
+  symbolic::TaskGraph tg;
+  symbolic::ReplicatedSymbolicView sview;
+  symbolic::ReplicatedTaskGraphView tgview;
+  core::BlockStore store;
+  core::Offload offload;
+};
 
 struct RunResult {
   double factor_residual = 0.0;
@@ -184,9 +217,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          core::Policy::kCriticalPath)),
     parity_name);
 
-// The fan-in engine under both drive modes (it always runs FIFO): its
-// per-rank aggregate vectors, update scratch and fetched-pivot copies are
-// single-writer like the fan-out engine's.
+// The fan-in variant under both drive modes: its per-rank aggregate
+// vectors, update scratch and fetched-pivot copies are single-writer like
+// the rest of the engine's per-rank state.
 class ThreadedFanInParity : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ThreadedFanInParity, MatchesSequentialMode) {
@@ -209,6 +242,34 @@ TEST_P(ThreadedFanInParity, MatchesSequentialMode) {
 
 INSTANTIATE_TEST_SUITE_P(Proxies, ThreadedFanInParity,
                          ::testing::Values("flan", "bones", "thermal"));
+
+// Fan-in frees each aggregate vector once it is flushed (sent, or applied
+// at the target's owner): every rank starts with the aggregates it owes
+// and holds none after run(), whichever driver stepped the ranks.
+class FanInAggregates : public ::testing::TestWithParam<bool> {};
+
+TEST_P(FanInAggregates, NoneLeftAfterRun) {
+  pgas::Runtime rt(cluster(8, /*threaded=*/GetParam()));
+  core::SolverOptions opts;
+  opts.variant = core::Variant::kFanIn;
+  EngineParts parts(proxy_matrix("flan"), rt, opts);
+  core::FactorEngine engine(rt, parts.sview, parts.tgview, parts.store,
+                            parts.offload, opts);
+
+  using Peer = core::FactorEngineTestPeer;
+  std::size_t owed = 0;
+  for (int r = 0; r < rt.nranks(); ++r) owed += Peer::aggregates(engine, r);
+  EXPECT_GT(owed, 0u);
+  engine.run();
+  for (int r = 0; r < rt.nranks(); ++r) {
+    EXPECT_EQ(Peer::aggregates(engine, r), 0u) << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Drivers, FanInAggregates, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Threaded" : "Sequential";
+                         });
 
 // ------------------------------------------------------------------
 // Seeded interleaving fuzzer at the solver level.
@@ -265,24 +326,15 @@ TEST(ThreadedLeakRegression, DuplicateSignalDoesNotLeakDeviceMemory) {
   core::SolverOptions opts;
   opts.gpu.device_resident_threshold = 1;  // every factor block is a
                                            // "GPU block"
-  const auto perm = ordering::compute_ordering(a, opts.ordering);
-  const auto ap = sparse::permute_symmetric(a, perm);
-  const auto parent = ordering::elimination_tree(ap);
-  const auto sym = symbolic::analyze(ap, parent, opts.symbolic);
-  const symbolic::Mapping mapping(rt.nranks(), opts.mapping);
-  const symbolic::TaskGraph tg(sym, mapping);
-  const symbolic::ReplicatedSymbolicView sview(sym, tg, 0.0);
-  const symbolic::ReplicatedTaskGraphView tgview(tg, sview);
-  core::BlockStore store(sview, tgview, rt, /*numeric=*/true);
-  core::Offload offload(opts.gpu, rt, /*numeric=*/true);
-  store.assemble(ap);
-  core::FactorEngine engine(rt, sview, tgview, store, offload, opts);
+  EngineParts parts(a, rt, opts);
+  core::FactorEngine engine(rt, parts.sview, parts.tgview, parts.store,
+                            parts.offload, opts);
 
   // Find a factor block with at least one remote consumer.
   idx_t sig_k = -1;
   int recipient = -1;
-  for (idx_t k = 0; k < sym.num_snodes() && recipient < 0; ++k) {
-    const auto rcpts = tg.recipients(k, 0);
+  for (idx_t k = 0; k < parts.sym.num_snodes() && recipient < 0; ++k) {
+    const auto rcpts = parts.tg.recipients(k, 0);
     if (!rcpts.empty()) {
       sig_k = k;
       recipient = rcpts.front();
