@@ -147,11 +147,15 @@ CommOptions env_comm_options(CommOptions base);
 /// engine, and amortizing every signal/rget of the solve protocol over
 /// the panel width.
 struct SolveOptions {
-  /// RHS panel width. 1 (default) reproduces the paper's per-vector
-  /// sweeps bit-for-bit: one RHS per forward+backward sweep, schedules
+  /// RHS panel width. 0 (default) = unbounded: one forward+backward
+  /// sweep pair carries every column of a solve() or drain(), taking
+  /// 14.7-60x less simulated time than per-vector sweeps at nrhs >= 16
+  /// (BENCH_solve.json). A one-column solve runs the paper's per-vector
+  /// protocol either way. 1 reproduces the paper's per-vector sweeps
+  /// bit-for-bit for any nrhs: one RHS per sweep pair, schedules
   /// identical to the historical solver (pinned by the solve goldens in
-  /// tests/test_schedule.cpp). 0 = unbounded (all nrhs in one sweep).
-  int rhs_panel = 1;
+  /// tests/test_schedule.cpp).
+  int rhs_panel = 0;
   /// SolveServer: pipeline consecutive panels so the backward sweep of
   /// batch i runs concurrently with the forward sweep of batch i+1 on
   /// the simulated cluster (two engines sharing the rank clocks). Off =
@@ -222,8 +226,9 @@ struct SolverOptions {
   /// Eager/coalesced signal transport (default off: rendezvous-only,
   /// bit-identical to the historical protocol).
   CommOptions comm{};
-  /// Blocked multi-RHS solve + SolveServer tuning (default rhs_panel=1:
-  /// per-vector sweeps, bit-identical to the historical solve phase).
+  /// Blocked multi-RHS solve + SolveServer tuning (default rhs_panel=0:
+  /// one fused sweep pair per solve() or drain(); rhs_panel=1 gives the
+  /// paper's per-vector sweeps).
   SolveOptions solve{};
   /// Tracing detail (default off: attached tracers see the historical
   /// event stream byte-for-byte).

@@ -8,6 +8,27 @@
 
 namespace sympack::core {
 
+namespace {
+
+/// A pooled copy of `bytes` from `src` on `rank`: the carrier of a
+/// published segment or partial sum, returned to `rank`'s pool when the
+/// last message (or use-cache entry) referencing it dies.
+std::shared_ptr<double> pooled_copy(pgas::Rank& rank, const double* src,
+                                    std::size_t bytes) {
+  auto buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
+  std::memcpy(buf.get(), src, bytes);
+  return buf;
+}
+
+/// Where a consumer pulls a pooled copy made on `rank` from.
+pgas::GlobalPtr pull_ptr(const pgas::Rank& rank,
+                         const std::shared_ptr<double>& buf) {
+  return pgas::GlobalPtr{reinterpret_cast<std::byte*>(buf.get()), rank.id(),
+                         pgas::MemKind::kHost};
+}
+
+}  // namespace
+
 SolveEngine::SolveEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
                          const symbolic::TaskGraphView& tg, BlockStore& store,
                          Offload& offload, const SolverOptions& opts,
@@ -38,18 +59,6 @@ SolveEngine::SolveEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
   net_.init(rt, opts_.fault, tracer, opts_.comm, opts_.resilience);
 }
 
-SolveEngine::~SolveEngine() { free_buffers(); }
-
-void SolveEngine::free_buffers() {
-  for (int r = 0; r < rt_->nranks(); ++r) {
-    for (auto& g : per_rank_[r].owned_buffers) {
-      rt_->rank(r).pool_deallocate(g);
-    }
-    per_rank_[r].owned_buffers.clear();
-    per_rank_[r].eager_refs.clear();
-  }
-}
-
 std::vector<double> SolveEngine::solve(const std::vector<double>& b,
                                        int nrhs) {
   const idx_t n = sym_->n();
@@ -57,8 +66,8 @@ std::vector<double> SolveEngine::solve(const std::vector<double>& b,
     throw std::invalid_argument("SolveEngine::solve: rhs size mismatch");
   }
   // Panel the RHS: each forward+backward sweep carries up to rhs_panel
-  // columns (1 = per-vector sweeps, identical schedule to the
-  // historical solver; 0 = all columns in one fused sweep).
+  // columns (0, the default, = all columns in one fused sweep; 1 =
+  // per-vector sweeps, identical schedule to the historical solver).
   const int conf = opts_.solve.rhs_panel;
   const int w = conf <= 0 ? nrhs : std::min(conf, nrhs);
   std::vector<double> x(static_cast<std::size_t>(n) * nrhs, 0.0);
@@ -123,7 +132,6 @@ void SolveEngine::gather(double* x) {
       }
     }
   }
-  free_buffers();
 }
 
 void SolveEngine::reset_phase(bool backward) {
@@ -137,12 +145,11 @@ void SolveEngine::reset_phase(bool backward) {
     pr.tasks.clear();
     pr.done_diag = 0;
     pr.done_contrib = 0;
-    // Eager payloads pinned for the previous sweep die here: a stale
-    // forward-sweep payload must never satisfy a backward-sweep task.
-    pr.eager_refs.clear();
   }
   // Inboxes drop; under recovery the sequence numbers also restart per
-  // sweep (the forward ledger must not satisfy backward re-requests).
+  // sweep (the forward ledger must not satisfy backward re-requests),
+  // and the ledger's copies of the last sweep's messages return their
+  // payload buffers.
   net_.reset_phase();
   // Seed the sweep with supernodes that have no outstanding
   // contributions (leaves forward, roots backward).
@@ -244,70 +251,62 @@ void SolveEngine::publish_solution(pgas::Rank& rank, idx_t k, bool backward) {
   std::sort(consumers.begin(), consumers.end());
   consumers.erase(std::unique(consumers.begin(), consumers.end()),
                   consumers.end());
-
-  // Local consumers: enqueue their contribution tasks directly.
-  auto enqueue_local = [&](int rank_id, const double* operand, double ready) {
-    PerRank& pr = per_rank_[rank_id];
-    if (!backward) {
-      for (BlockSlot slot = 1;
-           slot <= static_cast<idx_t>(sn.blocks.size()); ++slot) {
-        if (map(sn.blocks[slot - 1].target, k) == rank_id) {
-          pr.tasks.push(Task{Task::Type::kContrib, k, slot, operand, ready});
-        }
-      }
-    } else {
-      for (const auto& [panel, slot] : target_blocks_[k]) {
-        if (map(k, panel) == rank_id) {
-          pr.tasks.push(
-              Task{Task::Type::kContrib, panel, slot, operand, ready});
-        }
-      }
-    }
-  };
-
   const bool has_remote =
       std::any_of(consumers.begin(), consumers.end(),
                   [me](int r) { return r != me; });
 
-  if (net_.eager(bytes)) {
-    // Eager: the segment rides inside the signal; one shared buffer
-    // serves every remote consumer (and ledger retransmits).
-    std::shared_ptr<const double> payload;
-    if (store_->numeric() && has_remote) {
-      auto buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
-      std::memcpy(buf.get(), seg_[k].data(), bytes);
-      payload = std::move(buf);
-    }
-    for (int r : consumers) {
-      if (r == me) {
-        enqueue_local(me, store_->numeric() ? seg_[k].data() : nullptr,
-                      rank.now());
-      } else {
-        Msg m{Msg::Type::kX, k, 0, 0, pgas::GlobalPtr{}, bytes};
-        m.eager_bytes = static_cast<std::uint32_t>(bytes);
-        m.payload = payload;
-        net_.send(rank, r, std::move(m));
-      }
-    }
-    return;
-  }
-
-  // Publish the segment one-sidedly: remote consumers receive a signal
-  // and pull the segment with rget, exactly like factor blocks.
-  pgas::GlobalPtr src{};
-  if (store_->numeric()) {
-    src = rank.pool_allocate_host(bytes);
-    std::memcpy(src.addr, seg_[k].data(), bytes);
-    per_rank_[me].owned_buffers.push_back(src);
+  // One pooled copy serves every remote consumer, inline (eager) or
+  // pulled one-sidedly (rendezvous, exactly like factor blocks); local
+  // consumers read the segment in place.
+  std::shared_ptr<double> buf;
+  if (store_->numeric() && has_remote) {
+    buf = pooled_copy(rank, seg_[k].data(), bytes);
   }
   for (int r : consumers) {
     if (r == me) {
-      enqueue_local(me, store_->numeric() ? seg_[k].data() : nullptr,
-                    rank.now());
+      enqueue_consumers(me, k, store_->numeric() ? seg_[k].data() : nullptr,
+                        rank.now(), backward);
     } else {
-      net_.send(rank, r, Msg{Msg::Type::kX, k, 0, 0, src, bytes});
+      net_.send(rank, r,
+                Msg{.type = Msg::Type::kX,
+                    .k = k,
+                    .data = pull_ptr(rank, buf),
+                    .bytes = bytes,
+                    .eager_bytes = inline_bytes(bytes),
+                    .payload = buf});
     }
   }
+}
+
+int SolveEngine::enqueue_consumers(int r, idx_t k, const double* operand,
+                                   double ready, bool backward) {
+  // Forward: the rank's blocks of panel k multiply by y_k. Backward: its
+  // blocks targeting k read x_k.
+  const auto& map = tg_->mapping();
+  auto& tasks = per_rank_[r].tasks;
+  int queued = 0;
+  if (!backward) {
+    const auto& sn = sym_->snode(k);
+    for (BlockSlot slot = 1; slot <= static_cast<idx_t>(sn.blocks.size());
+         ++slot) {
+      if (map(sn.blocks[slot - 1].target, k) == r) {
+        tasks.push(Task{Task::Type::kContrib, k, slot, operand, ready});
+        ++queued;
+      }
+    }
+  } else {
+    for (const auto& [panel, slot] : target_blocks_[k]) {
+      if (map(k, panel) == r) {
+        tasks.push(Task{Task::Type::kContrib, panel, slot, operand, ready});
+        ++queued;
+      }
+    }
+  }
+  return queued;
+}
+
+std::uint32_t SolveEngine::inline_bytes(std::size_t bytes) const {
+  return net_.eager(bytes) ? static_cast<std::uint32_t>(bytes) : 0;
 }
 
 void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
@@ -320,25 +319,20 @@ void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
   const int me = rank.id();
   PerRank& pr = per_rank_[me];
   if (msg.type == Msg::Type::kX) {
-    // Fetch the published segment, then enqueue the local contribution
-    // tasks that consume it.
-    const double* operand = nullptr;
+    // Take the published segment (inline, or pulled into a pooled copy),
+    // then enqueue the local contribution tasks that consume it.
+    std::shared_ptr<const double> segment;
     double ready;
     if (msg.eager_bytes > 0) {
-      // Eager: the segment arrived inline; pin the shared payload for
-      // the sweep because Task::operand outlives the Msg.
-      if (msg.payload) {
-        pr.eager_refs.push_back(msg.payload);
-        operand = msg.payload.get();
-      }
+      segment = msg.payload;
       ready = rank.now();
     } else if (store_->numeric()) {
-      auto buf = rank.pool_allocate_host(msg.bytes);
-      pr.owned_buffers.push_back(buf);
+      auto copy = pgas::shared_host_buffer(rank, msg.bytes / sizeof(double));
       ready = net_.with_retry(rank, [&] {
-        return rank.rget(msg.data, buf.addr, msg.bytes, pgas::MemKind::kHost);
+        return rank.rget(msg.data, reinterpret_cast<std::byte*>(copy.get()),
+                         msg.bytes, pgas::MemKind::kHost);
       });
-      operand = buf.local<double>();
+      segment = std::move(copy);
     } else {
       ready = rank.transfer_completion(msg.bytes, tg_->mapping()(msg.k, msg.k),
                                        pgas::MemKind::kHost,
@@ -347,32 +341,21 @@ void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
       ++rank.stats().gets;
       rank.stats().bytes_from_host += msg.bytes;
     }
-    const idx_t k = msg.k;
-    stats_.fetch_mark(me, k, 0, ready);
-    const auto& sn = sym_->snode(k);
-    const auto& map = tg_->mapping();
-    if (!backward) {
-      for (BlockSlot slot = 1;
-           slot <= static_cast<idx_t>(sn.blocks.size()); ++slot) {
-        if (map(sn.blocks[slot - 1].target, k) == me) {
-          pr.tasks.push(Task{Task::Type::kContrib, k, slot, operand, ready});
-        }
-      }
-    } else {
-      for (const auto& [panel, slot] : target_blocks_[k]) {
-        if (map(k, panel) == me) {
-          pr.tasks.push(
-              Task{Task::Type::kContrib, panel, slot, operand, ready});
-        }
-      }
-    }
+    stats_.fetch_mark(me, msg.k, 0, ready);
+    // Task::operand outlives the message, so the segment stays in the
+    // use cache until the last of these tasks has read it. The link
+    // delivers each segment to a rank once per sweep, so the insert
+    // never meets an entry.
+    const int uses =
+        enqueue_consumers(me, msg.k, segment.get(), ready, backward);
+    if (segment) pr.segments.insert(msg.k, std::move(segment), uses);
     return;
   }
 
   // kContrib: a partial sum arrives for a segment this rank owns.
   if (msg.eager_bytes > 0) {
     // Eager: apply the inline partial sum directly (it is consumed
-    // synchronously, so no pinning is needed).
+    // synchronously, so nothing here holds it past the message).
     stats_.fetch_mark(me, msg.panel, msg.slot, rank.now());
     apply_contribution(rank, msg.panel, msg.slot,
                        msg.payload ? msg.payload.get() : nullptr, rank.now(),
@@ -441,6 +424,10 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
     offload_->run_gemm_any(rank, blas::Trans::kYes, w, nrhs_, m, 1.0,
                            store_->data(bid), m, xsub, m, 0.0, z, w);
   }
+  // This task is done with its operand: a remote segment's last use
+  // returns it to its pool (a local segment is not cached: no-op).
+  pr.segments.release(backward ? s : panel,
+                      [](std::shared_ptr<const double>& seg) { seg.reset(); });
   ++pr.done_contrib;
 
   // Fan the partial sum in to the segment owner.
@@ -461,25 +448,18 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
   }
   const std::size_t bytes =
       sizeof(double) * static_cast<std::size_t>(out_rows) * nrhs_;
-  if (net_.eager(bytes)) {
-    Msg m{Msg::Type::kContrib, 0, panel, slot, pgas::GlobalPtr{}, bytes};
-    m.eager_bytes = static_cast<std::uint32_t>(bytes);
-    if (numeric) {
-      auto payload = pgas::shared_host_buffer(rank, bytes / sizeof(double));
-      std::memcpy(payload.get(), z, bytes);
-      m.payload = std::move(payload);
-    }
-    net_.send(rank, dest_owner, std::move(m));
-    return;
-  }
-  pgas::GlobalPtr buf{};
-  if (numeric) {
-    buf = rank.pool_allocate_host(bytes);
-    std::memcpy(buf.addr, z, bytes);
-    pr.owned_buffers.push_back(buf);
-  }
+  // The partial sum leaves the per-rank scratch for a pooled copy that
+  // the message owns (inline if eager, pulled otherwise).
+  std::shared_ptr<double> buf;
+  if (numeric) buf = pooled_copy(rank, z, bytes);
   net_.send(rank, dest_owner,
-            Msg{Msg::Type::kContrib, 0, panel, slot, buf, bytes});
+            Msg{.type = Msg::Type::kContrib,
+                .panel = panel,
+                .slot = slot,
+                .data = pull_ptr(rank, buf),
+                .bytes = bytes,
+                .eager_bytes = inline_bytes(bytes),
+                .payload = std::move(buf)});
 }
 
 void SolveEngine::apply_contribution(pgas::Rank& rank, idx_t panel,

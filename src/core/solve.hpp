@@ -29,6 +29,16 @@
 // segments and contribution buffers are written before the signal RPC is
 // enqueued and read after it is dequeued, so the inbox mutex orders the
 // data transfer.
+//
+// Buffer ownership (DESIGN.md §4f): every solve buffer is freed at its
+// last use, never parked for the whole sweep. A published segment or
+// partial sum is a pooled shared buffer held by the messages that carry
+// it (eager) or point at it (rendezvous); the last copy to die returns
+// it to the producer's pool shard — on the consumer's thread once it has
+// handled the message, or at the sweep's ledger reset under fault
+// injection. A pulled segment copy, like an eager segment, sits in the
+// consumer's use cache with one use per local contribution task; the
+// last task returns it. No release is a message, so nothing is charged.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +53,7 @@
 #include "core/taskrt/ready_queue.hpp"
 #include "core/taskrt/scratch.hpp"
 #include "core/taskrt/stats.hpp"
+#include "core/taskrt/use_cache.hpp"
 #include "core/trace.hpp"
 #include "pgas/runtime.hpp"
 #include "symbolic/view.hpp"
@@ -62,14 +73,14 @@ class SolveEngine {
               const symbolic::TaskGraphView& tg, BlockStore& store,
               Offload& offload, const SolverOptions& opts,
               Tracer* tracer = nullptr);
-  ~SolveEngine();
   SolveEngine(const SolveEngine&) = delete;
   SolveEngine& operator=(const SolveEngine&) = delete;
 
   /// Solve L L^T x = b for `nrhs` right-hand sides stored column-major
   /// in `b` (permuted ordering). The solve runs as ceil(nrhs/rhs_panel)
-  /// panel sweeps (SolverOptions::solve.rhs_panel; 1 = the historical
-  /// per-vector sweeps, 0 = one fused sweep carrying all nrhs columns):
+  /// panel sweeps (SolverOptions::solve.rhs_panel; 0, the default, = one
+  /// fused sweep carrying all nrhs columns, 1 = the paper's per-vector
+  /// sweeps):
   /// each sweep's diagonal solves are nb x w TRSMs and its block
   /// contributions GEMM panel updates, and every protocol message
   /// carries the whole w-column segment. Returns x (also permuted
@@ -86,7 +97,7 @@ class SolveEngine {
   /// ordering; may be null in protocol-only runs) and arms the forward
   /// sweep; start_backward() arms the backward sweep; step_phase()
   /// advances the armed sweep on one rank; gather() collects the
-  /// solution into `x` (n x nrhs) and releases the sweep's buffers.
+  /// solution into `x` (n x nrhs).
   void begin(const double* panel, int nrhs);
   void start_backward();
   pgas::Step step_phase(pgas::Rank& rank);
@@ -95,16 +106,20 @@ class SolveEngine {
  private:
   struct Msg {
     enum class Type : std::uint8_t { kX, kContrib } type;
-    idx_t k;          // kX: supernode whose solution segment is published
-    idx_t panel;      // kContrib: source panel
-    BlockSlot slot;   // kContrib: block slot in the panel
-    pgas::GlobalPtr data;
-    std::size_t bytes;
+    idx_t k = 0;         // kX: supernode whose solution segment is published
+    idx_t panel = 0;     // kContrib: source panel
+    BlockSlot slot = 0;  // kContrib: block slot in the panel
+    /// Rendezvous: where the consumer pulls `payload` from.
+    pgas::GlobalPtr data{};
+    std::size_t bytes = 0;
     /// Eager protocol (DESIGN.md §4e): nonzero means the segment /
     /// partial sum rides inside the message and `data` is unused. Set
-    /// even in protocol-only runs; `payload` is null there. Ledger
-    /// copies share the buffer, so retransmits replay the data inline.
+    /// even in protocol-only runs.
     std::uint32_t eager_bytes = 0;
+    /// The producer's pooled copy of the segment / partial sum, inline
+    /// (eager) or behind `data` (rendezvous); null in protocol-only
+    /// runs. Every copy of the message shares it — ledger copies too, so
+    /// retransmits replay it — and the last one returns it to the pool.
     std::shared_ptr<const double> payload;
 
     friend std::size_t inline_payload_bytes(const Msg& m) {
@@ -122,12 +137,11 @@ class SolveEngine {
     taskrt::ReadyQueue<Task> tasks;  // always FIFO in the solve phase
     idx_t done_diag = 0;
     idx_t done_contrib = 0;
-    std::vector<pgas::GlobalPtr> owned_buffers;  // freed at phase end
-    /// Eager kX payloads pinned for this sweep: Task::operand points
-    /// into them and outlives the Msg, so the consumer holds a
-    /// reference until the phase resets (reset_phase drops them —
-    /// stale payloads never leak into the next sweep).
-    std::vector<std::shared_ptr<const double>> eager_refs;
+    /// Remote solution segments (eager payloads and pulled copies) that
+    /// local contribution tasks read through Task::operand, keyed by
+    /// supernode with one use per task; the last task returns the
+    /// buffer to its pool, so the cache is empty when a sweep ends.
+    taskrt::UseCache<std::shared_ptr<const double>> segments;
     // Scratch, grown on demand and reused by every task of the rank
     // (DESIGN.md §4k): the consumer ranks of a published segment, a
     // contribution's partial sum and the x rows it reads, and the host
@@ -143,11 +157,16 @@ class SolveEngine {
   void execute_diag(pgas::Rank& rank, idx_t k, bool backward);
   void execute_contrib(pgas::Rank& rank, const Task& task, bool backward);
   void publish_solution(pgas::Rank& rank, idx_t k, bool backward);
+  /// Queue rank `r`'s contribution tasks that consume supernode k's
+  /// segment (`operand`); returns how many were queued.
+  int enqueue_consumers(int r, idx_t k, const double* operand, double ready,
+                        bool backward);
+  /// A message's eager size for a `bytes` payload (0 = rendezvous).
+  [[nodiscard]] std::uint32_t inline_bytes(std::size_t bytes) const;
   void apply_contribution(pgas::Rank& rank, idx_t panel, BlockSlot slot,
                           const double* z, double ready, bool backward);
   void drive_phase();
   void reset_phase(bool backward);
-  void free_buffers();
 
   pgas::Runtime* rt_;
   const symbolic::SymbolicView* sym_;

@@ -9,7 +9,8 @@
 //   * submit() queues columns (original ordering) without solving;
 //     admission is bounded by SolverOptions::solve.server_max_queue.
 //   * drain() packs everything queued into panels of up to rhs_panel
-//     columns and runs the sweeps. With server_overlap (default on) the
+//     columns (by default one panel holding every queued column) and
+//     runs the sweeps. With server_overlap (default on) the
 //     backward sweep of batch i runs in the same Runtime::drive loop as
 //     the forward sweep of batch i+1 — the two SolveEngine instances
 //     interleave rank-by-rank on the simulated cluster, so the solve

@@ -20,6 +20,7 @@
 #include <string>
 #include <tuple>
 
+#include "core/solve_server.hpp"
 #include "core/solver.hpp"
 #include "core/trace.hpp"
 #include "pgas/runtime.hpp"
@@ -91,25 +92,37 @@ std::uint64_t schedule_hash(const core::Tracer& tracer,
   return h;
 }
 
-std::uint64_t run_golden(const std::string& proxy, core::Policy policy,
-                         bool faults, core::CommOptions comm = {},
-                         pgas::CommStats* stats_out = nullptr,
-                         core::Variant variant = core::Variant::kFanOut) {
+/// The goldens' cluster: 8 ranks, 4 per node, one device per rank.
+pgas::Runtime::Config golden_cluster() {
   pgas::Runtime::Config cfg;
   cfg.nranks = 8;
   cfg.ranks_per_node = 4;
   cfg.gpus_per_node = 4;
   cfg.device_memory_bytes = 64 << 20;
-  if (faults) {
-    cfg.faults.enabled = true;
-    cfg.faults.seed = 0xfeedbeefull;
-    cfg.faults.drop_rate = 0.02;
-    cfg.faults.duplicate_rate = 0.02;
-    cfg.faults.delay_rate = 0.05;
-    cfg.faults.reorder_rate = 0.05;
-    cfg.faults.transfer_fail_rate = 0.02;
-    cfg.faults.device_deny_rate = 0.05;
-  }
+  return cfg;
+}
+
+/// The faults-on goldens' injection: every message and transfer fault
+/// class at a fixed seed.
+pgas::FaultConfig golden_faults() {
+  pgas::FaultConfig faults;
+  faults.enabled = true;
+  faults.seed = 0xfeedbeefull;
+  faults.drop_rate = 0.02;
+  faults.duplicate_rate = 0.02;
+  faults.delay_rate = 0.05;
+  faults.reorder_rate = 0.05;
+  faults.transfer_fail_rate = 0.02;
+  faults.device_deny_rate = 0.05;
+  return faults;
+}
+
+std::uint64_t run_golden(const std::string& proxy, core::Policy policy,
+                         bool faults, core::CommOptions comm = {},
+                         pgas::CommStats* stats_out = nullptr,
+                         core::Variant variant = core::Variant::kFanOut) {
+  pgas::Runtime::Config cfg = golden_cluster();
+  if (faults) cfg.faults = golden_faults();
   pgas::Runtime rt(cfg);
   core::SolverOptions opts;
   opts.policy = policy;
@@ -384,17 +397,15 @@ std::uint64_t comm_stats_hash(const pgas::CommStats& stats) {
   return h;
 }
 
+/// rhs_panel argument that leaves SolverOptions::solve at its default.
+constexpr int kDefaultPanel = -1;
+
 std::uint64_t run_solve_golden(const std::string& proxy, int rhs_panel,
                                int nrhs,
                                pgas::CommStats* stats_out = nullptr) {
-  pgas::Runtime::Config cfg;
-  cfg.nranks = 8;
-  cfg.ranks_per_node = 4;
-  cfg.gpus_per_node = 4;
-  cfg.device_memory_bytes = 64 << 20;
-  pgas::Runtime rt(cfg);
+  pgas::Runtime rt(golden_cluster());
   core::SolverOptions opts;
-  opts.solve.rhs_panel = rhs_panel;
+  if (rhs_panel != kDefaultPanel) opts.solve.rhs_panel = rhs_panel;
   core::SymPackSolver solver(rt, opts);
   const CscMatrix a = proxy_matrix(proxy);
   solver.symbolic_factorize(a);
@@ -464,19 +475,149 @@ TEST(GoldenScheduleTable, DISABLED_PrintSolveTable) {
 
 // Structural invariant behind the batched path's win: a fused panel
 // sweep moves the same payload bytes as per-vector sweeps but in
-// proportionally fewer protocol messages.
+// proportionally fewer protocol messages. The default options fuse too.
 TEST(SolveSchedule, PanelSweepAmortizesMessages) {
   if (comm_env_overridden() || solve_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
   }
-  pgas::CommStats per_vector, blocked;
+  pgas::CommStats per_vector, blocked, by_default;
   run_solve_golden("flan", 1, 8, &per_vector);
   run_solve_golden("flan", 8, 8, &blocked);
-  EXPECT_EQ(blocked.bytes_from_host, per_vector.bytes_from_host);
-  // 8 columns per message instead of 1: signals and pulls collapse ~8x.
-  EXPECT_LT(blocked.rpcs_sent * 4, per_vector.rpcs_sent);
-  EXPECT_LT(blocked.gets * 4, per_vector.gets);
+  run_solve_golden("flan", kDefaultPanel, 8, &by_default);
+  for (const pgas::CommStats* fused : {&blocked, &by_default}) {
+    EXPECT_EQ(fused->bytes_from_host, per_vector.bytes_from_host);
+    // 8 columns per message instead of 1: signals and pulls collapse ~8x.
+    EXPECT_LT(fused->rpcs_sent * 4, per_vector.rpcs_sent);
+    EXPECT_LT(fused->gets * 4, per_vector.gets);
+  }
 }
+
+// ------------------------------------------------------------------
+// Solve-phase memory. Every solve buffer is freed at its last use
+// (DESIGN.md §4f), so a sweep holds only the segments and partial sums
+// still in flight. These pin the solve phase's transient high-water
+// mark: the peak bytes during solve(b, 8) above the bytes in use once
+// factorize() returned (pool slabs count while cached, as in
+// peak_bytes()).
+
+bool pool_env_overridden() {
+  return std::getenv("SYMPACK_POOL") != nullptr ||
+         std::getenv("SYMPACK_POOL_MAX_BLOCK") != nullptr ||
+         std::getenv("SYMPACK_POOL_MAX_CACHED") != nullptr;
+}
+
+std::size_t run_solve_memory(const std::string& proxy, int rhs_panel) {
+  pgas::Runtime rt(golden_cluster());
+  core::SolverOptions opts;
+  opts.solve.rhs_panel = rhs_panel;
+  core::SymPackSolver solver(rt, opts);
+  const CscMatrix a = proxy_matrix(proxy);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  rt.reset_peak_memory();
+  const std::size_t base = rt.bytes_in_use();
+  const std::vector<double> b(static_cast<std::size_t>(a.n()) * 8, 1.0);
+  (void)solver.solve(b, 8);
+  return rt.peak_bytes() - base;
+}
+
+struct SolveMemoryGolden {
+  const char* proxy;
+  int rhs_panel;
+  std::size_t bytes;
+};
+
+// Captured when solve buffers moved from sweep-long parking to
+// last-use release, sequential driver, 8 ranks, faults off. Regenerate
+// via DISABLED_PrintSolveMemoryTable.
+const SolveMemoryGolden kGoldenSolveMemory[] = {
+    {"flan", 1, 14848},  {"flan", 0, 113664},   {"bones", 1, 10496},
+    {"bones", 0, 71616}, {"thermal", 1, 7488}, {"thermal", 0, 51008},
+};
+
+class SolveMemory : public ::testing::TestWithParam<SolveMemoryGolden> {};
+
+TEST_P(SolveMemory, TransientPeakMatchesCapture) {
+  const SolveMemoryGolden& g = GetParam();
+  if (fault_env_overridden() || comm_env_overridden() ||
+      solve_env_overridden() || pool_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_* environment override active";
+  }
+  EXPECT_EQ(run_solve_memory(g.proxy, g.rhs_panel), g.bytes)
+      << "solve memory drifted: proxy=" << g.proxy
+      << " rhs_panel=" << g.rhs_panel;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Solve, SolveMemory, ::testing::ValuesIn(kGoldenSolveMemory),
+    [](const ::testing::TestParamInfo<SolveMemoryGolden>& info) {
+      return std::string(info.param.proxy) + "_panel" +
+             std::to_string(info.param.rhs_panel);
+    });
+
+TEST(GoldenScheduleTable, DISABLED_PrintSolveMemoryTable) {
+  for (const SolveMemoryGolden& g : kGoldenSolveMemory) {
+    printf("    {\"%s\", %d, %zu},\n", g.proxy, g.rhs_panel,
+           run_solve_memory(g.proxy, g.rhs_panel));
+  }
+}
+
+/// Bytes still allocated once every rank's pool has freed its cached
+/// slabs: live buffers only.
+std::size_t live_bytes(pgas::Runtime& rt) {
+  for (int r = 0; r < rt.nranks(); ++r) rt.pool().drain(rt.rank(r));
+  return rt.bytes_in_use();
+}
+
+// Leak check: solve() and a SolveServer drain give back every buffer
+// they allocate. With faults off nothing outlives its last use, even
+// while the server's engines live on; under injection the ledger's
+// message copies hold their payloads until the sweep resets, and the
+// server's engines take the last sweep's ledger with them.
+using LeakParam = std::tuple<std::string, bool>;
+
+class SolveBuffers : public ::testing::TestWithParam<LeakParam> {};
+
+TEST_P(SolveBuffers, AllReturnedAfterSolveAndDrain) {
+  const auto& [proxy, faults] = GetParam();
+  if (fault_env_overridden() || comm_env_overridden() ||
+      solve_env_overridden() || pool_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_* environment override active";
+  }
+  pgas::Runtime::Config cfg = golden_cluster();
+  if (faults) cfg.faults = golden_faults();
+  pgas::Runtime rt(cfg);
+  core::SymPackSolver solver(rt, core::SolverOptions{});
+  const CscMatrix a = proxy_matrix(proxy);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  const std::size_t before = live_bytes(rt);
+  const auto n = static_cast<std::size_t>(a.n());
+
+  (void)solver.solve(std::vector<double>(n * 8, 1.0), 8);
+  EXPECT_EQ(live_bytes(rt), before) << "after solve()";
+
+  {
+    core::SolveServer server(solver);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_TRUE(server.submit(std::vector<double>(n * 2, 1.0), 2));
+    }
+    EXPECT_EQ(server.drain().size(), 4u);
+    if (!faults) {
+      EXPECT_EQ(live_bytes(rt), before) << "after drain()";
+    }
+  }
+  EXPECT_EQ(live_bytes(rt), before) << "after ~SolveServer()";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProxiesAndFaults, SolveBuffers,
+    ::testing::Combine(::testing::Values("flan", "bones", "thermal"),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<LeakParam>& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) ? "_faults" : "_clean");
+    });
 
 }  // namespace
 }  // namespace sympack

@@ -376,7 +376,9 @@ TEST_P(InvalidOption, ConstructorThrowsNamingField) {
   const BadOption& c = GetParam();
   SolverOptions opts;
   if (c.set != nullptr) c.set(opts);
-  if (c.env_var != nullptr) ASSERT_EQ(::setenv(c.env_var, c.env_value, 1), 0);
+  if (c.env_var != nullptr) {
+    ASSERT_EQ(::setenv(c.env_var, c.env_value, 1), 0);
+  }
   pgas::Runtime rt(cluster(2));
   std::string message;
   try {
@@ -802,19 +804,12 @@ namespace {
 
 using sparse::CscMatrix;
 
-TEST(SolveServer, DrainMatchesDirectSolves) {
-  pgas::Runtime rt(cluster(4));
-  const auto a = sparse::grid2d_laplacian(12, 11);
-  SolverOptions opts;
-  opts.solve.rhs_panel = 4;
-  SymPackSolver solver(rt, opts);
-  solver.symbolic_factorize(a);
-  solver.factorize();
+/// Submit 3 + 1 + 5 random columns, drain, and check every request
+/// against its own solve() at 1e-9. `stats` receives the server's stats.
+void drain_mixed_submits(SymPackSolver& solver, idx_t n_rows,
+                         SolveServer::Stats& stats) {
   SolveServer server(solver);
-
-  // Mixed-size submissions; panels cut across request boundaries
-  // (3 + 1 + 5 = 9 columns -> panels of 4, 4, 1).
-  const auto n = static_cast<std::size_t>(a.n());
+  const auto n = static_cast<std::size_t>(n_rows);
   support::Xoshiro256 rng(11);
   std::vector<std::vector<double>> bs;
   for (const int nrhs : {3, 1, 5}) {
@@ -825,6 +820,7 @@ TEST(SolveServer, DrainMatchesDirectSolves) {
   }
   EXPECT_EQ(server.queued(), 9);
   const auto xs = server.drain();
+  stats = server.stats();
   ASSERT_EQ(xs.size(), 3u);
   EXPECT_EQ(server.queued(), 0);
 
@@ -836,13 +832,42 @@ TEST(SolveServer, DrainMatchesDirectSolves) {
       ASSERT_NEAR(xs[r][i], direct[i], 1e-9) << "req=" << r << " i=" << i;
     }
   }
+}
 
-  const auto& st = server.stats();
+TEST(SolveServer, DrainMatchesDirectSolves) {
+  pgas::Runtime rt(cluster(4));
+  const auto a = sparse::grid2d_laplacian(12, 11);
+  SolverOptions opts;
+  opts.solve.rhs_panel = 4;
+  SymPackSolver solver(rt, opts);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+
+  // Mixed-size submissions; panels cut across request boundaries
+  // (3 + 1 + 5 = 9 columns -> panels of 4, 4, 1).
+  SolveServer::Stats st;
+  drain_mixed_submits(solver, a.n(), st);
   EXPECT_EQ(st.requests, 3);
   EXPECT_EQ(st.columns, 9);
   EXPECT_EQ(st.panels, 3);          // ceil(9 / 4)
   EXPECT_EQ(st.overlapped, 2);      // consecutive panel pairs pipelined
   EXPECT_GT(st.serve_sim_s, 0.0);
+}
+
+TEST(SolveServer, DefaultDrainIsOneFusedPanel) {
+  // Default options: every queued column rides one sweep pair, so there
+  // is no second panel to overlap with.
+  pgas::Runtime rt(cluster(4));
+  const auto a = sparse::grid2d_laplacian(12, 11);
+  SymPackSolver solver(rt, SolverOptions{});
+  solver.symbolic_factorize(a);
+  solver.factorize();
+
+  SolveServer::Stats st;
+  drain_mixed_submits(solver, a.n(), st);
+  EXPECT_EQ(st.columns, 9);
+  EXPECT_EQ(st.panels, 1);
+  EXPECT_EQ(st.overlapped, 0);
 }
 
 TEST(SolveServer, OverlapOffIsSequentialAndMatches) {

@@ -1,10 +1,11 @@
 // Threaded-mode hardening suite (the TSan CI job runs exactly these
 // binaries): threaded-vs-sequential parity on the three paper proxy
 // generators across all four scheduling policies (and for the fan-in
-// variant), seeded-interleaving
-// replay at the solver level, the duplicate-signal device-leak
-// regression for FactorEngine::handle_signal, and fan-in aggregates freed
-// under both drivers.
+// variant), a fused multi-column solve and SolveServer drain (whose
+// consumers return producers' pool slabs across threads),
+// seeded-interleaving replay at the solver level, the duplicate-signal
+// device-leak regression for FactorEngine::handle_signal, and fan-in
+// aggregates freed under both drivers.
 //
 // Parity is *numeric*, not bitwise: the threaded schedule changes the
 // order scatter-adds fold update contributions into a block, so entries
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "core/factor.hpp"
+#include "core/solve_server.hpp"
 #include "core/solver.hpp"
 #include "core/trace.hpp"
 #include "ordering/etree.hpp"
@@ -27,6 +29,7 @@
 #include "sparse/densevec.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permute.hpp"
+#include "support/random.hpp"
 #include "symbolic/taskgraph.hpp"
 #include "symbolic/view.hpp"
 
@@ -270,6 +273,93 @@ INSTANTIATE_TEST_SUITE_P(Drivers, FanInAggregates, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Threaded" : "Sequential";
                          });
+
+// ------------------------------------------------------------------
+// Fused solves under both drivers. With default options solve(b, 8) and
+// a drain carry every column through one sweep pair, and each consumer
+// thread returns the producer's segment and partial-sum slabs to the
+// producer's pool shard once it has handled the message (DESIGN.md §4f).
+
+/// Bytes still allocated once every rank's pool has freed its cached
+/// slabs: live buffers only.
+std::size_t live_bytes(pgas::Runtime& rt) {
+  for (int r = 0; r < rt.nranks(); ++r) rt.pool().drain(rt.rank(r));
+  return rt.bytes_in_use();
+}
+
+struct SolveRun {
+  std::vector<double> x;                     // solve(b, 8)
+  std::vector<std::vector<double>> drained;  // 4 submits of 2 columns
+  pgas::CommStats solve_stats;
+  pgas::CommStats drain_stats;
+  std::size_t live_before = 0;  // after factorize()
+  std::size_t live_after_solve = 0;
+  std::size_t live_after_server = 0;  // after ~SolveServer()
+};
+
+SolveRun run_fused_solves(const CscMatrix& a, bool threaded) {
+  pgas::Runtime rt(cluster(8, threaded));
+  core::SymPackSolver solver(rt, core::SolverOptions{});
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  const auto n = static_cast<std::size_t>(a.n());
+  std::vector<double> b(n * 8);
+  support::Xoshiro256 rng(21);
+  for (auto& v : b) v = rng.next_in(-1, 1);
+
+  SolveRun r;
+  r.live_before = live_bytes(rt);
+  rt.reset_stats();
+  r.x = solver.solve(b, 8);
+  r.solve_stats = rt.total_stats();
+  r.live_after_solve = live_bytes(rt);
+  rt.reset_stats();
+  {
+    core::SolveServer server(solver);
+    for (std::size_t i = 0; i < 4; ++i) {
+      std::vector<double> cols(b.begin() + 2 * i * n,
+                               b.begin() + 2 * (i + 1) * n);
+      EXPECT_TRUE(server.submit(std::move(cols), 2));
+    }
+    r.drained = server.drain();
+    r.drain_stats = rt.total_stats();
+  }
+  r.live_after_server = live_bytes(rt);
+  return r;
+}
+
+void expect_near_all(const std::vector<double>& a,
+                     const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_NEAR(a[i], b[i], 1e-9) << "entry " << i;
+  }
+}
+
+TEST(ThreadedSolve, FusedSolveAndDrainMatchSequential) {
+  const auto a = proxy_matrix("bones");
+  const SolveRun seq = run_fused_solves(a, /*threaded=*/false);
+  const SolveRun thr = run_fused_solves(a, /*threaded=*/true);
+
+  expect_stats_equal(seq.solve_stats, thr.solve_stats);
+  expect_stats_equal(seq.drain_stats, thr.drain_stats);
+  expect_near_all(seq.x, thr.x);
+  ASSERT_EQ(seq.drained.size(), 4u);
+  ASSERT_EQ(thr.drained.size(), 4u);
+  for (std::size_t i = 0; i < seq.drained.size(); ++i) {
+    expect_near_all(seq.drained[i], thr.drained[i]);
+    // The drain solved the same columns as solve(b, 8).
+    const auto n = static_cast<std::size_t>(a.n());
+    expect_near_all(thr.drained[i],
+                    std::vector<double>(thr.x.begin() + 2 * i * n,
+                                        thr.x.begin() + 2 * (i + 1) * n));
+  }
+
+  for (const SolveRun* r : {&seq, &thr}) {
+    EXPECT_EQ(r->live_after_solve, r->live_before);
+    EXPECT_EQ(r->live_after_server, r->live_before);
+  }
+}
 
 // ------------------------------------------------------------------
 // Seeded interleaving fuzzer at the solver level.
