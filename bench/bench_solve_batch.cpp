@@ -1,8 +1,9 @@
 // Batched multi-RHS triangular-solve ablation (DESIGN.md §4f): per-
 // vector sweeps (rhs_panel=1, the historical protocol) vs one blocked
-// panel sweep pair (rhs_panel=0, all columns fused) vs the SolveServer
-// pipeline (fixed-width panels with fwd/bwd overlap), across the three
-// proxy matrices at a communication-bound rank count.
+// panel sweep pair (rhs_panel=0, all columns fused) vs a SolveServer
+// drain with fixed-width panels (--server-panel, default 16: one
+// solve() whose panels' sweep pairs run one after another), across the
+// three proxy matrices at a communication-bound rank count.
 //
 // All runs are protocol-only (the schedule and the machine-model
 // charges are what's being measured). The blocked sweep moves the same
@@ -59,7 +60,8 @@ int main(int argc, char** argv) {
       opts.get_int_list("nrhs", {1, 4, 16, 64});
 
   std::printf("== Batched multi-RHS solve: per-vector vs blocked panel vs "
-              "server pipeline (%d ranks) ==\n", nodes * ppn);
+              "server drain, %d-column panels (%d ranks) ==\n",
+              server_panel, nodes * ppn);
   bench::JsonReport report;
   support::AsciiTable table({"matrix", "nrhs", "per-vec (s)", "blocked (s)",
                              "speedup", "server (s)", "blocked GF/s", "RHS/s",
@@ -171,8 +173,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.to_string().c_str());
   std::printf("blocked sweeps move the same payload bytes in ~nrhs-fold "
-              "fewer messages; the server overlaps the backward sweep of "
-              "one panel with the forward sweep of the next.\n");
+              "fewer messages; the server drains its queue as one solve() "
+              "of sequential %d-column panels.\n", server_panel);
   if (!bench::maybe_write_json(opts, report)) return 1;
   if (!gate_ok) {
     std::fprintf(stderr,

@@ -148,28 +148,30 @@ CommOptions env_comm_options(CommOptions base);
 /// the panel width.
 struct SolveOptions {
   /// RHS panel width. 0 (default) = unbounded: one forward+backward
-  /// sweep pair carries every column of a solve() or drain(), taking
-  /// 14.7-60x less simulated time than per-vector sweeps at nrhs >= 16
-  /// (BENCH_solve.json). A one-column solve runs the paper's per-vector
+  /// sweep pair carries every column of a solve() or drain() (a drain is
+  /// one solve() over everything queued), taking 14.7-60x less
+  /// simulated time than per-vector sweeps at nrhs >= 16
+  /// (BENCH_solve.json). A width > 0 runs the panels' sweep pairs one
+  /// after another. A one-column solve runs the paper's per-vector
   /// protocol either way. 1 reproduces the paper's per-vector sweeps
   /// bit-for-bit for any nrhs: one RHS per sweep pair, schedules
   /// identical to the historical solver (pinned by the solve goldens in
   /// tests/test_schedule.cpp).
   int rhs_panel = 0;
-  /// SolveServer: pipeline consecutive panels so the backward sweep of
-  /// batch i runs concurrently with the forward sweep of batch i+1 on
-  /// the simulated cluster (two engines sharing the rank clocks). Off =
-  /// strictly sequential sweeps (useful to isolate batching from
-  /// overlap in the ablation).
-  bool server_overlap = true;
   /// SolveServer admission cap: the largest number of columns drain()
   /// will queue before it starts refusing submissions (guards a serving
   /// deployment against unbounded request memory). 0 = unlimited.
   int server_max_queue = 0;
 };
 
-/// Overlay SYMPACK_RHS_PANEL / SYMPACK_SOLVE_OVERLAP /
-/// SYMPACK_SOLVE_MAX_QUEUE onto `base` (applied at solver construction).
+/// Columns each sweep pair of an nrhs-column solve carries: rhs_panel,
+/// or all nrhs when rhs_panel is 0 (or wider than nrhs). The solve runs
+/// ceil(nrhs / width) sweep pairs; SolveServer counts its panels by the
+/// same rule.
+int rhs_panel_width(const SolveOptions& solve, int nrhs);
+
+/// Overlay SYMPACK_RHS_PANEL / SYMPACK_SOLVE_MAX_QUEUE onto `base`
+/// (applied at solver construction).
 SolveOptions env_solve_options(SolveOptions base);
 
 /// Tracing detail (DESIGN.md §4g). With `metadata` off (the default) an

@@ -65,18 +65,16 @@ std::vector<double> SolveEngine::solve(const std::vector<double>& b,
   if (static_cast<idx_t>(b.size()) != n * nrhs) {
     throw std::invalid_argument("SolveEngine::solve: rhs size mismatch");
   }
-  // Panel the RHS: each forward+backward sweep carries up to rhs_panel
-  // columns (0, the default, = all columns in one fused sweep; 1 =
+  // Panel the RHS: each forward+backward sweep carries up to w columns
+  // (rhs_panel 0, the default, = all columns in one fused sweep; 1 =
   // per-vector sweeps, identical schedule to the historical solver).
-  const int conf = opts_.solve.rhs_panel;
-  const int w = conf <= 0 ? nrhs : std::min(conf, nrhs);
+  const int w = rhs_panel_width(opts_.solve, nrhs);
   std::vector<double> x(static_cast<std::size_t>(n) * nrhs, 0.0);
   for (int c0 = 0; c0 < nrhs; c0 += w) {
     const int pw = std::min(w, nrhs - c0);
     begin(b.data() + static_cast<std::size_t>(c0) * n, pw);
-    drive_phase();
-    start_backward();
-    drive_phase();
+    drive_phase(/*backward=*/false);
+    drive_phase(/*backward=*/true);
     gather(x.data() + static_cast<std::size_t>(c0) * n);
   }
   return x;
@@ -90,7 +88,7 @@ void SolveEngine::begin(const double* panel, int nrhs) {
     const auto& sn = sym_->snode(k);
     const idx_t w = sn.width();
     seg_[k].assign(static_cast<std::size_t>(w) * nrhs, 0.0);
-    if (store_->numeric() && panel != nullptr) {
+    if (store_->numeric()) {
       for (int c = 0; c < nrhs; ++c) {
         for (idx_t r = 0; r < w; ++r) {
           seg_[k][r + static_cast<std::size_t>(c) * w] =
@@ -99,28 +97,16 @@ void SolveEngine::begin(const double* panel, int nrhs) {
       }
     }
   }
-  cur_backward_ = false;
-  // Fresh panel, fresh dataflow epoch: ready times from a previous
-  // panel must not seed this one (the serving layer resets the clocks
-  // between drains; within one solve() the clocks are monotone and the
-  // carried times were redundant anyway).
+  // Fresh panel, fresh dataflow epoch: the previous panel's ready times
+  // do not seed this one (within one solve() the clocks are monotone,
+  // so carrying them would add nothing).
   deps_.clear_ready();
-  reset_phase(/*backward=*/false);
 }
 
-void SolveEngine::start_backward() {
-  cur_backward_ = true;
-  reset_phase(/*backward=*/true);
-}
-
-pgas::Step SolveEngine::step_phase(pgas::Rank& rank) {
-  return step(rank, cur_backward_);
-}
-
-void SolveEngine::gather(double* x) {
+void SolveEngine::gather(double* x) const {
   // Gather the solution (x overwrote the segments in the backward sweep).
   const idx_t n = sym_->n();
-  if (store_->numeric() && x != nullptr) {
+  if (store_->numeric()) {
     for (idx_t k = 0; k < sym_->num_snodes(); ++k) {
       const auto& sn = sym_->snode(k);
       const idx_t w = sn.width();
@@ -161,9 +147,11 @@ void SolveEngine::reset_phase(bool backward) {
   }
 }
 
-void SolveEngine::drive_phase() {
-  rt_->drive([this](pgas::Rank& rank) { return step_phase(rank); },
-             /*stall_limit=*/10000, opts_.interleave_seed);
+void SolveEngine::drive_phase(bool backward) {
+  reset_phase(backward);
+  rt_->drive(
+      [this, backward](pgas::Rank& rank) { return step(rank, backward); },
+      /*stall_limit=*/10000, opts_.interleave_seed);
 }
 
 pgas::Step SolveEngine::step(pgas::Rank& rank, bool backward) {

@@ -19,6 +19,11 @@
 // is reset between the sweeps: sequence numbers restart so the forward
 // ledger cannot satisfy backward-sweep re-requests.
 //
+// The public surface is the constructor plus solve(): an engine runs
+// the sweep pairs of one SymPackSolver::solve() call (a fresh engine
+// per call and per recovery attempt), and SolveServer::drain() is one
+// such call, so nothing outside solve() steps the sweeps.
+//
 // Thread-safety (audited; see DESIGN.md "Threading memory model" and
 // §4d): no locks because every mutable member is single-writer.
 // per_rank_[r] and the endpoint's slot r are touched only by the thread
@@ -77,31 +82,16 @@ class SolveEngine {
   SolveEngine& operator=(const SolveEngine&) = delete;
 
   /// Solve L L^T x = b for `nrhs` right-hand sides stored column-major
-  /// in `b` (permuted ordering). The solve runs as ceil(nrhs/rhs_panel)
-  /// panel sweeps (SolverOptions::solve.rhs_panel; 0, the default, = one
-  /// fused sweep carrying all nrhs columns, 1 = the paper's per-vector
-  /// sweeps):
+  /// in `b` (permuted ordering). The solve runs as ceil(nrhs / w) panel
+  /// sweep pairs, w = rhs_panel_width(opts.solve, nrhs) (rhs_panel 0, the
+  /// default, = one fused sweep pair carrying all nrhs columns, 1 = the
+  /// paper's per-vector sweeps):
   /// each sweep's diagonal solves are nb x w TRSMs and its block
   /// contributions GEMM panel updates, and every protocol message
   /// carries the whole w-column segment. Returns x (also permuted
   /// ordering). In protocol-only mode the returned vector is
   /// zero-filled but the full task/communication schedule still runs.
   std::vector<double> solve(const std::vector<double>& b, int nrhs);
-
-  /// Incremental sweep API (used by SolveServer to pipeline batches):
-  /// arm one sweep at a time and step it externally, so two engines can
-  /// interleave inside a single Runtime::drive loop — the backward
-  /// sweep of batch i overlapped with the forward sweep of batch i+1.
-  ///
-  /// begin() scatters `panel` (n x nrhs column-major, permuted
-  /// ordering; may be null in protocol-only runs) and arms the forward
-  /// sweep; start_backward() arms the backward sweep; step_phase()
-  /// advances the armed sweep on one rank; gather() collects the
-  /// solution into `x` (n x nrhs).
-  void begin(const double* panel, int nrhs);
-  void start_backward();
-  pgas::Step step_phase(pgas::Rank& rank);
-  void gather(double* x);
 
  private:
   struct Msg {
@@ -152,6 +142,13 @@ class SolveEngine {
     taskrt::Scratch<double> fetched;
   };
 
+  /// Scatter `panel` (n x nrhs column-major, permuted ordering) into
+  /// the per-supernode segments and open a fresh dataflow epoch.
+  void begin(const double* panel, int nrhs);
+  /// Arm the forward or backward sweep and drive it to completion.
+  void drive_phase(bool backward);
+  /// Collect the panel's solution into `x` (n x nrhs).
+  void gather(double* x) const;
   pgas::Step step(pgas::Rank& rank, bool backward);
   void handle_msg(pgas::Rank& rank, const Msg& msg, bool backward);
   void execute_diag(pgas::Rank& rank, idx_t k, bool backward);
@@ -165,7 +162,6 @@ class SolveEngine {
   [[nodiscard]] std::uint32_t inline_bytes(std::size_t bytes) const;
   void apply_contribution(pgas::Rank& rank, idx_t panel, BlockSlot slot,
                           const double* z, double ready, bool backward);
-  void drive_phase();
   void reset_phase(bool backward);
 
   pgas::Runtime* rt_;
@@ -175,8 +171,7 @@ class SolveEngine {
   Offload* offload_;
   SolverOptions opts_;
   taskrt::EngineStats stats_;
-  int nrhs_ = 1;          // columns carried by the sweep in flight
-  bool cur_backward_ = false;  // which sweep step_phase() advances
+  int nrhs_ = 1;  // columns carried by the sweep in flight
 
   // (panel, slot) pairs targeting each supernode (transpose structure).
   std::vector<std::vector<std::pair<idx_t, BlockSlot>>> target_blocks_;

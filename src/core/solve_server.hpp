@@ -3,18 +3,16 @@
 // The production story for a direct solver is one expensive numeric
 // factorization followed by a heavy stream of triangular solves (time
 // stepping, optimization outer loops, shift-invert eigensolvers). The
-// server sits on top of a factorized SymPackSolver and turns incoming
-// right-hand sides into full RHS panels for the blocked SolveEngine:
+// server is a request queue on top of a factorized SymPackSolver:
 //
 //   * submit() queues columns (original ordering) without solving;
 //     admission is bounded by SolverOptions::solve.server_max_queue.
-//   * drain() packs everything queued into panels of up to rhs_panel
-//     columns (by default one panel holding every queued column) and
-//     runs the sweeps. With server_overlap (default on) the
-//     backward sweep of batch i runs in the same Runtime::drive loop as
-//     the forward sweep of batch i+1 — the two SolveEngine instances
-//     interleave rank-by-rank on the simulated cluster, so the solve
-//     pipeline never waits for a full round trip between batches.
+//   * drain() concatenates everything queued, in submission order, into
+//     one SymPackSolver::solve() call and splits the result per request.
+//     The drain is therefore that solve() in every respect: its panels
+//     (rhs_panel; by default one fused sweep pair carrying every queued
+//     column), its recovery from rank deaths, and the solve_sim_s, ops
+//     and CommStats it leaves in report().
 //   * refactorize() refreshes the numeric factor for a matrix with the
 //     same sparsity pattern (symbolic analysis, mapping, and block
 //     allocation are reused; only assembly + numeric factorization run).
@@ -24,29 +22,27 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/solver.hpp"
 
 namespace sympack::core {
 
-class SolveEngine;
-
 class SolveServer {
  public:
   /// The solver must be factorized before the first drain() and must
   /// outlive the server.
   explicit SolveServer(SymPackSolver& solver);
-  ~SolveServer();
   SolveServer(const SolveServer&) = delete;
   SolveServer& operator=(const SolveServer&) = delete;
 
   struct Stats {
     std::int64_t requests = 0;        // submissions accepted
     std::int64_t columns = 0;         // RHS columns accepted
-    std::int64_t panels = 0;          // panel sweeps dispatched
-    std::int64_t overlapped = 0;      // panel pairs whose sweeps overlapped
+    std::int64_t panels = 0;          // panel sweep pairs dispatched
+    /// Always 0: a drain runs its panels one after another. Kept only
+    /// because the end-to-end benchmark (bench/e2e) reports it.
+    std::int64_t overlapped = 0;
     std::int64_t rejected = 0;        // submissions refused (queue full)
     std::int64_t refactorizations = 0;
     double serve_sim_s = 0.0;         // simulated seconds across drains
@@ -62,7 +58,11 @@ class SolveServer {
 
   /// Solve everything queued and return the solutions in submission
   /// order (one vector per submit(), original ordering). Empty queue
-  /// returns an empty vector.
+  /// returns an empty vector. Throws what solve() throws — e.g.
+  /// std::logic_error before factorize(), and std::invalid_argument
+  /// when symbolic_factorize() re-analysed the solver to a different
+  /// dimension after the columns were queued — and then leaves the
+  /// queue intact.
   std::vector<std::vector<double>> drain();
 
   /// Numeric refactorization: same sparsity pattern, new values. Throws
@@ -73,25 +73,9 @@ class SolveServer {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct Request {
-    std::vector<double> b;  // n x nrhs, original ordering
-    int nrhs;
-  };
-
-  /// One full drain attempt: panel sweeps of the packed RHS block `bp`
-  /// into `xp`. Factored out so a pgas::RankDeathError can unwind the
-  /// whole attempt and drain()'s recovery loop can re-run it on fresh
-  /// engines after the solver restores the victim's blocks.
-  void run_sweeps(pgas::Runtime& rt, const std::vector<double>& bp,
-                  std::vector<double>& xp, int total, int w, bool overlap,
-                  int kStallLimit, std::uint64_t seed);
-
   SymPackSolver* solver_;
-  std::vector<Request> queue_;
+  std::vector<std::vector<double>> queue_;  // one n x nrhs block per submit
   int queued_columns_ = 0;
-  // Two engines so consecutive batches can ping-pong: while one runs
-  // its backward sweep the other runs the next batch's forward sweep.
-  std::unique_ptr<SolveEngine> engines_[2];
   Stats stats_;
 };
 

@@ -38,11 +38,13 @@ ResilienceOptions env_resilience_options(ResilienceOptions base) {
   return base;
 }
 
+int rhs_panel_width(const SolveOptions& solve, int nrhs) {
+  return solve.rhs_panel <= 0 ? nrhs : std::min(solve.rhs_panel, nrhs);
+}
+
 SolveOptions env_solve_options(SolveOptions base) {
   base.rhs_panel = static_cast<int>(
       support::env_int("SYMPACK_RHS_PANEL", base.rhs_panel));
-  base.server_overlap =
-      support::env_bool("SYMPACK_SOLVE_OVERLAP", base.server_overlap);
   base.server_max_queue = static_cast<int>(
       support::env_int("SYMPACK_SOLVE_MAX_QUEUE", base.server_max_queue));
   return base;
@@ -274,28 +276,19 @@ void SymPackSolver::factorize() {
     rec = &rec_;
   }
 
-  // The recovery loop (DESIGN.md §4h): a confirmed rank death unwinds
-  // the engine as pgas::RankDeathError; we resurrect the victim, restore
-  // its completed panels from the buddies, re-assemble the incomplete
-  // blocks, and re-drive with the completed sub-DAG cut out. Clocks and
-  // stats are NOT reset between attempts — recovery time is part of the
-  // phase's simulated makespan (the overhead gate measures exactly this).
-  for (int attempt = 0;; ++attempt) {
-    try {
+  // A confirmed rank death unwinds the engine; run_recoverable
+  // resurrects the victim, restores its completed panels from the
+  // buddies, re-assembles the incomplete blocks, and re-drives with the
+  // completed sub-DAG cut out (rec_ tells the fresh engine what is done).
+  try {
+    run_recoverable([&] {
       FactorEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_, opts_,
                           tracer_, rec);
       engine.run();
-      break;
-    } catch (const NotPositiveDefiniteError& e) {
-      // The engines name the column in the factor's ordering.
-      throw NotPositiveDefiniteError(perm_[e.column()]);
-    } catch (const pgas::RankDeathError& e) {
-      if (rec == nullptr || attempt >= opts_.resilience.max_recoveries) {
-        throw;
-      }
-      recover_from_death(e);
-      ++rec_.attempt;
-    }
+    });
+  } catch (const NotPositiveDefiniteError& e) {
+    // The engines name the column in the factor's ordering.
+    throw NotPositiveDefiniteError(perm_[e.column()]);
   }
   if (tracer_ != nullptr && comm_fast_path) rt_->pool().set_event_hook({});
 
@@ -345,26 +338,16 @@ std::vector<double> SymPackSolver::solve(const std::vector<double>& b,
 
   const double t0 = support::WallClock::now();
   rt_->reset_clocks();
-  // Same recovery loop as factorize(): a kill landing in the solve phase
-  // unwinds the engine, the victim's factor panels come back from the
-  // buddies (all blocks are complete post-factorization), and the whole
-  // triangular solve re-runs on a fresh engine — the partial sweeps of
-  // the failed attempt are engine-local and die with it.
+  // A kill landing in the solve phase unwinds the engine, the victim's
+  // factor panels come back from the buddies (all blocks are complete
+  // post-factorization), and the whole triangular solve re-runs on a
+  // fresh engine: the failed attempt's partial sweeps die with it.
   std::vector<double> x_perm;
-  for (int attempt = 0;; ++attempt) {
-    try {
-      SolveEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_, opts_,
-                         tracer_);
-      x_perm = engine.solve(b_perm, nrhs);
-      break;
-    } catch (const pgas::RankDeathError& e) {
-      if (ckpt_ == nullptr || attempt >= opts_.resilience.max_recoveries) {
-        throw;
-      }
-      recover_from_death(e);
-      ++rec_.attempt;
-    }
-  }
+  run_recoverable([&] {
+    SolveEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_, opts_,
+                       tracer_);
+    x_perm = engine.solve(b_perm, nrhs);
+  });
   report_.solve_wall_s = support::WallClock::now() - t0;
   report_.solve_sim_s = rt_->max_clock();
   // Fold solve-phase ops and comm into the report totals.
@@ -451,6 +434,21 @@ void SymPackSolver::seed_symbolic_counters() {
     s.symbolic_bytes =
         static_cast<std::uint64_t>(sview_->resident_bytes(r));
     s.symbolic_pull_rpcs = sview_->pull_rpcs(r);
+  }
+}
+
+void SymPackSolver::run_recoverable(const std::function<void()>& phase) {
+  for (int attempt = 0;; ++attempt) {
+    try {
+      phase();
+      return;
+    } catch (const pgas::RankDeathError& e) {
+      if (ckpt_ == nullptr || attempt >= opts_.resilience.max_recoveries) {
+        throw;
+      }
+      recover_from_death(e);
+      ++rec_.attempt;
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 // fill-reducing permutation is applied internally.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -116,10 +117,13 @@ class SymPackSolver {
   }
 
  private:
-  /// The serving layer drives SolveEngine sweeps itself (pipelined
-  /// batches need two engines in one drive loop), so it reaches the
-  /// symbolic/task-graph/store internals directly.
-  friend class SolveServer;
+  /// The recovery loop (DESIGN.md §4h) shared by factorize() and solve():
+  /// run `phase` (which builds a fresh engine and drives it) and, while
+  /// it unwinds with a pgas::RankDeathError, recover_from_death() and
+  /// run it again. A death is rethrown when no buddy checkpoints are
+  /// armed or after resilience.max_recoveries recoveries. Clocks and
+  /// stats carry across attempts: recovery is part of the phase.
+  void run_recoverable(const std::function<void()>& phase);
 
   /// Rank-death recovery (DESIGN.md §4h): purge stale inboxes, resurrect
   /// the victim at the survivors' clock frontier plus the restart

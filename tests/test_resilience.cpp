@@ -292,14 +292,13 @@ TEST(SolveServerResilience, DrainSurvivesDeathAndKeepsServing) {
 // ------------------------------------------------------------------
 // SolveServer admission satellite: submissions at/over server_max_queue
 // are refused without disturbing the queue, the cap frees up after a
-// drain, and the overlapped pipeline still runs under a capped queue.
+// drain, and a multi-panel drain still runs under a capped queue.
 
 TEST(SolveServerAdmission, CapRefusesThenFreesAfterDrain) {
   const auto a = sparse::flan_proxy(0.02);
   pgas::Runtime rt(cluster(8, /*threaded=*/false));
   core::SolverOptions opts;
   opts.solve.rhs_panel = 2;
-  opts.solve.server_overlap = true;
   opts.solve.server_max_queue = 4;
   core::SymPackSolver solver(rt, opts);
   solver.symbolic_factorize(a);
@@ -322,7 +321,7 @@ TEST(SolveServerAdmission, CapRefusesThenFreesAfterDrain) {
   EXPECT_FALSE(server.submit(b));            // full
   EXPECT_EQ(server.stats().rejected, 3);
 
-  const auto xs = server.drain();            // 2 panels, overlapped
+  const auto xs = server.drain();            // 2 panels
   ASSERT_EQ(xs.size(), 2u);
   for (const auto& x : xs) {
     for (std::size_t c = 0; c < x.size() / n; ++c) {
@@ -330,7 +329,6 @@ TEST(SolveServerAdmission, CapRefusesThenFreesAfterDrain) {
       EXPECT_LT(sparse::relative_residual(a, col, b), 1e-10);
     }
   }
-  EXPECT_GE(server.stats().overlapped, 1);
 
   // The drain emptied the queue: admission works again.
   EXPECT_TRUE(server.submit(b));

@@ -5,8 +5,10 @@
 // runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "blas/blas.hpp"
@@ -794,8 +796,8 @@ TEST(ProportionalMappingSolve, FanInVariantToo) {
 }  // namespace sympack::core
 
 // ------------------------------------------------------------------
-// SolveServer: request admission, panel batching, sweep pipelining, and
-// numeric refactorization on top of a cached factor.
+// SolveServer: request admission, drains as one solve() over the queued
+// columns, and numeric refactorization on top of a cached factor.
 
 #include "core/solve_server.hpp"
 
@@ -850,13 +852,11 @@ TEST(SolveServer, DrainMatchesDirectSolves) {
   EXPECT_EQ(st.requests, 3);
   EXPECT_EQ(st.columns, 9);
   EXPECT_EQ(st.panels, 3);          // ceil(9 / 4)
-  EXPECT_EQ(st.overlapped, 2);      // consecutive panel pairs pipelined
   EXPECT_GT(st.serve_sim_s, 0.0);
 }
 
 TEST(SolveServer, DefaultDrainIsOneFusedPanel) {
-  // Default options: every queued column rides one sweep pair, so there
-  // is no second panel to overlap with.
+  // Default options: every queued column rides one sweep pair.
   pgas::Runtime rt(cluster(4));
   const auto a = sparse::grid2d_laplacian(12, 11);
   SymPackSolver solver(rt, SolverOptions{});
@@ -870,31 +870,103 @@ TEST(SolveServer, DefaultDrainIsOneFusedPanel) {
   EXPECT_EQ(st.overlapped, 0);
 }
 
-TEST(SolveServer, OverlapOffIsSequentialAndMatches) {
+// drain() is one solve() over the queued columns in submission order:
+// bitwise-equal columns, equal simulated time and equal wire traffic
+// against an identically built solver, at every panel width, numeric
+// and protocol-only.
+TEST(SolveServer, DrainIsOneSolve) {
+  const auto a = sparse::flan_proxy(0.05);
+  const auto n = static_cast<std::size_t>(a.n());
+  support::Xoshiro256 rng(31);
+  const int widths[] = {3, 1, 5};
+  std::vector<std::vector<double>> bs;
+  std::vector<double> all;  // the 9 columns in submission order
+  for (const int nrhs : widths) {
+    std::vector<double> b(n * static_cast<std::size_t>(nrhs));
+    for (auto& v : b) v = rng.next_in(-1, 1);
+    all.insert(all.end(), b.begin(), b.end());
+    bs.push_back(std::move(b));
+  }
+
+  for (const int rhs_panel : {0, 1, 4}) {
+    for (const bool numeric : {true, false}) {
+      SCOPED_TRACE("rhs_panel=" + std::to_string(rhs_panel) +
+                   (numeric ? " numeric" : " protocol-only"));
+      SolverOptions opts;
+      opts.numeric = numeric;
+      opts.solve.rhs_panel = rhs_panel;
+      pgas::Runtime rt_served(cluster(8));
+      pgas::Runtime rt_direct(cluster(8));
+      SymPackSolver served(rt_served, opts);
+      SymPackSolver direct(rt_direct, opts);
+      for (SymPackSolver* s : {&served, &direct}) {
+        s->symbolic_factorize(a);
+        s->factorize();
+      }
+
+      SolveServer server(served);
+      for (std::size_t r = 0; r < bs.size(); ++r) {
+        ASSERT_TRUE(server.submit(bs[r], widths[r]));
+      }
+      const pgas::CommStats served0 = rt_served.total_stats();
+      const auto xs = server.drain();
+      const pgas::CommStats served1 = rt_served.total_stats();
+      const pgas::CommStats direct0 = rt_direct.total_stats();
+      const auto x = direct.solve(all, 9);
+      const pgas::CommStats direct1 = rt_direct.total_stats();
+
+      ASSERT_EQ(xs.size(), bs.size());
+      std::vector<double> drained;
+      for (std::size_t r = 0; r < xs.size(); ++r) {
+        ASSERT_EQ(xs[r].size(), bs[r].size());
+        drained.insert(drained.end(), xs[r].begin(), xs[r].end());
+      }
+      ASSERT_EQ(drained.size(), x.size());
+      EXPECT_EQ(std::memcmp(drained.data(), x.data(),
+                            x.size() * sizeof(double)),
+                0);
+      EXPECT_EQ(server.stats().serve_sim_s, direct.report().solve_sim_s);
+      EXPECT_EQ(served.report().solve_sim_s, direct.report().solve_sim_s);
+      EXPECT_EQ(served1.rpcs_sent - served0.rpcs_sent,
+                direct1.rpcs_sent - direct0.rpcs_sent);
+      EXPECT_EQ(served1.gets - served0.gets, direct1.gets - direct0.gets);
+      EXPECT_EQ(served1.bytes_from_host - served0.bytes_from_host,
+                direct1.bytes_from_host - direct0.bytes_from_host);
+
+      const int conf = served.options().solve.rhs_panel;
+      const int w = conf == 0 ? 9 : std::min(conf, 9);
+      EXPECT_EQ(server.stats().panels, (9 + w - 1) / w);
+      EXPECT_EQ(server.stats().overlapped, 0);
+    }
+  }
+}
+
+// Columns queued before symbolic_factorize() re-analysed the solver to
+// another dimension no longer fit it: drain() throws instead of reading
+// past each request's buffer, and the queue survives to drain once the
+// dimension matches again.
+TEST(SolveServer, DrainAfterReanalysisToOtherSizeThrows) {
   pgas::Runtime rt(cluster(4));
-  const auto a = sparse::grid2d_laplacian(10, 10);
-  SolverOptions opts;
-  opts.solve.rhs_panel = 2;
-  opts.solve.server_overlap = false;
-  SymPackSolver solver(rt, opts);
-  solver.symbolic_factorize(a);
+  const auto small = sparse::grid2d_laplacian(6, 6);    // 36 rows
+  const auto large = sparse::grid2d_laplacian(12, 12);  // 144 rows
+  SymPackSolver solver(rt, SolverOptions{});
+  solver.symbolic_factorize(small);
   solver.factorize();
   SolveServer server(solver);
+  const auto b = sparse::rhs_for_ones(small);
+  ASSERT_TRUE(server.submit(b));
 
-  const auto n = static_cast<std::size_t>(a.n());
-  support::Xoshiro256 rng(5);
-  std::vector<double> b(n * 6);
-  for (auto& v : b) v = rng.next_in(-1, 1);
-  EXPECT_TRUE(server.submit(b, 6));
+  solver.symbolic_factorize(large);
+  solver.factorize();
+  EXPECT_THROW(server.drain(), std::invalid_argument);
+  EXPECT_EQ(server.queued(), 1);
+
+  solver.symbolic_factorize(small);
+  solver.factorize();
   const auto xs = server.drain();
   ASSERT_EQ(xs.size(), 1u);
-  EXPECT_EQ(server.stats().panels, 3);
-  EXPECT_EQ(server.stats().overlapped, 0);
-
-  const auto direct = solver.solve(b, 6);
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    ASSERT_NEAR(xs[0][i], direct[i], 1e-9);
-  }
+  EXPECT_LT(sparse::relative_residual(small, xs[0], b), 1e-10);
+  EXPECT_EQ(server.queued(), 0);
 }
 
 TEST(SolveServer, AdmissionCapRejects) {
@@ -962,7 +1034,7 @@ TEST(SolveServer, EmptyDrainAndMisuse) {
 
 TEST(SolveServer, ProtocolOnlyDrainRuns) {
   // numeric=false: the full batched solve protocol runs (panel-scaled
-  // messages, overlapped sweeps) without touching values.
+  // messages, one sweep pair per panel) without touching values.
   pgas::Runtime rt(cluster(4));
   SolverOptions opts;
   opts.numeric = false;

@@ -1,8 +1,16 @@
 // Unit tests for the support utilities: timers, options parsing, RNG
-// determinism, statistics, and the ASCII table printer.
+// determinism, statistics, and the ASCII table printer; plus a check that
+// README.md documents exactly the SYMPACK_* environment knobs src/ reads.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <regex>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "support/env.hpp"
@@ -300,6 +308,63 @@ TEST(Env, MisspelledBoolThrows) {
 
 namespace sympack::support {
 namespace {
+
+// ------------------------------------------------------------------
+// Environment-knob documentation: the "SYMPACK_*" string literals under
+// src/ are the knobs the library reads, and every one must have a row in
+// one of README.md's knob tables (a table line opening with the name in
+// backticks) — no undocumented knob, no row for a knob that is gone.
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::set<std::string> knobs_read_in_src() {
+  const std::regex literal("\"(SYMPACK_[A-Z0-9_]+)\"");
+  std::set<std::string> knobs;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           std::filesystem::path(SYMPACK_SOURCE_DIR) / "src")) {
+    const auto ext = entry.path().extension();
+    if (ext != ".cpp" && ext != ".hpp") continue;
+    const std::string text = read_file(entry.path());
+    for (std::sregex_iterator it(text.begin(), text.end(), literal), end;
+         it != end; ++it) {
+      knobs.insert((*it)[1]);
+    }
+  }
+  return knobs;
+}
+
+std::set<std::string> knobs_in_readme_tables() {
+  const std::regex row("^\\|\\s*`(SYMPACK_[A-Z0-9_]+)`\\s*\\|");
+  std::set<std::string> knobs;
+  std::istringstream in(
+      read_file(std::filesystem::path(SYMPACK_SOURCE_DIR) / "README.md"));
+  std::smatch m;
+  for (std::string line; std::getline(in, line);) {
+    if (std::regex_search(line, m, row)) knobs.insert(m[1]);
+  }
+  return knobs;
+}
+
+std::string missing_from(const std::set<std::string>& from,
+                         const std::set<std::string>& names) {
+  std::string out;
+  for (const auto& name : names) {
+    if (from.count(name) == 0) out += " " + name;
+  }
+  return out;
+}
+
+TEST(EnvKnobs, ReadmeTablesListExactlyTheKnobsSrcReads) {
+  const auto src = knobs_read_in_src();
+  const auto readme = knobs_in_readme_tables();
+  EXPECT_EQ(missing_from(readme, src), "") << "read in src/, no README row";
+  EXPECT_EQ(missing_from(src, readme), "") << "README row, not read in src/";
+  // Pinned so that adding or removing a knob is a deliberate change.
+  EXPECT_EQ(src.size(), 31u);
+}
 
 TEST(Options, SingleDashFlagsLikeThePaperDriver) {
   // The AD/AE command lines use single-dash flags: -in, -nrhs, -ordering.
