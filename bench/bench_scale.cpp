@@ -3,9 +3,9 @@
 // The replicated symbolic layer is the classic scalability wall: every
 // rank holds the full Symbolic + Mapping + TaskGraph metadata, so the
 // per-rank symbolic footprint is flat in P while the per-rank factor
-// share falls — past a few hundred ranks the metadata dominates. The
-// sharded views keep only the locally relevant supernodes plus ancestor
-// closure per rank, and the sliced analysis replaces the serial
+// share falls — past a few hundred ranks the metadata dominates. A
+// sharded SymbolicView keeps only the locally relevant supernodes plus
+// ancestor closure per rank, and the sliced analysis replaces the serial
 // prologue every rank used to repeat.
 //
 // For each proxy × rank count this driver records, for both modes:
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
           // Per-rank factor share from the block geometry (mode-independent:
           // the numeric factor is never sharded, only its metadata is).
           const auto& sym = solver.symbolic();
-          const auto& tg = solver.taskgraph_view();
+          const auto& tg = solver.taskgraph();
           std::vector<std::uint64_t> factor_bytes(
               static_cast<std::size_t>(p), 0);
           for (idx_t k = 0; k < sym.num_snodes(); ++k) {

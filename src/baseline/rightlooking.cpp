@@ -568,12 +568,7 @@ void RightLookingSolver::symbolic_factorize(const sparse::CscMatrix& a) {
   tg_ = std::make_unique<symbolic::TaskGraph>(
       sym_, symbolic::Mapping(rt_->nranks(),
                               symbolic::Mapping::Kind::kColCyclic));
-  // The baseline always runs replicated symbolic metadata.
-  sview_ = std::make_unique<symbolic::ReplicatedSymbolicView>(sym_, *tg_, 0.0);
-  tgview_ = std::make_unique<symbolic::ReplicatedTaskGraphView>(
-      *tg_, static_cast<const symbolic::ReplicatedSymbolicView&>(*sview_));
-  store_ = std::make_unique<BlockStore>(*sview_, *tgview_, *rt_,
-                                        opts_.numeric);
+  store_ = std::make_unique<BlockStore>(*tg_, *rt_, opts_.numeric);
 
   core::GpuOptions gpu;
   gpu.enabled = opts_.use_gpu;

@@ -29,7 +29,6 @@
 #include "pgas/runtime.hpp"
 #include "sparse/csc.hpp"
 #include "symbolic/taskgraph.hpp"
-#include "symbolic/view.hpp"
 
 namespace sympack::baseline {
 
@@ -74,8 +73,6 @@ class RightLookingSolver {
   std::vector<idx_t> perm_;
   symbolic::Symbolic sym_;
   std::unique_ptr<symbolic::TaskGraph> tg_;
-  std::unique_ptr<symbolic::SymbolicView> sview_;
-  std::unique_ptr<symbolic::TaskGraphView> tgview_;
   std::unique_ptr<core::BlockStore> store_;
   std::unique_ptr<core::Offload> offload_;
   // Panels (supernodes) targeting each supernode, and the reverse count.

@@ -7,10 +7,10 @@
 
 namespace sympack::core {
 
-BlockStore::BlockStore(const symbolic::SymbolicView& sym,
-                       const symbolic::TaskGraphView& tg, pgas::Runtime& rt,
+BlockStore::BlockStore(const symbolic::TaskGraph& tg, pgas::Runtime& rt,
                        bool numeric)
-    : sym_(&sym), rt_(&rt), numeric_(numeric) {
+    : sym_(&tg.symbolic()), rt_(&rt), numeric_(numeric) {
+  const symbolic::Symbolic& sym = *sym_;
   const idx_t ns = sym.num_snodes();
   base_.resize(ns + 1);
   base_[0] = 0;

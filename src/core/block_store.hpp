@@ -15,7 +15,7 @@
 #include "core/taskrt/scratch.hpp"
 #include "pgas/runtime.hpp"
 #include "sparse/csc.hpp"
-#include "symbolic/view.hpp"
+#include "symbolic/taskgraph.hpp"
 
 namespace sympack::core {
 
@@ -27,9 +27,7 @@ class BlockStore {
   /// Allocates every block on its owner. When `numeric` is false no
   /// buffers are allocated (protocol-only runs); geometry queries still
   /// work.
-  BlockStore(const symbolic::SymbolicView& sym,
-             const symbolic::TaskGraphView& tg, pgas::Runtime& rt,
-             bool numeric);
+  BlockStore(const symbolic::TaskGraph& tg, pgas::Runtime& rt, bool numeric);
   ~BlockStore();
   BlockStore(const BlockStore&) = delete;
   BlockStore& operator=(const BlockStore&) = delete;
@@ -98,7 +96,7 @@ class BlockStore {
                       taskrt::Scratch<idx_t>& offsets) const;
 
  private:
-  const symbolic::SymbolicView* sym_;
+  const symbolic::Symbolic* sym_;
   pgas::Runtime* rt_;
   bool numeric_;
   std::vector<idx_t> base_;    // snode -> first block id

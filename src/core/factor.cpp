@@ -8,13 +8,16 @@
 
 namespace sympack::core {
 
-FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
-                           const symbolic::TaskGraphView& tg, BlockStore& store,
-                           Offload& offload, const SolverOptions& opts,
-                           Tracer* tracer, RecoveryContext* rec)
-    : rt_(&rt), sym_(&sym), tg_(&tg), store_(&store), offload_(&offload),
+FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
+                           const symbolic::SymbolicView& view,
+                           BlockStore& store, Offload& offload,
+                           const SolverOptions& opts, Tracer* tracer,
+                           RecoveryContext* rec)
+    : rt_(&rt), sym_(&tg.symbolic()), tg_(&tg), view_(&view), store_(&store),
+      offload_(&offload),
       opts_(opts), fan_in_(tg.variant() == Variant::kFanIn),
       stats_(tracer, opts.trace.metadata), rec_(rec) {
+  const symbolic::Symbolic& sym = *sym_;
   per_rank_.resize(rt.nranks());
   for (PerRank& pr : per_rank_) pr.rtq.set_policy(opts_.policy);
   net_.init(rt, opts_.fault, tracer, opts_.comm, opts_.resilience);
@@ -216,7 +219,7 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
   // A signal dereferences the source panel's metadata on the consumer;
   // under a sharded view a non-resident panel costs one metadata pull
   // here (then caches).
-  tg_->touch(rank, sig.k);
+  view_->touch(rank, sig.k);
   const int me = rank.id();
   const int uses = local_uses(me, sig.k, sig.slot);
   if (uses == 0) return;  // defensive; senders target consumers only

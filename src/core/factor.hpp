@@ -77,8 +77,8 @@ class FactorEngine {
   /// still-pending consumers from run()'s prologue, and the per-rank
   /// termination goals (and, in fan-in, the aggregates' pending update
   /// counts) shrink accordingly.
-  FactorEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
-               const symbolic::TaskGraphView& tg, BlockStore& store,
+  FactorEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
+               const symbolic::SymbolicView& view, BlockStore& store,
                Offload& offload, const SolverOptions& opts,
                Tracer* tracer = nullptr, RecoveryContext* rec = nullptr);
   ~FactorEngine();
@@ -227,8 +227,9 @@ class FactorEngine {
   void enqueue(PerRank& pr, const Task& task);
 
   pgas::Runtime* rt_;
-  const symbolic::SymbolicView* sym_;
-  const symbolic::TaskGraphView* tg_;
+  const symbolic::Symbolic* sym_;
+  const symbolic::TaskGraph* tg_;
+  const symbolic::SymbolicView* view_;
   BlockStore* store_;
   Offload* offload_;
   SolverOptions opts_;

@@ -192,7 +192,8 @@ TraceOptions env_trace_options(TraceOptions base);
 
 /// Overlay SYMPACK_SYMBOLIC_SHARD onto `base` (applied at solver
 /// construction). Sharding changes only where symbolic metadata lives —
-/// the factor, schedule, and CommStats protocol counters are unchanged.
+/// the factor, schedule, CommStats protocol counters and simulated
+/// factor and solve times are unchanged, for fan-out and fan-in alike.
 symbolic::SymbolicOptions env_symbolic_options(symbolic::SymbolicOptions base);
 
 struct SolverOptions {

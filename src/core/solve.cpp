@@ -29,12 +29,13 @@ pgas::GlobalPtr pull_ptr(const pgas::Rank& rank,
 
 }  // namespace
 
-SolveEngine::SolveEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
-                         const symbolic::TaskGraphView& tg, BlockStore& store,
+SolveEngine::SolveEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
+                         const symbolic::SymbolicView& view, BlockStore& store,
                          Offload& offload, const SolverOptions& opts,
                          Tracer* tracer)
-    : rt_(&rt), sym_(&sym), tg_(&tg), store_(&store), offload_(&offload),
-      opts_(opts), stats_(tracer, opts.trace.metadata) {
+    : rt_(&rt), sym_(&tg.symbolic()), tg_(&tg), view_(&view), store_(&store),
+      offload_(&offload), opts_(opts), stats_(tracer, opts.trace.metadata) {
+  const symbolic::Symbolic& sym = *sym_;
   const idx_t ns = sym.num_snodes();
   target_blocks_.resize(ns);
   owned_diag_.assign(rt.nranks(), 0);
@@ -299,11 +300,10 @@ std::uint32_t SolveEngine::inline_bytes(std::size_t bytes) const {
 
 void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
                              bool backward) {
-  // Either message type dereferences a panel's metadata on the receiver
-  // (solution segments in particular cross supernode neighborhoods the
-  // receiver may not retain under a sharded view — first touch pulls and
-  // caches).
-  tg_->touch(rank, msg.type == Msg::Type::kX ? msg.k : msg.panel);
+  // Either message type dereferences a panel's metadata on the receiver.
+  // A sharded view keeps both resident (relevance rules 1, 3 and 4), so
+  // this touch pulls only panels outside a healthy run's footprint.
+  view_->touch(rank, msg.type == Msg::Type::kX ? msg.k : msg.panel);
   const int me = rank.id();
   PerRank& pr = per_rank_[me];
   if (msg.type == Msg::Type::kX) {

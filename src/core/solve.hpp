@@ -74,8 +74,8 @@ class SolveEngine {
   /// profiler can analyze either phase. The solve-phase goldens hash
   /// CommStats only and never attach a tracer, so this is purely
   /// additive.
-  SolveEngine(pgas::Runtime& rt, const symbolic::SymbolicView& sym,
-              const symbolic::TaskGraphView& tg, BlockStore& store,
+  SolveEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
+              const symbolic::SymbolicView& view, BlockStore& store,
               Offload& offload, const SolverOptions& opts,
               Tracer* tracer = nullptr);
   SolveEngine(const SolveEngine&) = delete;
@@ -165,8 +165,9 @@ class SolveEngine {
   void reset_phase(bool backward);
 
   pgas::Runtime* rt_;
-  const symbolic::SymbolicView* sym_;
-  const symbolic::TaskGraphView* tg_;
+  const symbolic::Symbolic* sym_;
+  const symbolic::TaskGraph* tg_;
+  const symbolic::SymbolicView* view_;
   BlockStore* store_;
   Offload* offload_;
   SolverOptions opts_;

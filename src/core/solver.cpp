@@ -211,19 +211,12 @@ void SymPackSolver::symbolic_factorize(const sparse::CscMatrix& a) {
           : symbolic::Mapping(rt_->nranks(), opts_.mapping));
   tg_ = std::make_unique<symbolic::TaskGraph>(sym_, std::move(mapping),
                                               opts_.variant);
-  if (opts_.symbolic.shard) {
-    auto sv = std::make_unique<symbolic::ShardedSymbolicView>(
-        sym_, *tg_, rt_->model(), rt_->nranks(), sym_stats_);
-    tgview_ = std::make_unique<symbolic::ShardedTaskGraphView>(*tg_, *sv);
-    sview_ = std::move(sv);
-  } else {
-    auto sv = std::make_unique<symbolic::ReplicatedSymbolicView>(
-        sym_, *tg_, sym_stats_.wall_s);
-    tgview_ = std::make_unique<symbolic::ReplicatedTaskGraphView>(*tg_, *sv);
-    sview_ = std::move(sv);
-  }
-  store_ = std::make_unique<BlockStore>(*sview_, *tgview_, *rt_,
-                                        opts_.numeric);
+  view_ = opts_.symbolic.shard
+              ? std::make_unique<symbolic::SymbolicView>(
+                    *tg_, rt_->model(), rt_->nranks(), sym_stats_)
+              : std::make_unique<symbolic::SymbolicView>(*tg_,
+                                                         sym_stats_.wall_s);
+  store_ = std::make_unique<BlockStore>(*tg_, *rt_, opts_.numeric);
   offload_ = std::make_unique<Offload>(opts_.gpu, *rt_, opts_.numeric);
   report_.symbolic_wall_s = WallClock::now() - t0;
   seed_symbolic_counters();
@@ -282,7 +275,7 @@ void SymPackSolver::factorize() {
   // completed sub-DAG cut out (rec_ tells the fresh engine what is done).
   try {
     run_recoverable([&] {
-      FactorEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_, opts_,
+      FactorEngine engine(*rt_, *tg_, *view_, *store_, *offload_, opts_,
                           tracer_, rec);
       engine.run();
     });
@@ -344,7 +337,7 @@ std::vector<double> SymPackSolver::solve(const std::vector<double>& b,
   // fresh engine: the failed attempt's partial sweeps die with it.
   std::vector<double> x_perm;
   run_recoverable([&] {
-    SolveEngine engine(*rt_, *sview_, *tgview_, *store_, *offload_, opts_,
+    SolveEngine engine(*rt_, *tg_, *view_, *store_, *offload_, opts_,
                        tracer_);
     x_perm = engine.solve(b_perm, nrhs);
   });
@@ -422,18 +415,18 @@ std::vector<double> SymPackSolver::dense_factor() const {
 }
 
 void SymPackSolver::seed_symbolic_counters() {
-  if (!sview_) return;
-  // The views keep the cumulative per-rank truth (build share, resident
-  // footprint, pulls); the CommStats mirror is re-seeded from them after
+  if (!view_) return;
+  // The view keeps the cumulative per-rank truth (build share, resident
+  // footprint, pulls); the CommStats mirror is re-seeded from it after
   // every reset so the invariant stats == view accessors always holds —
   // touch() bumps both sides by the same amounts during a run.
   for (int r = 0; r < rt_->nranks(); ++r) {
     auto& s = rt_->rank(r).stats();
     s.symbolic_build_us =
-        static_cast<std::uint64_t>(sview_->build_seconds(r) * 1e6);
+        static_cast<std::uint64_t>(view_->build_seconds(r) * 1e6);
     s.symbolic_bytes =
-        static_cast<std::uint64_t>(sview_->resident_bytes(r));
-    s.symbolic_pull_rpcs = sview_->pull_rpcs(r);
+        static_cast<std::uint64_t>(view_->resident_bytes(r));
+    s.symbolic_pull_rpcs = view_->pull_rpcs(r);
   }
 }
 

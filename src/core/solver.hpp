@@ -84,14 +84,14 @@ class SymPackSolver {
     return perm_;
   }
   [[nodiscard]] const symbolic::Symbolic& symbolic() const { return sym_; }
-  /// The per-rank views the engines run against (replicated by default;
-  /// sharded with SolverOptions::symbolic.shard / SYMPACK_SYMBOLIC_SHARD).
+  /// The task graph the engines run (owners, recipients, update
+  /// counts). Valid after symbolic_factorize().
+  [[nodiscard]] const symbolic::TaskGraph& taskgraph() const { return *tg_; }
+  /// Per-rank residency of the symbolic metadata: replicated by default,
+  /// sharded with SolverOptions::symbolic.shard / SYMPACK_SYMBOLIC_SHARD.
   /// Valid after symbolic_factorize().
   [[nodiscard]] const symbolic::SymbolicView& symbolic_view() const {
-    return *sview_;
-  }
-  [[nodiscard]] const symbolic::TaskGraphView& taskgraph_view() const {
-    return *tgview_;
+    return *view_;
   }
   [[nodiscard]] const SolverOptions& options() const { return opts_; }
 
@@ -137,7 +137,7 @@ class SymPackSolver {
   Report report_;
 
   /// Seed the per-rank symbolic counters (symbolic_build_us /
-  /// symbolic_pull_rpcs / symbolic_bytes) from the views — called after
+  /// symbolic_pull_rpcs / symbolic_bytes) from the view — called after
   /// every Runtime::reset_stats() so the watchdog dump and Report see
   /// the symbolic phase regardless of which phase reset the stats.
   void seed_symbolic_counters();
@@ -147,8 +147,7 @@ class SymPackSolver {
   symbolic::Symbolic sym_;
   symbolic::AnalyzeStats sym_stats_;
   std::unique_ptr<symbolic::TaskGraph> tg_;
-  std::unique_ptr<symbolic::SymbolicView> sview_;
-  std::unique_ptr<symbolic::TaskGraphView> tgview_;
+  std::unique_ptr<symbolic::SymbolicView> view_;
   std::unique_ptr<BlockStore> store_;
   std::unique_ptr<Offload> offload_;
   /// Buddy checkpoint replicas + completed-block ledger; engaged only

@@ -478,7 +478,7 @@ std::string Runtime::dump_rank_states(const std::vector<char>& done) const {
 #include "core/taskrt/counters.def"
 #undef SYMPACK_COMM_COUNTER
     }
-    // Symbolic-phase activity (sharded views), shown whenever any
+    // Symbolic-phase activity (sharded metadata), shown whenever any
     // happened.
     const std::uint64_t symbolic_total = 0
 #define SYMPACK_SYMBOLIC_COUNTER(field, label, trace_name) +s.field

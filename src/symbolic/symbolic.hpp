@@ -32,12 +32,13 @@ struct SymbolicOptions {
   /// Split supernodes wider than this (0 = unlimited). Narrower panels
   /// mean more blocks and better 2D load balance.
   idx_t max_width = 128;
-  /// Build per-rank sharded symbolic/task-graph views instead of
-  /// replicating the full structure on every rank: each rank retains only
-  /// its locally relevant supernodes plus ancestor closure and pulls
-  /// anything else on demand through the pgas runtime
-  /// (SYMPACK_SYMBOLIC_SHARD). Off by default — the replicated views are
-  /// bit-identical to the historical solver.
+  /// Shard the symbolic metadata over the ranks instead of replicating
+  /// it (SYMPACK_SYMBOLIC_SHARD): analyze() runs as per-rank slices, and
+  /// the solver's SymbolicView keeps on each rank only the panels its
+  /// tasks touch plus their ancestors, pulling anything else on demand
+  /// (symbolic/view.hpp). Off by default. Either way the factor, the
+  /// schedule, the CommStats protocol counters and the simulated times
+  /// of factorization and solve are the same.
   bool shard = false;
 };
 

@@ -1,5 +1,7 @@
 #include "symbolic/view.hpp"
 
+#include <atomic>
+#include <bit>
 #include <cstddef>
 
 #include "pgas/machine_model.hpp"
@@ -30,166 +32,137 @@ idx_t parent_snode(const Symbolic& sym, idx_t k) {
   return sym.snode_of(sn.below.front());
 }
 
+std::uint64_t rank_bit(int rank) { return std::uint64_t{1} << (rank % 64); }
+
 }  // namespace
 
-SymbolicView::~SymbolicView() = default;
-TaskGraphView::~TaskGraphView() = default;
-
-ReplicatedSymbolicView::ReplicatedSymbolicView(const Symbolic& sym,
-                                               const TaskGraph& tg,
-                                               double build_wall_s)
-    : SymbolicView(sym), build_wall_s_(build_wall_s) {
+SymbolicView::SymbolicView(const TaskGraph& tg, double build_wall_s)
+    : pulls_{0}, build_s_{build_wall_s} {
   // Full global footprint, present on every rank: all panel metadata
   // plus the O(n) column->supernode directory.
+  const Symbolic& sym = tg.symbolic();
+  std::uint64_t bytes = static_cast<std::uint64_t>(sym.n()) * sizeof(idx_t);
   for (idx_t k = 0; k < sym.num_snodes(); ++k) {
-    replicated_bytes_ += panel_meta_bytes(sym, tg, k);
+    bytes += panel_meta_bytes(sym, tg, k);
   }
-  replicated_bytes_ += static_cast<std::uint64_t>(sym.n()) * sizeof(idx_t);
+  resident_bytes_ = {bytes};
 }
 
-struct ShardedSymbolicView::State {
-  const TaskGraph* tg = nullptr;
-  const pgas::MachineModel* model = nullptr;
-  int nranks = 0;
-  /// Residency bitmap, [rank][snode]. Grows at runtime as pulls cache
-  /// panels; each rank's row is only written by that rank's driving
-  /// thread (same single-writer discipline as the rank clocks).
-  std::vector<std::vector<std::uint8_t>> member;
-  std::vector<std::uint64_t> resident_bytes;
-  std::vector<std::uint64_t> pulls;
-  std::vector<double> build_s;
-  std::vector<std::uint64_t> panel_bytes;
-  /// Fixed per-rank directory: first/last column of every supernode, so
-  /// snode_of resolves by binary search without the O(n) map.
-  std::uint64_t directory_bytes = 0;
-};
-
-ShardedSymbolicView::ShardedSymbolicView(const Symbolic& sym,
-                                         const TaskGraph& tg,
-                                         const pgas::MachineModel& model,
-                                         int nranks, const AnalyzeStats& stats)
-    : SymbolicView(sym), st_(std::make_unique<State>()) {
-  State& st = *st_;
-  st.tg = &tg;
-  st.model = &model;
-  st.nranks = nranks;
+SymbolicView::SymbolicView(const TaskGraph& tg,
+                           const pgas::MachineModel& model, int nranks,
+                           const AnalyzeStats& stats)
+    : model_(&model), words_((static_cast<std::size_t>(nranks) + 63) / 64) {
+  const Symbolic& sym = tg.symbolic();
   const idx_t ns = sym.num_snodes();
-  st.member.assign(static_cast<std::size_t>(nranks),
-                   std::vector<std::uint8_t>(static_cast<std::size_t>(ns), 0));
-  st.directory_bytes = static_cast<std::uint64_t>(ns) * 2 * sizeof(idx_t);
-  st.resident_bytes.assign(static_cast<std::size_t>(nranks),
-                           st.directory_bytes);
-  st.pulls.assign(static_cast<std::size_t>(nranks), 0);
-  st.panel_bytes.resize(static_cast<std::size_t>(ns));
-  for (idx_t k = 0; k < ns; ++k) {
-    st.panel_bytes[k] = panel_meta_bytes(sym, tg, k);
-  }
+  const auto nr = static_cast<std::size_t>(nranks);
+  bits_.assign(static_cast<std::size_t>(ns) * words_, 0);
+  panel_bytes_.resize(static_cast<std::size_t>(ns));
+  // Every rank keeps a fixed directory: the first/last column of every
+  // supernode, so snode_of resolves by binary search without the O(n)
+  // map.
+  resident_bytes_.assign(nr, static_cast<std::uint64_t>(ns) * 2 *
+                                 sizeof(idx_t));
+  pulls_.assign(nr, 0);
 
-  auto mark = [&st](int r, idx_t k) {
-    auto& row = st.member[static_cast<std::size_t>(r)];
-    if (row[static_cast<std::size_t>(k)] == 0) {
-      row[static_cast<std::size_t>(k)] = 1;
-      st.resident_bytes[static_cast<std::size_t>(r)] += st.panel_bytes[k];
-    }
+  const auto row = [this](idx_t k) {
+    return bits_.data() + static_cast<std::size_t>(k) * words_;
+  };
+  const auto keep = [&row](idx_t k, int r) {
+    row(k)[r / 64] |= rank_bit(r);
   };
 
-  // Local relevance: a rank retains panel k when it owns one of k's
-  // blocks, when it executes an update task consuming one of k's factor
-  // blocks (= it is in a consumer set), or when it owns a block
-  // *targeting* k (it scatters updates into k's panel and receives k's
-  // solution segment in the backward solve sweep).
+  // One ascending pass. Every rule that marks panel k fires at or before
+  // k's own iteration: rule 3 and the closure only mark later panels
+  // (block targets and parents have larger ids). So once k's own rules
+  // have run, its set is final: charge its bytes to every rank in it and
+  // OR it into its parent, which makes each set closed under ancestors.
   for (idx_t k = 0; k < ns; ++k) {
     const Supernode& sn = sym.snode(k);
     const idx_t nslots = 1 + static_cast<idx_t>(sn.blocks.size());
     for (BlockSlot slot = 0; slot < nslots; ++slot) {
-      mark(tg.owner(k, slot), k);
-      for (int c : tg.consumers(k, slot)) mark(c, k);
-      if (slot > 0) mark(tg.owner(k, slot), sn.blocks[slot - 1].target);
-    }
-  }
-
-  // Ancestor closure: every resident panel drags in its assembly-tree
-  // ancestor chain. Ascending panel order makes the early-stop sound: a
-  // chain walk that hits an already-resident panel either inherited a
-  // fully closed chain or will close it when the loop reaches that
-  // panel's (higher) id.
-  for (int r = 0; r < nranks; ++r) {
-    auto& row = st.member[static_cast<std::size_t>(r)];
-    for (idx_t k = 0; k < ns; ++k) {
-      if (row[static_cast<std::size_t>(k)] == 0) continue;
-      for (idx_t p = parent_snode(sym, k);
-           p >= 0 && row[static_cast<std::size_t>(p)] == 0;
-           p = parent_snode(sym, p)) {
-        mark(r, p);
+      const int owner = tg.owner(k, slot);
+      keep(k, owner);                                    // rule 1
+      for (int c : tg.consumers(k, slot)) keep(k, c);    // rule 2
+      if (slot > 0) {
+        const idx_t t = sn.blocks[slot - 1].target;
+        keep(t, owner);                                  // rule 3
+        keep(k, tg.owner(t, 0));                         // rule 4
       }
     }
+    const std::uint64_t bytes = panel_meta_bytes(sym, tg, k);
+    panel_bytes_[static_cast<std::size_t>(k)] = bytes;
+    const std::uint64_t* set = row(k);
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t m = set[w]; m != 0; m &= m - 1) {
+        resident_bytes_[w * 64 + std::countr_zero(m)] += bytes;
+      }
+    }
+    const idx_t p = parent_snode(sym, k);
+    if (p < 0) continue;
+    std::uint64_t* parent = row(p);
+    for (std::size_t w = 0; w < words_; ++w) parent[w] |= set[w];
   }
 
   // Per-rank symbolic-phase time: proportional share of the measured
   // row-structure wall time plus the RPC cost of the child below-list
   // exchanges this rank received (AnalyzeStats's slice attribution).
-  st.build_s.assign(static_cast<std::size_t>(nranks), 0.0);
+  build_s_.assign(nr, 0.0);
   const std::uint64_t total_work = stats.total_work();
-  for (int r = 0; r < nranks; ++r) {
-    const auto ri = static_cast<std::size_t>(r);
+  for (std::size_t r = 0; r < nr; ++r) {
     double t = 0.0;
-    if (total_work > 0 && ri < stats.rank_work.size()) {
-      t = stats.wall_s * static_cast<double>(stats.rank_work[ri]) /
+    if (total_work > 0 && r < stats.rank_work.size()) {
+      t = stats.wall_s * static_cast<double>(stats.rank_work[r]) /
           static_cast<double>(total_work);
     } else {
       t = stats.wall_s / static_cast<double>(nranks);
     }
-    if (ri < stats.rank_exchange_msgs.size()) {
-      t += static_cast<double>(stats.rank_exchange_msgs[ri]) *
+    if (r < stats.rank_exchange_msgs.size()) {
+      t += static_cast<double>(stats.rank_exchange_msgs[r]) *
            model.rpc_overhead_s;
-      t += static_cast<double>(stats.rank_exchange_bytes[ri]) /
+      t += static_cast<double>(stats.rank_exchange_bytes[r]) /
            model.rpc_byte_Bps;
     }
-    st.build_s[ri] = t;
+    build_s_[r] = t;
   }
 }
 
-ShardedSymbolicView::~ShardedSymbolicView() = default;
-
-void ShardedSymbolicView::touch(pgas::Rank& rank, idx_t k) const {
-  State& st = *st_;
-  const auto r = static_cast<std::size_t>(rank.id());
-  auto& row = st.member[r];
-  if (row[static_cast<std::size_t>(k)] != 0) return;
+void SymbolicView::touch(pgas::Rank& rank, idx_t k) const {
+  if (!sharded()) return;
+  const int r = rank.id();
+  std::atomic_ref<std::uint64_t> word(
+      bits_[static_cast<std::size_t>(k) * words_ + r / 64]);
+  const std::uint64_t bit = rank_bit(r);
+  if ((word.load() & bit) != 0) return;
   // Remote metadata pull: one RPC round trip to the panel's home rank,
   // then cache. Deliberately kept out of the wire-protocol counters
   // (rpcs_sent/gets/bytes_from_host) so sharding never perturbs the
   // golden CommStats block — the symbolic_* family owns this traffic.
-  const std::uint64_t bytes = st.panel_bytes[static_cast<std::size_t>(k)];
-  rank.advance(st.model->rpc_time(static_cast<std::size_t>(bytes)));
+  const std::uint64_t bytes = panel_bytes_[static_cast<std::size_t>(k)];
+  rank.advance(model_->rpc_time(static_cast<std::size_t>(bytes)));
   ++rank.stats().symbolic_pull_rpcs;
   rank.stats().symbolic_bytes += bytes;
-  row[static_cast<std::size_t>(k)] = 1;
-  st.resident_bytes[r] += bytes;
-  ++st.pulls[r];
+  word.fetch_or(bit);
+  resident_bytes_[static_cast<std::size_t>(r)] += bytes;
+  ++pulls_[static_cast<std::size_t>(r)];
 }
 
-bool ShardedSymbolicView::resident(int rank, idx_t k) const {
-  return st_->member[static_cast<std::size_t>(rank)]
-                    [static_cast<std::size_t>(k)] != 0;
+bool SymbolicView::resident(int rank, idx_t k) const {
+  if (!sharded()) return true;
+  const std::atomic_ref<std::uint64_t> word(
+      bits_[static_cast<std::size_t>(k) * words_ + rank / 64]);
+  return (word.load() & rank_bit(rank)) != 0;
 }
 
-std::uint64_t ShardedSymbolicView::resident_bytes(int rank) const {
-  return st_->resident_bytes[static_cast<std::size_t>(rank)];
+std::uint64_t SymbolicView::resident_bytes(int rank) const {
+  return resident_bytes_[sharded() ? static_cast<std::size_t>(rank) : 0];
 }
 
-std::uint64_t ShardedSymbolicView::pull_rpcs(int rank) const {
-  return st_->pulls[static_cast<std::size_t>(rank)];
+std::uint64_t SymbolicView::pull_rpcs(int rank) const {
+  return pulls_[sharded() ? static_cast<std::size_t>(rank) : 0];
 }
 
-double ShardedSymbolicView::build_seconds(int rank) const {
-  return st_->build_s[static_cast<std::size_t>(rank)];
+double SymbolicView::build_seconds(int rank) const {
+  return build_s_[sharded() ? static_cast<std::size_t>(rank) : 0];
 }
-
-std::uint64_t ShardedSymbolicView::panel_bytes(idx_t k) const {
-  return st_->panel_bytes[static_cast<std::size_t>(k)];
-}
-
-int ShardedSymbolicView::nranks() const { return st_->nranks; }
 
 }  // namespace sympack::symbolic

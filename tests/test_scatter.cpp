@@ -18,7 +18,6 @@
 #include "sparse/generators.hpp"
 #include "sparse/permute.hpp"
 #include "symbolic/taskgraph.hpp"
-#include "symbolic/view.hpp"
 
 namespace sympack::core {
 namespace {
@@ -51,17 +50,13 @@ struct Geometry {
                               SolverOptions{}.symbolic)),
         mapping(rt.nranks(), SolverOptions{}.mapping),
         tg(sym, mapping),
-        sview(sym, tg, 0.0),
-        tgview(tg, sview),
-        store(sview, tgview, rt, /*numeric=*/false) {}
+        store(tg, rt, /*numeric=*/false) {}
 
   pgas::Runtime rt;
   CscMatrix ap;
   symbolic::Symbolic sym;
   symbolic::Mapping mapping;
   symbolic::TaskGraph tg;
-  symbolic::ReplicatedSymbolicView sview;
-  symbolic::ReplicatedTaskGraphView tgview;
   BlockStore store;
 };
 

@@ -57,13 +57,14 @@ bool fault_env_overridden() {
 
 /// Same idea for the eager/coalesce transport knobs: the solver overlays
 /// them onto SolverOptions::comm, which changes the schedule by design.
-/// SYMPACK_SYMBOLIC_SHARD keeps the protocol counters identical but
-/// perturbs the simulated clocks (metadata pulls), so it is guarded too.
 bool comm_env_overridden() {
   return std::getenv("SYMPACK_EAGER_BYTES") != nullptr ||
-         std::getenv("SYMPACK_COALESCE") != nullptr ||
-         std::getenv("SYMPACK_SYMBOLIC_SHARD") != nullptr;
+         std::getenv("SYMPACK_COALESCE") != nullptr;
 }
+
+/// Sharded symbolic metadata changes only where the metadata lives, so
+/// every golden row must reproduce with sharding off and on.
+constexpr bool kShardModes[] = {false, true};
 
 void fnv_mix(std::uint64_t& h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -120,7 +121,8 @@ pgas::FaultConfig golden_faults() {
 std::uint64_t run_golden(const std::string& proxy, core::Policy policy,
                          bool faults, core::CommOptions comm = {},
                          pgas::CommStats* stats_out = nullptr,
-                         core::Variant variant = core::Variant::kFanOut) {
+                         core::Variant variant = core::Variant::kFanOut,
+                         bool shard = false) {
   pgas::Runtime::Config cfg = golden_cluster();
   if (faults) cfg.faults = golden_faults();
   pgas::Runtime rt(cfg);
@@ -128,6 +130,7 @@ std::uint64_t run_golden(const std::string& proxy, core::Policy policy,
   opts.policy = policy;
   opts.comm = comm;
   opts.variant = variant;
+  opts.symbolic.shard = shard;
   core::SymPackSolver solver(rt, opts);
   core::Tracer tracer;
   solver.set_tracer(&tracer);
@@ -185,11 +188,15 @@ TEST_P(GoldenSchedule, HashMatchesPreRefactorCapture) {
   if (comm_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
   }
-  const std::uint64_t h = run_golden(g.proxy, g.policy, g.faults);
-  EXPECT_EQ(h, g.hash) << "schedule drifted: proxy=" << g.proxy
-                       << " policy=" << core::policy_name(g.policy)
-                       << " faults=" << (g.faults ? "on" : "off")
-                       << " actual=0x" << std::hex << h << "ull";
+  for (const bool shard : kShardModes) {
+    const std::uint64_t h = run_golden(g.proxy, g.policy, g.faults, {},
+                                       nullptr, core::Variant::kFanOut, shard);
+    EXPECT_EQ(h, g.hash) << "schedule drifted: proxy=" << g.proxy
+                         << " policy=" << core::policy_name(g.policy)
+                         << " faults=" << (g.faults ? "on" : "off")
+                         << " shard=" << shard << " actual=0x" << std::hex
+                         << h << "ull";
+  }
 }
 
 std::string golden_name(const ::testing::TestParamInfo<Golden>& info) {
@@ -254,15 +261,19 @@ TEST_P(GoldenEagerSchedule, HashMatchesCapture) {
   if (comm_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
   }
-  pgas::CommStats stats;
-  const std::uint64_t h =
-      run_golden(g.proxy, g.policy, g.faults, golden_comm(), &stats);
-  // The fast path actually engaged on every row.
-  EXPECT_GT(stats.eager_sends, 0u);
-  EXPECT_GT(stats.coalesced_signals, 0u);
-  EXPECT_EQ(h, g.hash) << "eager schedule drifted: proxy=" << g.proxy
-                       << " faults=" << (g.faults ? "on" : "off")
-                       << " actual=0x" << std::hex << h << "ull";
+  for (const bool shard : kShardModes) {
+    pgas::CommStats stats;
+    const std::uint64_t h =
+        run_golden(g.proxy, g.policy, g.faults, golden_comm(), &stats,
+                   core::Variant::kFanOut, shard);
+    // The fast path actually engaged on every row.
+    EXPECT_GT(stats.eager_sends, 0u);
+    EXPECT_GT(stats.coalesced_signals, 0u);
+    EXPECT_EQ(h, g.hash) << "eager schedule drifted: proxy=" << g.proxy
+                         << " faults=" << (g.faults ? "on" : "off")
+                         << " shard=" << shard << " actual=0x" << std::hex
+                         << h << "ull";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Eager, GoldenEagerSchedule,
@@ -292,10 +303,10 @@ struct FanInGolden {
   std::uint64_t hash;
 };
 
-std::uint64_t run_fanin_golden(const FanInGolden& g) {
+std::uint64_t run_fanin_golden(const FanInGolden& g, bool shard = false) {
   return run_golden(g.proxy, core::Policy::kFifo, g.faults,
                     g.eager ? golden_comm() : core::CommOptions{}, nullptr,
-                    core::Variant::kFanIn);
+                    core::Variant::kFanIn, shard);
 }
 
 const FanInGolden kGoldenFanIn[] = {
@@ -323,11 +334,14 @@ TEST_P(GoldenFanInSchedule, HashMatchesCapture) {
   if (comm_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
   }
-  const std::uint64_t h = run_fanin_golden(g);
-  EXPECT_EQ(h, g.hash) << "fan-in schedule drifted: proxy=" << g.proxy
-                       << " faults=" << (g.faults ? "on" : "off")
-                       << " eager=" << (g.eager ? "on" : "off")
-                       << " actual=0x" << std::hex << h << "ull";
+  for (const bool shard : kShardModes) {
+    const std::uint64_t h = run_fanin_golden(g, shard);
+    EXPECT_EQ(h, g.hash) << "fan-in schedule drifted: proxy=" << g.proxy
+                         << " faults=" << (g.faults ? "on" : "off")
+                         << " eager=" << (g.eager ? "on" : "off")
+                         << " shard=" << shard << " actual=0x" << std::hex
+                         << h << "ull";
+  }
 }
 
 std::string fanin_golden_name(
@@ -401,10 +415,12 @@ constexpr int kDefaultPanel = -1;
 
 std::uint64_t run_solve_golden(const std::string& proxy, int rhs_panel,
                                int nrhs,
-                               pgas::CommStats* stats_out = nullptr) {
+                               pgas::CommStats* stats_out = nullptr,
+                               bool shard = false) {
   pgas::Runtime rt(golden_cluster());
   core::SolverOptions opts;
   if (rhs_panel != kDefaultPanel) opts.solve.rhs_panel = rhs_panel;
+  opts.symbolic.shard = shard;
   core::SymPackSolver solver(rt, opts);
   const CscMatrix a = proxy_matrix(proxy);
   solver.symbolic_factorize(a);
@@ -444,10 +460,14 @@ TEST_P(GoldenSolveSchedule, CommStatsMatchCapture) {
   if (comm_env_overridden() || solve_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
   }
-  const std::uint64_t h = run_solve_golden(g.proxy, g.rhs_panel, g.nrhs);
-  EXPECT_EQ(h, g.hash) << "solve schedule drifted: proxy=" << g.proxy
-                       << " rhs_panel=" << g.rhs_panel << " nrhs=" << g.nrhs
-                       << " actual=0x" << std::hex << h << "ull";
+  for (const bool shard : kShardModes) {
+    const std::uint64_t h =
+        run_solve_golden(g.proxy, g.rhs_panel, g.nrhs, nullptr, shard);
+    EXPECT_EQ(h, g.hash) << "solve schedule drifted: proxy=" << g.proxy
+                         << " rhs_panel=" << g.rhs_panel
+                         << " nrhs=" << g.nrhs << " shard=" << shard
+                         << " actual=0x" << std::hex << h << "ull";
+  }
 }
 
 std::string solve_golden_name(
@@ -505,10 +525,12 @@ bool pool_env_overridden() {
          std::getenv("SYMPACK_POOL_MAX_CACHED") != nullptr;
 }
 
-std::size_t run_solve_memory(const std::string& proxy, int rhs_panel) {
+std::size_t run_solve_memory(const std::string& proxy, int rhs_panel,
+                             bool shard = false) {
   pgas::Runtime rt(golden_cluster());
   core::SolverOptions opts;
   opts.solve.rhs_panel = rhs_panel;
+  opts.symbolic.shard = shard;
   core::SymPackSolver solver(rt, opts);
   const CscMatrix a = proxy_matrix(proxy);
   solver.symbolic_factorize(a);
@@ -542,9 +564,11 @@ TEST_P(SolveMemory, TransientPeakMatchesCapture) {
       solve_env_overridden() || pool_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_* environment override active";
   }
-  EXPECT_EQ(run_solve_memory(g.proxy, g.rhs_panel), g.bytes)
-      << "solve memory drifted: proxy=" << g.proxy
-      << " rhs_panel=" << g.rhs_panel;
+  for (const bool shard : kShardModes) {
+    EXPECT_EQ(run_solve_memory(g.proxy, g.rhs_panel, shard), g.bytes)
+        << "solve memory drifted: proxy=" << g.proxy
+        << " rhs_panel=" << g.rhs_panel << " shard=" << shard;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

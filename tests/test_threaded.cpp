@@ -84,7 +84,7 @@ CscMatrix proxy_matrix(const std::string& name) {
 }
 
 /// The pieces SymPackSolver builds around a FactorEngine (replicated
-/// views, numeric store assembled from A), for tests that drive the
+/// view, numeric store assembled from A), for tests that drive the
 /// engine directly. The task graph is built for `opts.variant`.
 struct EngineParts {
   EngineParts(const CscMatrix& a, pgas::Runtime& rt,
@@ -95,9 +95,8 @@ struct EngineParts {
                               opts.symbolic)),
         mapping(rt.nranks(), opts.mapping),
         tg(sym, mapping, opts.variant),
-        sview(sym, tg, 0.0),
-        tgview(tg, sview),
-        store(sview, tgview, rt, /*numeric=*/true),
+        view(tg),
+        store(tg, rt, /*numeric=*/true),
         offload(opts.gpu, rt, /*numeric=*/true) {
     store.assemble(ap);
   }
@@ -106,8 +105,7 @@ struct EngineParts {
   symbolic::Symbolic sym;
   symbolic::Mapping mapping;
   symbolic::TaskGraph tg;
-  symbolic::ReplicatedSymbolicView sview;
-  symbolic::ReplicatedTaskGraphView tgview;
+  symbolic::SymbolicView view;
   core::BlockStore store;
   core::Offload offload;
 };
@@ -256,7 +254,7 @@ TEST_P(FanInAggregates, NoneLeftAfterRun) {
   core::SolverOptions opts;
   opts.variant = core::Variant::kFanIn;
   EngineParts parts(proxy_matrix("flan"), rt, opts);
-  core::FactorEngine engine(rt, parts.sview, parts.tgview, parts.store,
+  core::FactorEngine engine(rt, parts.tg, parts.view, parts.store,
                             parts.offload, opts);
 
   using Peer = core::FactorEngineTestPeer;
@@ -417,7 +415,7 @@ TEST(ThreadedLeakRegression, DuplicateSignalDoesNotLeakDeviceMemory) {
   opts.gpu.device_resident_threshold = 1;  // every factor block is a
                                            // "GPU block"
   EngineParts parts(a, rt, opts);
-  core::FactorEngine engine(rt, parts.sview, parts.tgview, parts.store,
+  core::FactorEngine engine(rt, parts.tg, parts.view, parts.store,
                             parts.offload, opts);
 
   // Find a factor block with at least one remote consumer.

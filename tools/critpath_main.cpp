@@ -20,7 +20,7 @@
 //   --auto    bool                 shorthand for --policy auto
 //   --numeric bool                 real numerics (default false:
 //                                  protocol-only, same schedule, cheap)
-//   --shard   bool                 sharded per-rank symbolic views
+//   --shard   bool                 sharded per-rank symbolic metadata
 //                                  (default false; DESIGN.md §4i)
 //   --nrhs    int                  right-hand sides to solve (default 1;
 //                                  0 skips the solve phase)
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
   print_report("factor", factor_rep, top_k);
 
   // Symbolic-phase counters (the counters.def symbolic family): seeded
-  // per rank from the views after every stats reset, so the phase is
+  // per rank from the view after every stats reset, so the phase is
   // visible here whether sharding is on or off.
   {
     std::uint64_t max_build_us = 0, max_bytes = 0;
