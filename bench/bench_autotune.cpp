@@ -3,8 +3,8 @@
 // thresholds for three device vendor presets, then compares factor time
 // under hand-tuned defaults vs analytic thresholds on the flan proxy.
 // Finally sweeps the CPU kernel-engine cache-block sizes (measured, not
-// modeled) and prints the best TileConfig to plug into
-// SolverOptions::kernel_tiles or the SYMPACK_TILE_* environment.
+// modeled) and prints the best TileConfig to plug into the SYMPACK_TILE_*
+// environment (or blas::kernels::set_config).
 //
 // Options: --scale 1.0 --nodes 4 --ppn 4 --tile-sweep --tile-problem 384
 //          --json PATH
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
        {gpu::DeviceVendor::kNvidiaA100, gpu::DeviceVendor::kAmdMi250x,
         gpu::DeviceVendor::kIntelPvc}) {
     std::vector<std::string> row = {gpu::vendor_name(vendor)};
-    for (const bool auto_tune : {false, true}) {
+    for (const bool analytic : {false, true}) {
       pgas::Runtime::Config cfg;
       cfg.nranks = nodes * ppn;
       cfg.ranks_per_node = ppn;
@@ -56,7 +56,9 @@ int main(int argc, char** argv) {
       core::SolverOptions sopts;
       sopts.numeric = false;
       sopts.ordering = ordering::Method::kNatural;
-      sopts.gpu.auto_tune = auto_tune;
+      if (analytic) {
+        sopts.gpu = core::analytic_gpu_options(sopts.gpu, cfg.model);
+      }
       core::SymPackSolver solver(rt, sopts);
       solver.symbolic_factorize(info.matrix);
       solver.factorize();
@@ -92,7 +94,7 @@ int main(int argc, char** argv) {
     std::printf("%s", tiles.to_string().c_str());
     const auto& best = sweep.front().config;
     std::printf("best: SYMPACK_TILE_MC=%d SYMPACK_TILE_KC=%d "
-                "SYMPACK_TILE_NC=%d (or SolverOptions::kernel_tiles)\n",
+                "SYMPACK_TILE_NC=%d (or blas::kernels::set_config)\n",
                 best.mc, best.kc, best.nc);
     if (!bench::maybe_write_json(opts, report)) return 1;
   }

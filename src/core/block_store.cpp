@@ -22,7 +22,7 @@ BlockStore::BlockStore(const symbolic::TaskGraph& tg, pgas::Runtime& rt,
   nrows_.resize(nb);
   ncols_.resize(nb);
   data_.assign(nb, nullptr);
-  gptr_.assign(nb, pgas::GlobalPtr{});
+  gptr_.resize(nb);
 
   for (idx_t k = 0; k < ns; ++k) {
     const auto& sn = sym.snode(k);
@@ -36,9 +36,12 @@ BlockStore::BlockStore(const symbolic::TaskGraph& tg, pgas::Runtime& rt,
       if (numeric_) {
         // Pool-backed: small factor blocks recycle slab-pool classes
         // across factorizations; big blocks bypass to the raw allocator.
-        auto g = rt.rank(owner_[bid]).pool_allocate_host(bytes(bid));
-        gptr_[bid] = g;
-        data_[bid] = g.local<double>();
+        gptr_[bid] = rt.rank(owner_[bid]).pool_allocate_host(bytes(bid));
+        data_[bid] = gptr_[bid].local<double>();
+      } else {
+        // No bytes, but the owner and kind every rget charges from.
+        gptr_[bid] = pgas::GlobalPtr{nullptr, owner_[bid],
+                                     pgas::MemKind::kHost};
       }
     }
   }

@@ -25,8 +25,9 @@ using symbolic::BlockSlot;
 class BlockStore {
  public:
   /// Allocates every block on its owner. When `numeric` is false no
-  /// buffers are allocated (protocol-only runs); geometry queries still
-  /// work.
+  /// buffers are allocated (protocol-only runs): data() is null and
+  /// gptr() is {nullptr, owner, kHost}, so rget charges it like the real
+  /// block; geometry queries still work.
   BlockStore(const symbolic::TaskGraph& tg, pgas::Runtime& rt, bool numeric);
   ~BlockStore();
   BlockStore(const BlockStore&) = delete;

@@ -14,7 +14,14 @@ CheckpointStore::CheckpointStore(pgas::Runtime& rt, BlockStore& store,
       replicas_(replicas),
       tracer_(tracer),
       saved_(static_cast<std::size_t>(store.num_blocks()), 0),
-      copies_(static_cast<std::size_t>(store.num_blocks())) {}
+      copies_(static_cast<std::size_t>(store.num_blocks())) {
+  if (store.numeric()) return;
+  // Protocol-only: no replica buffers, but copy/rget charge each replica
+  // transfer to and from its buddy like the real one.
+  for (idx_t bid = 0; bid < store.num_blocks(); ++bid) {
+    copies_[bid] = pgas::GlobalPtr{nullptr, buddy(bid), pgas::MemKind::kHost};
+  }
+}
 
 CheckpointStore::~CheckpointStore() {
   for (idx_t bid = 0; bid < store_->num_blocks(); ++bid) {
@@ -27,23 +34,12 @@ CheckpointStore::~CheckpointStore() {
 void CheckpointStore::save(pgas::Rank& rank, idx_t bid) {
   if (replicas_ <= 0) return;
   const std::size_t nbytes = store_->bytes(bid);
-  if (store_->numeric()) {
-    if (copies_[bid].is_null()) {
-      // Replica lives in the buddy's shared segment (slab-pool backed),
-      // like any other protocol buffer.
-      copies_[bid] = rt_->rank(buddy(bid)).pool_allocate_host(nbytes);
-    }
-    rank.copy(store_->gptr(bid), copies_[bid], nbytes);
-  } else {
-    // Protocol-only run: no buffers exist, but the wire cost of the
-    // replication is still charged so schedule-level studies (and the
-    // recovery overhead gate) see the checkpoint traffic.
-    rank.transfer_completion(nbytes, buddy(bid), pgas::MemKind::kHost,
-                             pgas::MemKind::kHost);
-    rank.advance(rt_->model().rma_issue_s);
-    ++rank.stats().puts;
-    rank.stats().bytes_from_host += nbytes;
+  if (store_->numeric() && copies_[bid].is_null()) {
+    // Replica lives in the buddy's shared segment (slab-pool backed),
+    // like any other protocol buffer.
+    copies_[bid] = rt_->rank(buddy(bid)).pool_allocate_host(nbytes);
   }
+  rank.copy(store_->gptr(bid), copies_[bid], nbytes);
   saved_[bid] = 1;
   ++rank.stats().ckpt_saves;
   if (tracer_ != nullptr) {
@@ -53,17 +49,8 @@ void CheckpointStore::save(pgas::Rank& rank, idx_t bid) {
 }
 
 void CheckpointStore::restore(pgas::Rank& rank, idx_t bid) {
-  const std::size_t nbytes = store_->bytes(bid);
-  if (store_->numeric()) {
-    rank.rget(copies_[bid], reinterpret_cast<std::byte*>(store_->data(bid)),
-              nbytes, pgas::MemKind::kHost);
-  } else {
-    rank.transfer_completion(nbytes, buddy(bid), pgas::MemKind::kHost,
-                             pgas::MemKind::kHost);
-    rank.advance(rt_->model().rma_issue_s);
-    ++rank.stats().gets;
-    rank.stats().bytes_from_host += nbytes;
-  }
+  rank.rget(copies_[bid], reinterpret_cast<std::byte*>(store_->data(bid)),
+            store_->bytes(bid), pgas::MemKind::kHost);
   ++rank.stats().ckpt_restores;
   if (tracer_ != nullptr) {
     tracer_->record(rank.id(), taskrt::kTrace_ckpt_restores, rank.now(),

@@ -16,8 +16,9 @@
 // RMA — checkpointing shows up in the simulated makespan and in the
 // ckpt_saves/ckpt_restores counters, which is exactly what the recovery
 // overhead gate measures.  In protocol-only runs (BlockStore::numeric()
-// false) no buffers exist, so saves/restores charge the simulated wire
-// cost without moving bytes.
+// false) no buffers exist: each replica is {nullptr, buddy, kHost}, and
+// saves/restores go through the same copy/rget calls, which skip only the
+// memcpy (injected transfer failures and retries included).
 //
 // Threading: save() runs on the owner's driving thread, restore() on the
 // recovering thread after the drive loop has unwound — never
@@ -73,7 +74,8 @@ class CheckpointStore {
   int replicas_;
   Tracer* tracer_;
   std::vector<char> saved_;               // per-bid: replica is valid
-  std::vector<pgas::GlobalPtr> copies_;   // per-bid replica (numeric only)
+  std::vector<pgas::GlobalPtr> copies_;   // per-bid replica (null addr when
+                                          // protocol-only)
 };
 
 /// Hand-off from the solver's recovery loop into a fresh engine: which

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "core/solver.hpp"
-#include "gpu/autotune.hpp"
 #include "support/json.hpp"
 
 namespace sympack::core {
@@ -463,23 +462,21 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
   choice.gpu = base.gpu;
 
   auto pilot = [&](Policy policy, sparse::idx_t width,
-                   symbolic::Mapping::Kind mapping, const GpuOptions& gpu,
-                   Tracer* tracer) -> double {
+                   symbolic::Mapping::Kind mapping,
+                   const GpuOptions& gpu) -> double {
     pgas::Runtime rt(cluster);
     SolverOptions opts = base;
     opts.policy = policy;
     opts.symbolic.max_width = width;
     opts.mapping = mapping;
     opts.gpu = gpu;
-    // Protocol-only: full task/communication schedule, identical
-    // simulated-time accounting, no numerics — so a pilot costs a tiny
-    // fraction of a real factorization yet measures the exact simulated
-    // makespan the real run would have.
+    // Protocol-only: the numeric run's code path with the bytes left out
+    // (null buffers, no kernel math), so a pilot costs a fraction of a
+    // real factorization yet measures the simulated makespan the real
+    // run would have.
     opts.numeric = false;
     opts.ordering = ordering::Method::kNatural;  // a_perm is pre-permuted
-    opts.trace.metadata = true;
     SymPackSolver solver(rt, opts);
-    if (tracer != nullptr) solver.set_tracer(tracer);
     solver.symbolic_factorize(a_perm);
     solver.factorize();
     return solver.report().factor_sim_s;
@@ -505,7 +502,7 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
                                          Policy::kCriticalPath};
   choice.pilot_sim_s = 1e300;
   for (const Policy p : kPolicies) {
-    const double t = pilot(p, w0, choice.mapping, choice.gpu, nullptr);
+    const double t = pilot(p, w0, choice.mapping, choice.gpu);
     record(p, w0, choice.mapping, 0.0, t);
     if (p == Policy::kFifo) choice.default_sim_s = t;
     if (t < choice.pilot_sim_s) {
@@ -523,8 +520,7 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
                                     w0 * 2};
     for (const sparse::idx_t w : widths) {
       if (w == w0) continue;
-      const double t = pilot(choice.policy, w, choice.mapping, choice.gpu,
-                             nullptr);
+      const double t = pilot(choice.policy, w, choice.mapping, choice.gpu);
       record(choice.policy, w, choice.mapping, 0.0, t);
       if (t < choice.pilot_sim_s) {
         choice.pilot_sim_s = t;
@@ -545,8 +541,7 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
         symbolic::Mapping::Kind::kColCyclic};
     for (const auto m : kMappings) {
       if (m == choice.mapping) continue;
-      const double t = pilot(choice.policy, choice.max_width, m, choice.gpu,
-                             nullptr);
+      const double t = pilot(choice.policy, choice.max_width, m, choice.gpu);
       record(choice.policy, choice.max_width, m, 0.0, t);
       if (t < choice.pilot_sim_s) {
         choice.pilot_sim_s = t;
@@ -563,20 +558,11 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
   // Skipped entirely when the GPU is disabled: the thresholds are dead
   // knobs there and every pilot would measure the same schedule.
   if (base.gpu.enabled) {
-    const gpu::Thresholds an = gpu::analytic_thresholds(cluster.model);
     for (const double scale : {0.5, 1.0, 2.0}) {
-      GpuOptions g = base.gpu;
-      g.auto_tune = false;  // thresholds are fully specified below
-      const auto scaled = [scale](std::int64_t v) {
-        return static_cast<std::int64_t>(static_cast<double>(v) * scale);
-      };
-      g.potrf_threshold = scaled(an.potrf);
-      g.trsm_threshold = scaled(an.trsm);
-      g.syrk_threshold = scaled(an.syrk);
-      g.gemm_threshold = scaled(an.gemm);
-      g.device_resident_threshold = scaled(an.trsm);
+      const GpuOptions g =
+          analytic_gpu_options(base.gpu, cluster.model, scale);
       const double t = pilot(choice.policy, choice.max_width, choice.mapping,
-                             g, nullptr);
+                             g);
       record(choice.policy, choice.max_width, choice.mapping, scale, t);
       if (t < choice.pilot_sim_s) {
         choice.pilot_sim_s = t;
@@ -585,14 +571,6 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
       }
     }
   }
-
-  // Final traced pilot at the chosen configuration: the analysis that
-  // explains *why* this schedule won (autotune_choice()->report).
-  Tracer tracer;
-  (void)pilot(choice.policy, choice.max_width, choice.mapping, choice.gpu,
-              &tracer);
-  CritPathAnalyzer analyzer(tracer.events());
-  choice.report = analyzer.analyze();
   return choice;
 }
 

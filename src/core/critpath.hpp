@@ -28,20 +28,22 @@
 // (gaps then count as wait), so pre-existing traces remain readable —
 // just with less precise attribution.
 //
-// autotune_schedule() is the consumer that closes the loop: it resolves
-// Policy::kAuto by running cheap protocol-only pilot factorizations
-// (numeric=false: full protocol, identical simulated-time accounting, no
-// numerics) through a greedy sequence of search stages on a fresh
-// simulated runtime with the same cluster shape: (1) every fixed
-// scheduling policy at the configured split width, (2) split widths
-// around the configured one under the winning policy, (3) the
+// autotune_schedule() resolves Policy::kAuto by running cheap
+// protocol-only pilot factorizations through a greedy sequence of search
+// stages on a fresh simulated runtime with the same cluster shape: (1)
+// every fixed scheduling policy at the configured split width, (2) split
+// widths around the configured one under the winning policy, (3) the
 // block-to-process mapping grids (2D block-cyclic / row-cyclic /
-// col-cyclic), and (4) GPU offload thresholds seeded from
-// gpu::analytic_thresholds scaled by {0.5, 1, 2}. Stages 3 and 4 adopt a
-// candidate only when its pilot is *strictly* faster, so the chosen
-// configuration is never slower (in simulated time) than the best fixed
-// policy at the configured width — nor than what the policy+width search
-// alone would have picked.
+// col-cyclic), and (4) GPU offload thresholds from analytic_gpu_options
+// at scales {0.5, 1, 2}. A protocol-only run is the numeric run with the
+// bytes left out (numeric=false: null buffers, no kernel math), so each
+// pilot's makespan is the one the real factorization would have. Stages
+// 3 and 4 adopt a candidate only when its pilot is *strictly* faster, so
+// the chosen configuration is never slower (in simulated time) than the
+// best fixed policy at the configured width — nor than what the
+// policy+width search alone would have picked. The pilots run untraced;
+// to see why a schedule won, trace the real factorization and analyze
+// it (as sympack-critpath does).
 #pragma once
 
 #include <cstdint>
@@ -131,8 +133,8 @@ struct AutoTuneCandidate {
   sparse::idx_t max_width = 0;
   symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
   /// GPU offload-threshold candidate: 0 = the configured GpuOptions
-  /// thresholds, otherwise gpu::analytic_thresholds(model) scaled by
-  /// this factor (< 1 offloads more aggressively, > 1 more selectively).
+  /// thresholds, otherwise analytic_gpu_options(.., scale) at this factor
+  /// (< 1 offloads more aggressively, > 1 more selectively).
   double offload_scale = 0.0;
   double sim_s = 0.0;
 };
@@ -151,7 +153,6 @@ struct AutoTuneChoice {
   double offload_scale = 0.0;
   double pilot_sim_s = 0.0;      // winner's pilot makespan
   double default_sim_s = 0.0;    // FIFO at the configured width
-  CritPathReport report;         // winner's critical-path analysis
   std::vector<AutoTuneCandidate> candidates;  // every pilot, in run order
 };
 

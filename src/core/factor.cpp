@@ -249,9 +249,8 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
   RemoteFactor rf;
   // Pull mode keeps fetched blocks on the host (DESIGN.md §4l).
   bool on_device = !fan_in_ && offload_->device_resident(elems);
-  double ready;
+  // Protocol-only runs allocate no landing buffer: rget gets a null dst.
   if (store_->numeric()) {
-    const double* data = nullptr;
     if (on_device) {
       // "GPU block": fetch straight into device memory, skipping the
       // host staging hop (paper §4.2). Falls back to a host buffer when
@@ -268,35 +267,18 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
         }
       }
     }
-    if (on_device) {
-      ready = net_.with_retry(rank, [&] {
-        return rank.rget(store_->gptr(bid), rf.device.addr, bytes,
-                         pgas::MemKind::kDevice);
-      });
-      data = rf.device.local<double>();
-    } else {
+    if (!on_device) {
       rf.host = std::make_unique_for_overwrite<double[]>(
           static_cast<std::size_t>(elems));
-      ready = net_.with_retry(rank, [&] {
-        return rank.rget(store_->gptr(bid),
-                         reinterpret_cast<std::byte*>(rf.host.get()), bytes,
-                         pgas::MemKind::kHost);
-      });
-      data = rf.host.get();
     }
-    rf.ref = FactorRef{data, ready, on_device, bid};
-  } else {
-    // Protocol-only mode: no buffers move, but the transfer is charged
-    // and counted identically.
-    ready = rank.transfer_completion(
-        bytes, store_->owner(bid), pgas::MemKind::kHost,
-        on_device ? pgas::MemKind::kDevice : pgas::MemKind::kHost);
-    rank.advance(rt_->model().rma_issue_s);
-    ++rank.stats().gets;
-    rank.stats().bytes_from_host += bytes;
-    if (on_device) rank.stats().bytes_to_device += bytes;
-    rf.ref = FactorRef{nullptr, ready, on_device, bid};
   }
+  double* dst = on_device ? rf.device.local<double>() : rf.host.get();
+  const double ready = net_.with_retry(rank, [&] {
+    return rank.rget(store_->gptr(bid), reinterpret_cast<std::byte*>(dst),
+                     bytes,
+                     on_device ? pgas::MemKind::kDevice : pgas::MemKind::kHost);
+  });
+  rf.ref = FactorRef{dst, ready, on_device, bid};
 
   // Duplicate signals are deduplicated at the sender (recipients() is
   // sorted/unique), but a protocol bug must not silently shrink the

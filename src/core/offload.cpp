@@ -3,24 +3,36 @@
 #include <algorithm>
 #include <string>
 
+#include "gpu/autotune.hpp"
+
 namespace sympack::core {
 
 namespace {
-constexpr std::size_t idx(gpu::Op op) { return static_cast<std::size_t>(op); }
+/// Bytes of an a-by-b matrix of doubles.
+constexpr std::size_t doubles(std::int64_t a, std::int64_t b) {
+  return sizeof(double) * static_cast<std::size_t>(a) *
+         static_cast<std::size_t>(b);
+}
 }  // namespace
+
+GpuOptions analytic_gpu_options(GpuOptions base,
+                                const pgas::MachineModel& model,
+                                double scale) {
+  const gpu::Thresholds t = gpu::analytic_thresholds(model);
+  const auto scaled = [scale](std::int64_t v) {
+    return static_cast<std::int64_t>(static_cast<double>(v) * scale);
+  };
+  base.potrf_threshold = scaled(t.potrf);
+  base.trsm_threshold = scaled(t.trsm);
+  base.syrk_threshold = scaled(t.syrk);
+  base.gemm_threshold = scaled(t.gemm);
+  base.device_resident_threshold = scaled(t.trsm);
+  return base;
+}
 
 Offload::Offload(const GpuOptions& opts, pgas::Runtime& rt, bool numeric)
     : opts_(opts), rt_(&rt), devices_(rt), numeric_(numeric),
-      counts_(rt.nranks()) {
-  if (opts_.auto_tune) {
-    const auto t = gpu::analytic_thresholds(rt.model());
-    opts_.potrf_threshold = t.potrf;
-    opts_.trsm_threshold = t.trsm;
-    opts_.syrk_threshold = t.syrk;
-    opts_.gemm_threshold = t.gemm;
-    opts_.device_resident_threshold = t.trsm;
-  }
-}
+      counts_(rt.nranks()) {}
 
 bool Offload::should_offload(gpu::Op op, std::int64_t elems) const {
   if (!opts_.enabled) return false;
@@ -37,31 +49,41 @@ bool Offload::device_resident(std::int64_t elems) const {
   return opts_.enabled && elems >= opts_.device_resident_threshold;
 }
 
-Offload::GpuPlan Offload::plan(pgas::Rank& rank, gpu::Op op,
-                               std::int64_t elems, std::size_t scratch_bytes) {
-  GpuPlan p;
-  if (!should_offload(op, elems)) return p;
-  p.scratch = rank.allocate_device(scratch_bytes, /*nothrow=*/true);
-  if (p.scratch.is_null()) {
-    // Device segment exhausted: apply the configured fallback (§4.2).
-    if (opts_.fallback == GpuFallback::kThrow) {
-      throw pgas::DeviceOom("device scratch allocation failed (" +
-                            std::to_string(scratch_bytes) + " B)");
+template <typename Math>
+void Offload::run(pgas::Rank& rank, const Call& call, Math&& math) {
+  pgas::GlobalPtr scratch;
+  if (should_offload(call.op, call.elems)) {
+    scratch = rank.allocate_device(call.scratch_bytes, /*nothrow=*/true);
+    if (scratch.is_null()) {
+      // Device segment exhausted: apply the configured fallback (§4.2).
+      if (opts_.fallback == GpuFallback::kThrow) {
+        throw pgas::DeviceOom("device scratch allocation failed (" +
+                              std::to_string(call.scratch_bytes) + " B)");
+      }
+      fallbacks_.fetch_add(1, std::memory_order_relaxed);
+      ++rank.stats().oom_fallbacks;
     }
-    fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    ++rank.stats().oom_fallbacks;
-    return p;  // use_gpu stays false -> CPU path
   }
-  p.use_gpu = true;
-  return p;
-}
-
-void Offload::finish(pgas::Rank& rank, GpuPlan& plan,
-                     std::size_t result_bytes) {
-  // Result copied back to host memory, then the scratch is released.
-  charge_stage(rank, result_bytes);
-  rank.deallocate(plan.scratch);
-  plan.scratch = pgas::GlobalPtr{};
+  const bool use_gpu = !scratch.is_null();
+  if (use_gpu) {
+    for (const std::size_t bytes : call.staged) {
+      if (bytes > 0) charge_stage(rank, bytes);
+    }
+  }
+  if (numeric_) math();
+  const auto op = static_cast<std::size_t>(call.op);
+  if (use_gpu) {
+    // symPACK synchronizes after each offloaded kernel: the rank waits
+    // for it behind whatever the shared device is already running.
+    rank.merge_clock(
+        devices_.device_for(rank).submit(call.op, call.flops, rank.now()));
+    charge_stage(rank, call.result_bytes);
+    rank.deallocate(scratch);
+    ++counts_[rank.id()].gpu[op];
+  } else {
+    rank.advance(gpu::cpu_kernel_time(rt_->model(), call.op, call.flops));
+    ++counts_[rank.id()].cpu[op];
+  }
 }
 
 void Offload::charge_stage(pgas::Rank& rank, std::size_t bytes) {
@@ -76,125 +98,58 @@ void Offload::charge_scatter(pgas::Rank& rank, std::size_t bytes) {
 }
 
 int Offload::run_potrf(pgas::Rank& rank, int w, double* a, int lda) {
-  const std::int64_t elems = static_cast<std::int64_t>(w) * w;
-  const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(elems);
-  const double flops = static_cast<double>(blas::potrf_flops(w));
-  GpuPlan p = plan(rank, gpu::Op::kPotrf, elems, bytes);
+  const std::size_t bytes = doubles(w, w);
   int info = 0;
-  if (p.use_gpu) {
-    charge_stage(rank, bytes);  // diagonal block host -> device
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      info = gpu::dev_potrf(rank, dev, blas::UpLo::kLower, w, a, lda);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kPotrf, flops, rank.now()));
-    }
-    finish(rank, p, bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kPotrf)];
-  } else {
-    if (numeric_) info = blas::potrf(blas::UpLo::kLower, w, a, lda);
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kPotrf, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kPotrf)];
-  }
+  run(rank,
+      {gpu::Op::kPotrf, std::int64_t{w} * w,
+       static_cast<double>(blas::potrf_flops(w)), bytes, {bytes, 0}, bytes},
+      [&] { info = blas::potrf(blas::UpLo::kLower, w, a, lda); });
   return info;
 }
 
 void Offload::run_trsm(pgas::Rank& rank, int m, int w, const double* diag,
                        int ldd, double* b, int ldb, bool diag_resident) {
-  const std::int64_t elems = static_cast<std::int64_t>(m) * w;
-  const std::size_t b_bytes = sizeof(double) * static_cast<std::size_t>(elems);
-  const std::size_t d_bytes =
-      sizeof(double) * static_cast<std::size_t>(w) * w;
-  const double flops =
-      static_cast<double>(blas::trsm_flops(blas::Side::kRight, m, w));
-  GpuPlan p = plan(rank, gpu::Op::kTrsm, elems, b_bytes + d_bytes);
-  if (p.use_gpu) {
-    charge_stage(rank, b_bytes);
-    if (!diag_resident) charge_stage(rank, d_bytes);
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      gpu::dev_trsm(rank, dev, blas::Side::kRight, blas::UpLo::kLower,
-                    blas::Trans::kYes, blas::Diag::kNonUnit, m, w, 1.0, diag,
-                    ldd, b, ldb);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kTrsm, flops, rank.now()));
-    }
-    finish(rank, p, b_bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kTrsm)];
-  } else {
-    if (numeric_) {
-      blas::trsm(blas::Side::kRight, blas::UpLo::kLower, blas::Trans::kYes,
-                 blas::Diag::kNonUnit, m, w, 1.0, diag, ldd, b, ldb);
-    }
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kTrsm, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kTrsm)];
-  }
+  const std::size_t b_bytes = doubles(m, w);
+  const std::size_t d_bytes = doubles(w, w);
+  run(rank,
+      {gpu::Op::kTrsm, std::int64_t{m} * w,
+       static_cast<double>(blas::trsm_flops(blas::Side::kRight, m, w)),
+       b_bytes + d_bytes, {b_bytes, diag_resident ? 0 : d_bytes}, b_bytes},
+      [&] {
+        blas::trsm(blas::Side::kRight, blas::UpLo::kLower, blas::Trans::kYes,
+                   blas::Diag::kNonUnit, m, w, 1.0, diag, ldd, b, ldb);
+      });
 }
 
 void Offload::run_syrk(pgas::Rank& rank, int n, int k, const double* a,
                        int lda, double* c, int ldc, bool a_resident) {
-  const std::int64_t elems = static_cast<std::int64_t>(n) * k;
-  const std::size_t a_bytes = sizeof(double) * static_cast<std::size_t>(elems);
-  const std::size_t c_bytes =
-      sizeof(double) * static_cast<std::size_t>(n) * n;
-  const double flops = static_cast<double>(blas::syrk_flops(n, k));
-  GpuPlan p = plan(rank, gpu::Op::kSyrk, elems, a_bytes + c_bytes);
-  if (p.use_gpu) {
-    if (!a_resident) charge_stage(rank, a_bytes);
-    charge_stage(rank, c_bytes);
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      gpu::dev_syrk(rank, dev, blas::UpLo::kLower, blas::Trans::kNo, n, k,
-                    -1.0, a, lda, 0.0, c, ldc);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kSyrk, flops, rank.now()));
-    }
-    finish(rank, p, c_bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kSyrk)];
-  } else {
-    if (numeric_) {
-      blas::syrk(blas::UpLo::kLower, blas::Trans::kNo, n, k, -1.0, a, lda,
-                 0.0, c, ldc);
-    }
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kSyrk, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kSyrk)];
-  }
+  const std::size_t a_bytes = doubles(n, k);
+  const std::size_t c_bytes = doubles(n, n);
+  run(rank,
+      {gpu::Op::kSyrk, std::int64_t{n} * k,
+       static_cast<double>(blas::syrk_flops(n, k)), a_bytes + c_bytes,
+       {a_resident ? 0 : a_bytes, c_bytes}, c_bytes},
+      [&] {
+        blas::syrk(blas::UpLo::kLower, blas::Trans::kNo, n, k, -1.0, a, lda,
+                   0.0, c, ldc);
+      });
 }
 
 void Offload::run_gemm(pgas::Rank& rank, int m, int n, int k, const double* a,
                        int lda, const double* b, int ldb, double* c, int ldc,
                        bool a_resident, bool b_resident) {
-  const std::int64_t elems =
-      std::max<std::int64_t>(static_cast<std::int64_t>(m) * k,
-                             static_cast<std::int64_t>(n) * k);
-  const std::size_t a_bytes =
-      sizeof(double) * static_cast<std::size_t>(m) * k;
-  const std::size_t b_bytes =
-      sizeof(double) * static_cast<std::size_t>(n) * k;
-  const std::size_t c_bytes =
-      sizeof(double) * static_cast<std::size_t>(m) * n;
-  const double flops = static_cast<double>(blas::gemm_flops(m, n, k));
-  GpuPlan p = plan(rank, gpu::Op::kGemm, elems, a_bytes + b_bytes + c_bytes);
-  if (p.use_gpu) {
-    if (!a_resident) charge_stage(rank, a_bytes);
-    if (!b_resident) charge_stage(rank, b_bytes);
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      gpu::dev_gemm(rank, dev, blas::Trans::kNo, blas::Trans::kYes, m, n, k,
-                    1.0, a, lda, b, ldb, 0.0, c, ldc);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kGemm, flops, rank.now()));
-    }
-    finish(rank, p, c_bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kGemm)];
-  } else {
-    if (numeric_) {
-      blas::gemm(blas::Trans::kNo, blas::Trans::kYes, m, n, k, 1.0, a, lda, b,
-                 ldb, 0.0, c, ldc);
-    }
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kGemm, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kGemm)];
-  }
+  const std::size_t a_bytes = doubles(m, k);
+  const std::size_t b_bytes = doubles(n, k);
+  const std::size_t c_bytes = doubles(m, n);
+  run(rank,
+      {gpu::Op::kGemm, std::int64_t{std::max(m, n)} * k,
+       static_cast<double>(blas::gemm_flops(m, n, k)),
+       a_bytes + b_bytes + c_bytes,
+       {a_resident ? 0 : a_bytes, b_resident ? 0 : b_bytes}, c_bytes},
+      [&] {
+        blas::gemm(blas::Trans::kNo, blas::Trans::kYes, m, n, k, 1.0, a, lda,
+                   b, ldb, 0.0, c, ldc);
+      });
 }
 
 void Offload::run_trsm_left(pgas::Rank& rank, bool transposed, int n,
@@ -203,33 +158,19 @@ void Offload::run_trsm_left(pgas::Rank& rank, bool transposed, int n,
   // The offload decision keys on the RHS panel (the buffer the solve
   // actually computes on): with one right-hand side these stay on the
   // CPU, with blocked RHS the GPU pays off — matching the hybrid
-  // behaviour of the paper's tuned thresholds.
-  const std::int64_t elems = static_cast<std::int64_t>(n) * nrhs;
-  const std::size_t d_bytes = sizeof(double) * static_cast<std::size_t>(elems);
-  const std::size_t x_bytes =
-      sizeof(double) * static_cast<std::size_t>(n) * nrhs;
-  const double flops = static_cast<double>(nrhs) * n * n;
+  // behaviour of the paper's tuned thresholds. Offloaded, the n-by-n
+  // diagonal factor travels with the panel.
+  const std::size_t x_bytes = doubles(n, nrhs);
+  const std::size_t in_bytes = doubles(n, n) + x_bytes;
   const auto trans = transposed ? blas::Trans::kYes : blas::Trans::kNo;
-  GpuPlan p = plan(rank, gpu::Op::kTrsm, elems, d_bytes + x_bytes);
-  if (p.use_gpu) {
-    charge_stage(rank, d_bytes + x_bytes);
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      gpu::dev_trsm(rank, dev, blas::Side::kLeft, blas::UpLo::kLower, trans,
-                    blas::Diag::kNonUnit, n, nrhs, 1.0, diag, ldd, x, ldx);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kTrsm, flops, rank.now()));
-    }
-    finish(rank, p, x_bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kTrsm)];
-  } else {
-    if (numeric_) {
-      blas::trsm(blas::Side::kLeft, blas::UpLo::kLower, trans,
-                 blas::Diag::kNonUnit, n, nrhs, 1.0, diag, ldd, x, ldx);
-    }
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kTrsm, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kTrsm)];
-  }
+  run(rank,
+      {gpu::Op::kTrsm, std::int64_t{n} * nrhs,
+       static_cast<double>(blas::trsm_flops(blas::Side::kLeft, n, nrhs)),
+       in_bytes, {in_bytes, 0}, x_bytes},
+      [&] {
+        blas::trsm(blas::Side::kLeft, blas::UpLo::kLower, trans,
+                   blas::Diag::kNonUnit, n, nrhs, 1.0, diag, ldd, x, ldx);
+      });
 }
 
 void Offload::run_gemm_any(pgas::Rank& rank, blas::Trans trans_a, int m,
@@ -238,35 +179,17 @@ void Offload::run_gemm_any(pgas::Rank& rank, blas::Trans trans_a, int m,
                            double* c, int ldc) {
   // Like run_trsm_left: key on the RHS/solution panels (n = nrhs here),
   // not on the factor block, so thin solves stay on the CPU.
-  const std::int64_t elems =
-      static_cast<std::int64_t>(std::max(m, k)) * n;
-  const std::size_t a_bytes =
-      sizeof(double) * static_cast<std::size_t>(m) * k;
-  const std::size_t b_bytes =
-      sizeof(double) * static_cast<std::size_t>(k) * n;
-  const std::size_t c_bytes =
-      sizeof(double) * static_cast<std::size_t>(m) * n;
-  const double flops = static_cast<double>(blas::gemm_flops(m, n, k));
-  GpuPlan p = plan(rank, gpu::Op::kGemm, elems, a_bytes + b_bytes + c_bytes);
-  if (p.use_gpu) {
-    charge_stage(rank, a_bytes + b_bytes);
-    auto& dev = devices_.device_for(rank);
-    if (numeric_) {
-      gpu::dev_gemm(rank, dev, trans_a, blas::Trans::kNo, m, n, k, alpha, a,
-                    lda, b, ldb, beta, c, ldc);
-    } else {
-      rank.merge_clock(dev.submit(gpu::Op::kGemm, flops, rank.now()));
-    }
-    finish(rank, p, c_bytes);
-    ++counts_[rank.id()].gpu[idx(gpu::Op::kGemm)];
-  } else {
-    if (numeric_) {
-      blas::gemm(trans_a, blas::Trans::kNo, m, n, k, alpha, a, lda, b, ldb,
-                 beta, c, ldc);
-    }
-    rank.advance(gpu::cpu_kernel_time(rt_->model(), gpu::Op::kGemm, flops));
-    ++counts_[rank.id()].cpu[idx(gpu::Op::kGemm)];
-  }
+  const std::size_t a_bytes = doubles(m, k);
+  const std::size_t b_bytes = doubles(k, n);
+  const std::size_t c_bytes = doubles(m, n);
+  run(rank,
+      {gpu::Op::kGemm, std::int64_t{std::max(m, k)} * n,
+       static_cast<double>(blas::gemm_flops(m, n, k)),
+       a_bytes + b_bytes + c_bytes, {a_bytes + b_bytes, 0}, c_bytes},
+      [&] {
+        blas::gemm(trans_a, blas::Trans::kNo, m, n, k, alpha, a, lda, b, ldb,
+                   beta, c, ldc);
+      });
 }
 
 OpCounts Offload::total_counts() const {

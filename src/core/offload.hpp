@@ -7,29 +7,41 @@
 // allocated for the operation (exercising the device-OOM fallback
 // options), and results are copied back to the host. All calls are
 // counted per rank to reproduce the paper's Fig. 6.
+//
+// Every entry point describes its call (op, offload key, flops, scratch,
+// staged operands, result bytes) and hands it with its host math to one
+// private skeleton. The device computes on host-addressable buffers, so
+// an offloaded call runs the same blas:: routine as the CPU path and
+// then charges simulated device time. A protocol-only run
+// (numeric = false) skips the math and nothing else, so its clocks and
+// counters cannot drift from the numeric run's.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <vector>
 
+#include "blas/blas.hpp"
 #include "core/options.hpp"
 #include "core/report.hpp"
-#include "gpu/autotune.hpp"
-#include "gpu/devblas.hpp"
 #include "gpu/device.hpp"
 #include "pgas/runtime.hpp"
 
 namespace sympack::core {
+
+/// `base` with the four offload thresholds set to the machine model's
+/// analytic crossovers (gpu/autotune.hpp) times `scale`, and the GPU-block
+/// threshold to the scaled TRSM crossover (a block worth a device TRSM is
+/// worth fetching straight into device memory).
+GpuOptions analytic_gpu_options(GpuOptions base,
+                                const pgas::MachineModel& model,
+                                double scale = 1.0);
 
 class Offload {
  public:
   Offload(const GpuOptions& opts, pgas::Runtime& rt, bool numeric);
 
   [[nodiscard]] bool gpu_enabled() const { return opts_.enabled; }
-
-  /// The options in effect (after auto-tuning, if requested).
-  [[nodiscard]] const GpuOptions& effective_options() const { return opts_; }
 
   /// The size heuristic: should an op touching a buffer of `elems`
   /// doubles run on the device?
@@ -43,6 +55,8 @@ class Offload {
   // `*_resident` flags mark operands already in device memory (skipping
   // their staging charge). Each call runs the real math when `numeric`
   // and always charges simulated time on the CPU or GPU path.
+  /// Returns the POTRF info code (0 = success; always 0 when
+  /// protocol-only).
   int run_potrf(pgas::Rank& rank, int w, double* a, int lda);
   void run_trsm(pgas::Rank& rank, int m, int w, const double* diag, int ldd,
                 double* b, int ldb, bool diag_resident);
@@ -59,7 +73,8 @@ class Offload {
   // the same offload heuristic; their calls land in the same Fig. 6
   // TRSM/GEMM buckets).
   /// x := op(L)^{-1} x with L the n-by-n diagonal factor; op = transpose
-  /// when `transposed` (backward substitution).
+  /// when `transposed` (backward substitution). Offloaded, it stages and
+  /// reserves both L (n*n) and x (n*nrhs).
   void run_trsm_left(pgas::Rank& rank, bool transposed, int n, int nrhs,
                      const double* diag, int ldd, double* x, int ldx);
   /// c := alpha * op(a) * b + beta * c (general GEMM used by the solve's
@@ -84,16 +99,21 @@ class Offload {
   void reset_counters();
 
  private:
-  struct GpuPlan {
-    bool use_gpu = false;
-    pgas::GlobalPtr scratch;  // device scratch for the op
+  /// What one kernel call costs, independent of its data.
+  struct Call {
+    gpu::Op op;
+    std::int64_t elems;         // the buffer size should_offload keys on
+    double flops;
+    std::size_t scratch_bytes;  // device scratch reserved when offloaded
+    std::size_t staged[2];      // host -> device copies, in order (0 = none)
+    std::size_t result_bytes;   // device -> host copy of the result
   };
 
-  /// Decide + reserve device scratch; applies the fallback policy on
-  /// device OOM.
-  GpuPlan plan(pgas::Rank& rank, gpu::Op op, std::int64_t elems,
-               std::size_t scratch_bytes);
-  void finish(pgas::Rank& rank, GpuPlan& plan, std::size_t result_bytes);
+  /// The one kernel skeleton: offload decision and scratch (with the
+  /// §4.2 OOM fallback), staging, `math()` when numeric, the CPU or
+  /// device time charge, copy-back, and the Fig. 6 counters.
+  template <typename Math>
+  void run(pgas::Rank& rank, const Call& call, Math&& math);
   void charge_stage(pgas::Rank& rank, std::size_t bytes);
 
   GpuOptions opts_;
@@ -102,7 +122,7 @@ class Offload {
   bool numeric_;
   std::vector<OpCounts> counts_;
   // Incremented from any rank's thread when a device-OOM fallback fires
-  // (plan() runs on the thread driving the requesting rank), so unlike
+  // (run() executes on the thread driving the requesting rank), so unlike
   // the per-rank counts_ slots it is genuinely shared — hence atomic.
   std::atomic<std::uint64_t> fallbacks_{0};
 };

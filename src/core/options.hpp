@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "blas/kernels/tiling.hpp"
 #include "ordering/ordering.hpp"
 #include "support/backoff.hpp"
 #include "symbolic/mapping.hpp"
@@ -21,12 +20,11 @@ namespace sympack::core {
 ///   kCriticalPath      deepest supernode first (tasks feeding the
 ///                      longest elimination-tree chain run first)
 ///   kAuto              measured per matrix: symbolic_factorize runs
-///                      cheap protocol-only pilot factorizations, feeds
-///                      the traces through the critical-path analyzer
-///                      (core/critpath.hpp), and resolves to the fixed
-///                      policy (and supernode split width) with the
-///                      shortest measured critical path. Never reaches
-///                      the engines unresolved.
+///                      cheap protocol-only pilot factorizations
+///                      (core/critpath.hpp) and resolves to the fixed
+///                      policy (and supernode split width, mapping and
+///                      offload thresholds) with the shortest simulated
+///                      makespan. Never reaches the engines unresolved.
 enum class Policy { kFifo, kLifo, kPriority, kCriticalPath, kAuto };
 
 Policy parse_policy(const std::string& name);
@@ -38,13 +36,11 @@ enum class GpuFallback { kCpu, kThrow };
 
 struct GpuOptions {
   bool enabled = true;
-  /// Derive the four thresholds analytically from the machine model at
-  /// solver construction (gpu/autotune.hpp, the paper's §6 future-work
-  /// framework) instead of using the hand-tuned defaults below.
-  bool auto_tune = false;
   /// Per-operation offload thresholds, in *elements* of the operation's
   /// largest buffer. Defaults reflect a brute-force tuning pass like the
-  /// paper's (§4.2); each can be overridden by the user.
+  /// paper's (§4.2); each can be overridden by the user, or all five
+  /// derived from the machine model with core::analytic_gpu_options
+  /// (core/offload.hpp, the paper's §6 future-work framework).
   std::int64_t potrf_threshold = 96 * 96;
   std::int64_t trsm_threshold = 128 * 128;
   std::int64_t syrk_threshold = 128 * 128;
@@ -203,16 +199,13 @@ struct SolverOptions {
   symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
   Policy policy = Policy::kFifo;
   GpuOptions gpu{};
-  /// Cache-block / panel sizes for the CPU dense kernels the tasks run
-  /// on (src/blas/kernels/). Defaults to the process-wide configuration
-  /// (environment overrides included), so leaving it untouched is a
-  /// no-op; bench_autotune and gpu::sweep_tile_configs() produce tuned
-  /// values to plug in here. Applied at solver construction.
-  blas::kernels::TileConfig kernel_tiles = blas::kernels::config();
-  /// When false, numeric kernels and data movement are skipped while the
-  /// full task/communication protocol and the simulated-time accounting
-  /// still run. Used by the large strong-scaling sweeps where only the
-  /// schedule matters; correctness runs use numeric = true.
+  /// When false (protocol-only), the run allocates no factor, solve or
+  /// checkpoint buffers, skips the kernels' host math and moves no bytes:
+  /// rget/copy get null buffers and skip only their memcpy. Everything
+  /// else runs as in a numeric run: the task and message protocol, the
+  /// fault draws, the retries and the simulated clocks (DESIGN.md §4m).
+  /// Used by the large strong-scaling sweeps and the autotune pilots;
+  /// correctness runs use numeric = true.
   bool numeric = true;
   /// Interleaving-fuzzer seed for the sequential (cooperative) driver:
   /// nonzero permutes the rank stepping order every sweep from a
@@ -241,9 +234,10 @@ struct SolverOptions {
 /// Check every numeric field against its documented range and throw
 /// std::invalid_argument naming the first field out of range and its
 /// value. The SymPackSolver constructor calls this after the SYMPACK_*
-/// overlays, so a bad environment value fails the same way. Two fields
-/// are exempt: interleave_seed (any value is a seed) and kernel_tiles,
-/// whose contract is to clamp (blas/kernels/tiling.hpp).
+/// overlays, so a bad environment value fails the same way. One field is
+/// exempt: interleave_seed (any value is a seed). The dense-kernel tile
+/// configuration is process-wide, not a solver option; its setters clamp
+/// instead (blas/kernels/tiling.hpp).
 void validate_options(const SolverOptions& opts);
 
 }  // namespace sympack::core

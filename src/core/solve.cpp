@@ -307,27 +307,24 @@ void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
   const int me = rank.id();
   PerRank& pr = per_rank_[me];
   if (msg.type == Msg::Type::kX) {
-    // Take the published segment (inline, or pulled into a pooled copy),
-    // then enqueue the local contribution tasks that consume it.
+    // Take the published segment (inline, or pulled into a pooled copy;
+    // a protocol-only pull lands nowhere), then enqueue the local
+    // contribution tasks that consume it.
     std::shared_ptr<const double> segment;
     double ready;
     if (msg.eager_bytes > 0) {
       segment = msg.payload;
       ready = rank.now();
-    } else if (store_->numeric()) {
-      auto copy = pgas::shared_host_buffer(rank, msg.bytes / sizeof(double));
+    } else {
+      std::shared_ptr<double> copy;
+      if (store_->numeric()) {
+        copy = pgas::shared_host_buffer(rank, msg.bytes / sizeof(double));
+      }
       ready = net_.with_retry(rank, [&] {
         return rank.rget(msg.data, reinterpret_cast<std::byte*>(copy.get()),
                          msg.bytes, pgas::MemKind::kHost);
       });
       segment = std::move(copy);
-    } else {
-      ready = rank.transfer_completion(msg.bytes, tg_->mapping()(msg.k, msg.k),
-                                       pgas::MemKind::kHost,
-                                       pgas::MemKind::kHost);
-      rank.advance(rt_->model().rma_issue_s);
-      ++rank.stats().gets;
-      rank.stats().bytes_from_host += msg.bytes;
     }
     stats_.fetch_mark(me, msg.k, 0, ready);
     // Task::operand outlives the message, so the segment stays in the
@@ -350,24 +347,12 @@ void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
                        backward);
     return;
   }
-  const double* z = nullptr;
-  double ready;
-  if (store_->numeric()) {
-    double* copy = pr.fetched.get(msg.bytes / sizeof(double));
-    ready = net_.with_retry(rank, [&] {
-      return rank.rget(msg.data, reinterpret_cast<std::byte*>(copy),
-                       msg.bytes, pgas::MemKind::kHost);
-    });
-    z = copy;
-  } else {
-    const auto& blk = sym_->snode(msg.panel).blocks[msg.slot - 1];
-    const int sender = tg_->mapping()(blk.target, msg.panel);
-    ready = rank.transfer_completion(msg.bytes, sender, pgas::MemKind::kHost,
-                                     pgas::MemKind::kHost);
-    rank.advance(rt_->model().rma_issue_s);
-    ++rank.stats().gets;
-    rank.stats().bytes_from_host += msg.bytes;
-  }
+  double* z =
+      store_->numeric() ? pr.fetched.get(msg.bytes / sizeof(double)) : nullptr;
+  const double ready = net_.with_retry(rank, [&] {
+    return rank.rget(msg.data, reinterpret_cast<std::byte*>(z), msg.bytes,
+                     pgas::MemKind::kHost);
+  });
   stats_.fetch_mark(me, msg.panel, msg.slot, ready);
   apply_contribution(rank, msg.panel, msg.slot, z, ready, backward);
 }

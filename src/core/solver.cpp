@@ -160,9 +160,6 @@ SymPackSolver::SymPackSolver(pgas::Runtime& rt, SolverOptions opts)
   opts_.trace = env_trace_options(opts_.trace);
   opts_.symbolic = env_symbolic_options(opts_.symbolic);
   validate_options(opts_);
-  // The dense-kernel tile configuration is process-wide (the blocked
-  // BLAS routines read it on every call); adopt this solver's choice.
-  blas::kernels::set_config(opts_.kernel_tiles);
 }
 
 SymPackSolver::~SymPackSolver() = default;

@@ -110,8 +110,9 @@ class SymPackSolver {
   [[nodiscard]] const BlockStore& block_store() const;
 
   /// When the solver was constructed with Policy::kAuto, the pilot-based
-  /// choice symbolic_factorize() resolved to (policy, split width, pilot
-  /// timings, critical-path report). Null otherwise.
+  /// choice symbolic_factorize() resolved to (policy, split width,
+  /// mapping, offload thresholds and every pilot's timing). Null
+  /// otherwise.
   [[nodiscard]] const AutoTuneChoice* autotune_choice() const {
     return auto_choice_.get();
   }

@@ -193,8 +193,4 @@ std::vector<TileTiming> sweep_tile_configs(int problem, int reps) {
   return results;
 }
 
-blas::kernels::TileConfig best_tile_config(int problem) {
-  return sweep_tile_configs(problem).front().config;
-}
-
 }  // namespace sympack::gpu

@@ -41,11 +41,9 @@ struct TileTiming {
 
 /// Time a candidate grid of MC/KC/NC cache-block configurations on a
 /// `problem`-cubed double-precision GEMM; returns candidates sorted
-/// best-first. `reps` timed repetitions per candidate.
+/// best-first, the front one ready for kernels::set_config (the tile
+/// configuration is process-wide). `reps` timed repetitions per
+/// candidate.
 std::vector<TileTiming> sweep_tile_configs(int problem = 384, int reps = 3);
-
-/// The best configuration from sweep_tile_configs, ready to assign to
-/// SolverOptions::kernel_tiles (or kernels::set_config).
-blas::kernels::TileConfig best_tile_config(int problem = 384);
 
 }  // namespace sympack::gpu

@@ -5,7 +5,7 @@
 // communication layer is device-agnostic and only the BLAS backend and
 // device constants change. This module is that knob for the simulated
 // machine: selecting a vendor swaps the device performance constants
-// (the devblas call sites and the memory-kinds transfer paths are
+// (core::Offload's kernel calls and the memory-kinds transfer paths are
 // untouched, exactly as the paper predicts).
 //
 // Rates are modeled approximations of public FP64 figures for each part;

@@ -338,7 +338,7 @@ double Rank::rget(const GlobalPtr& src, std::byte* dst, std::size_t bytes,
                         std::to_string(id_) + " (" + std::to_string(bytes) +
                         " B from rank " + std::to_string(src.rank) + ")");
   }
-  std::memcpy(dst, src.addr, bytes);
+  if (dst != nullptr) std::memcpy(dst, src.addr, bytes);
   const double t = transfer_completion(bytes, src.rank, src.kind, dst_kind);
   advance(runtime_->model().rma_issue_s);
   ++stats_.gets;
@@ -359,7 +359,9 @@ double Rank::copy(const GlobalPtr& src, const GlobalPtr& dst,
                         std::to_string(id_) + " (" + std::to_string(bytes) +
                         " B)");
   }
-  std::memcpy(dst.addr, src.addr, bytes);
+  if (!src.is_null() && !dst.is_null()) {
+    std::memcpy(dst.addr, src.addr, bytes);
+  }
   const int peer = (src.rank == id_) ? dst.rank : src.rank;
   const double t = transfer_completion(bytes, peer, src.kind, dst.kind);
   advance(runtime_->model().rma_issue_s);

@@ -235,11 +235,16 @@ class Rank {
   // returned value is the simulated completion time of the transfer,
   // which callers feed into dependency ready-times. The issuing rank is
   // only charged the injection overhead (RMA is offloaded to the NIC).
+  //
+  // Protocol-only runs pass null buffers (a null dst, or a GlobalPtr
+  // whose addr is null but whose rank and kind are set): the memcpy is
+  // skipped and nothing else is — the injected-failure draw, the charge
+  // and the counters are those of the real transfer.
   double rget(const GlobalPtr& src, std::byte* dst, std::size_t bytes,
               MemKind dst_kind);
   /// upcxx::copy() equivalent: src and dst may be any rank/kind pair;
   /// used for pushing large diagonal blocks directly into remote device
-  /// memory (paper §4.2).
+  /// memory (paper §4.2). Moves no bytes when either end is null.
   double copy(const GlobalPtr& src, const GlobalPtr& dst, std::size_t bytes);
   /// Local host<->device copy over PCIe; advances this rank's clock
   /// (the solver stages operands synchronously before a kernel).

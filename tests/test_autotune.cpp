@@ -118,6 +118,28 @@ TEST(Autotune, UselessDeviceDisablesOffload) {
   EXPECT_GT(t.gemm, 1ll << 60);  // "never offload"
 }
 
+TEST(Autotune, AnalyticGpuOptionsScaleTheModelCrossovers) {
+  // One function turns the model's crossovers into GpuOptions, for the
+  // solver's callers and autotune's offload stage alike: the four
+  // thresholds times the scale, the GPU-block threshold from TRSM, and
+  // every other field from the base.
+  pgas::MachineModel model;
+  const auto t = gpu::analytic_thresholds(model);
+  core::GpuOptions base;
+  base.fallback = core::GpuFallback::kThrow;
+  const auto g = core::analytic_gpu_options(base, model);
+  EXPECT_EQ(g.potrf_threshold, t.potrf);
+  EXPECT_EQ(g.trsm_threshold, t.trsm);
+  EXPECT_EQ(g.syrk_threshold, t.syrk);
+  EXPECT_EQ(g.gemm_threshold, t.gemm);
+  EXPECT_EQ(g.device_resident_threshold, t.trsm);
+  EXPECT_EQ(g.fallback, core::GpuFallback::kThrow);
+  EXPECT_TRUE(g.enabled);
+  const auto half = core::analytic_gpu_options(base, model, 0.5);
+  EXPECT_EQ(half.gemm_threshold, t.gemm / 2);
+  EXPECT_EQ(half.device_resident_threshold, t.trsm / 2);
+}
+
 TEST(Autotune, SolverUsesAutoThresholdsAndStaysCorrect) {
   const auto a = sparse::grid3d_laplacian(4, 5, 4);
   const auto b = sparse::rhs_for_ones(a);
@@ -126,7 +148,7 @@ TEST(Autotune, SolverUsesAutoThresholdsAndStaysCorrect) {
   cfg.ranks_per_node = 4;
   pgas::Runtime rt(cfg);
   core::SolverOptions opts;
-  opts.gpu.auto_tune = true;
+  opts.gpu = core::analytic_gpu_options(opts.gpu, rt.model());
   core::SymPackSolver solver(rt, opts);
   solver.symbolic_factorize(a);
   solver.factorize();
@@ -137,14 +159,14 @@ TEST(Autotune, SolverUsesAutoThresholdsAndStaysCorrect) {
 TEST(Autotune, AutoCompetitiveWithDefaultsOnProxyWorkload) {
   const auto a = sparse::grid3d_laplacian(
       8, 8, 8, sparse::Stencil3D::kTwentySevenPoint);
-  auto run = [&](bool auto_tune) {
+  auto run = [&](bool analytic) {
     pgas::Runtime::Config cfg;
     cfg.nranks = 16;
     cfg.ranks_per_node = 4;
     pgas::Runtime rt(cfg);
     core::SolverOptions opts;
     opts.numeric = false;
-    opts.gpu.auto_tune = auto_tune;
+    if (analytic) opts.gpu = core::analytic_gpu_options(opts.gpu, rt.model());
     core::SymPackSolver solver(rt, opts);
     solver.symbolic_factorize(a);
     solver.factorize();

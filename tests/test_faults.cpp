@@ -259,6 +259,113 @@ INSTANTIATE_TEST_SUITE_P(ClassesAndSeeds, FaultClassEager,
                          chaos_name);
 
 // ------------------------------------------------------------------
+// Protocol-only runs under faults. A protocol-only run is the numeric run
+// with the bytes left out, so under the faults-on goldens' injection mix
+// it draws and retries the same transfer failures. Fan-in rows must
+// match the numeric run bit for bit: clocks, CommStats, kernel call
+// counts and the injector's tally. Fan-out keeps one documented gap: only
+// numeric runs allocate "GPU blocks" (paper §4.2), whose device-denial
+// draws share the per-rank fault stream, so its rows (rendezvous, where
+// every block is pulled) check that the protocol-only run retries failed
+// transfers at all. The proxies are larger than the chaos matrix's, so
+// that blocks above the eager threshold are still pulled with rget.
+
+CscMatrix mode_matrix(const std::string& name) {
+  if (name == "flan") return sparse::flan_proxy(0.05);
+  if (name == "bones") return sparse::bones_proxy(0.05);
+  return sparse::thermal_proxy(0.02);
+}
+
+pgas::FaultConfig golden_fault_mix() {
+  pgas::FaultConfig faults;
+  faults.enabled = true;
+  faults.seed = chaos_seed(0xfeedbeefull);
+  faults.drop_rate = 0.02;
+  faults.duplicate_rate = 0.02;
+  faults.delay_rate = 0.05;
+  faults.reorder_rate = 0.05;
+  faults.transfer_fail_rate = 0.02;
+  faults.device_deny_rate = 0.05;
+  return faults;
+}
+
+struct ModeRun {
+  core::Report report;  // factorize + solve(b)
+  pgas::FaultInjector::Counters injected;
+};
+
+ModeRun run_mode(const CscMatrix& a, core::Variant variant, bool eager,
+                 bool numeric) {
+  pgas::Runtime::Config cfg = cluster(8, /*threaded=*/false);
+  cfg.faults = golden_fault_mix();
+  pgas::Runtime rt(cfg);
+  core::SolverOptions opts;
+  opts.variant = variant;
+  opts.numeric = numeric;
+  if (eager) {
+    opts.comm.eager_bytes = 4096;
+    opts.comm.coalesce = true;
+  }
+  core::SymPackSolver solver(rt, opts);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  (void)solver.solve(sparse::rhs_for_ones(a));
+  return ModeRun{solver.report(), rt.injector()->total()};
+}
+
+using ModeParam = std::tuple<std::string, bool>;  // (proxy, eager+coalesce)
+
+class FaultProtocolOnlyFanIn : public ::testing::TestWithParam<ModeParam> {};
+
+TEST_P(FaultProtocolOnlyFanIn, MatchesNumericBitwise) {
+  const auto& [name, eager] = GetParam();
+  const auto a = mode_matrix(name);
+  const ModeRun num = run_mode(a, core::Variant::kFanIn, eager, true);
+  const ModeRun dry = run_mode(a, core::Variant::kFanIn, eager, false);
+  const auto seed = golden_fault_mix().seed;
+  // Every rget draws from the rank's fault stream, failed or not.
+  EXPECT_GT(num.report.comm.gets, 0u);
+  EXPECT_EQ(num.report.factor_sim_s, dry.report.factor_sim_s)
+      << "fault seed " << seed;
+  EXPECT_EQ(num.report.solve_sim_s, dry.report.solve_sim_s);
+  expect_stats_equal(num.report.comm, dry.report.comm);
+  EXPECT_EQ(num.report.comm.rma_exhausted, dry.report.comm.rma_exhausted);
+  EXPECT_EQ(num.report.total_ops.cpu, dry.report.total_ops.cpu);
+  EXPECT_EQ(num.report.total_ops.gpu, dry.report.total_ops.gpu);
+  EXPECT_EQ(num.injected.transfer_failures, dry.injected.transfer_failures);
+  EXPECT_EQ(num.injected.device_denials, dry.injected.device_denials);
+  EXPECT_EQ(num.injected.drops, dry.injected.drops);
+}
+
+std::string mode_name(const ::testing::TestParamInfo<ModeParam>& info) {
+  return std::get<0>(info.param) +
+         (std::get<1>(info.param) ? "_eager" : "_rdv");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProxiesAndTransports, FaultProtocolOnlyFanIn,
+    ::testing::Combine(::testing::Values("flan", "bones", "thermal"),
+                       ::testing::Bool()),
+    mode_name);
+
+class FaultProtocolOnlyFanOut : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FaultProtocolOnlyFanOut, RetriesFailedTransfers) {
+  const auto a = mode_matrix(GetParam());
+  const ModeRun dry = run_mode(a, core::Variant::kFanOut, false, false);
+  EXPECT_GT(dry.injected.transfer_failures, 0u);
+  EXPECT_GT(dry.report.comm.retries, 0u)
+      << "fault seed " << golden_fault_mix().seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Proxies, FaultProtocolOnlyFanOut,
+    ::testing::Values("flan", "bones", "thermal"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+// ------------------------------------------------------------------
 // Combined drop + reorder: a dropped message whose successor (same
 // producer) arrives before the retransmit lands in the consumer's stash
 // — the out_of_order path a single-class run cannot guarantee.

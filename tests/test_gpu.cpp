@@ -1,13 +1,12 @@
 // Tests for the simulated GPU substrate: kernel cost model, device
-// contention/serialization, numerics of the devblas wrappers, and the
-// CPU-vs-GPU crossover that motivates the offload thresholds (paper §4.2).
+// contention/serialization, and the CPU-vs-GPU crossover that motivates
+// the offload thresholds (paper §4.2). The offloaded kernels' numerics
+// are tested through core::Offload (tests/test_offload.cpp).
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "gpu/devblas.hpp"
 #include "gpu/device.hpp"
-#include "support/random.hpp"
 
 namespace sympack::gpu {
 namespace {
@@ -96,69 +95,6 @@ TEST(DeviceManager, SharedBindingWhenOversubscribed) {
   EXPECT_EQ(mgr.count(), 4);
   EXPECT_EQ(&mgr.device_for(rt.rank(0)), &mgr.device_for(rt.rank(4)));
   EXPECT_NE(&mgr.device_for(rt.rank(0)), &mgr.device_for(rt.rank(1)));
-}
-
-class DevBlasNumerics : public ::testing::Test {
- protected:
-  pgas::Runtime rt_{config(2, 2, 2)};
-  DeviceManager mgr_{rt_};
-};
-
-TEST_F(DevBlasNumerics, GemmMatchesHostKernel) {
-  support::Xoshiro256 rng(3);
-  const int n = 12;
-  std::vector<double> a(n * n), b(n * n), c_dev(n * n, 0.0), c_host(n * n, 0.0);
-  for (auto& v : a) v = rng.next_in(-1, 1);
-  for (auto& v : b) v = rng.next_in(-1, 1);
-  auto& rank = rt_.rank(0);
-  dev_gemm(rank, mgr_.device_for(rank), blas::Trans::kNo, blas::Trans::kYes,
-           n, n, n, -1.0, a.data(), n, b.data(), n, 1.0, c_dev.data(), n);
-  blas::gemm(blas::Trans::kNo, blas::Trans::kYes, n, n, n, -1.0, a.data(), n,
-             b.data(), n, 1.0, c_host.data(), n);
-  for (int i = 0; i < n * n; ++i) EXPECT_DOUBLE_EQ(c_dev[i], c_host[i]);
-  EXPECT_GT(rank.now(), 0.0);  // simulated time charged
-}
-
-TEST_F(DevBlasNumerics, PotrfReportsInfo) {
-  auto& rank = rt_.rank(0);
-  std::vector<double> spd = {4.0, 2.0, 2.0, 5.0};
-  EXPECT_EQ(dev_potrf(rank, mgr_.device_for(rank), blas::UpLo::kLower, 2,
-                      spd.data(), 2),
-            0);
-  std::vector<double> indef = {1.0, 0.0, 0.0, -1.0};
-  EXPECT_EQ(dev_potrf(rank, mgr_.device_for(rank), blas::UpLo::kLower, 2,
-                      indef.data(), 2),
-            2);
-}
-
-TEST_F(DevBlasNumerics, TrsmAndSyrkChargeDeviceTime) {
-  auto& rank = rt_.rank(1);
-  auto& dev = mgr_.device_for(rank);
-  const auto kernels_before = dev.kernels_launched();
-  std::vector<double> tri = {2.0, 1.0, 0.0, 3.0};
-  std::vector<double> rhs = {4.0, 6.0};
-  dev_trsm(rank, dev, blas::Side::kRight, blas::UpLo::kLower,
-           blas::Trans::kYes, blas::Diag::kNonUnit, 1, 2, 1.0, tri.data(), 2,
-           rhs.data(), 1);
-  std::vector<double> c = {0.0, 0.0, 0.0, 0.0};
-  std::vector<double> a = {1.0, 2.0};
-  dev_syrk(rank, dev, blas::UpLo::kLower, blas::Trans::kNo, 2, 1, 1.0,
-           a.data(), 2, 0.0, c.data(), 2);
-  EXPECT_EQ(dev.kernels_launched(), kernels_before + 2);
-  EXPECT_DOUBLE_EQ(c[0], 1.0);
-  EXPECT_DOUBLE_EQ(c[1], 2.0);
-  EXPECT_DOUBLE_EQ(c[3], 4.0);
-}
-
-TEST_F(DevBlasNumerics, RankBlocksUntilKernelCompletion) {
-  auto& r0 = rt_.rank(0);
-  auto& dev = mgr_.device_for(r0);
-  // Pre-load the device with a long kernel from "another rank".
-  const double long_done = dev.submit(Op::kGemm, 1e12, 0.0);
-  std::vector<double> a(4, 1.0), b(4, 1.0), c(4, 0.0);
-  dev_gemm(r0, dev, blas::Trans::kNo, blas::Trans::kNo, 2, 2, 2, 1.0,
-           a.data(), 2, b.data(), 2, 0.0, c.data(), 2);
-  EXPECT_GT(r0.now(), long_done);  // queued behind the long kernel
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "blas/blas.hpp"
 #include "core/solver.hpp"
@@ -559,37 +561,6 @@ TEST(Solver, SimulatedTimeDecreasesWithMoreNodes) {
   EXPECT_LT(t16, t1);
 }
 
-TEST(Solver, ProtocolOnlyModeMatchesTaskScheduleShape) {
-  // numeric=false runs the full protocol and produces comparable
-  // simulated times without touching values.
-  const auto a = sparse::grid2d_laplacian(14, 14);
-  double t_numeric = 0.0, t_dry = 0.0;
-  pgas::CommStats comm_numeric, comm_dry;
-  {
-    pgas::Runtime rt(cluster(4));
-    SymPackSolver solver(rt, SolverOptions{});
-    solver.symbolic_factorize(a);
-    solver.factorize();
-    t_numeric = solver.report().factor_sim_s;
-    comm_numeric = solver.report().comm;
-  }
-  {
-    pgas::Runtime rt(cluster(4));
-    SolverOptions opts;
-    opts.numeric = false;
-    SymPackSolver solver(rt, opts);
-    solver.symbolic_factorize(a);
-    solver.factorize();
-    t_dry = solver.report().factor_sim_s;
-    comm_dry = solver.report().comm;
-  }
-  EXPECT_GT(t_dry, 0.0);
-  EXPECT_NEAR(t_dry / t_numeric, 1.0, 0.25);  // same cost model
-  EXPECT_EQ(comm_numeric.rpcs_sent, comm_dry.rpcs_sent);
-  EXPECT_EQ(comm_numeric.gets, comm_dry.gets);
-  EXPECT_EQ(comm_numeric.bytes_from_host, comm_dry.bytes_from_host);
-}
-
 TEST(Solver, ProtocolOnlySolveRuns) {
   pgas::Runtime rt(cluster(4));
   SolverOptions opts;
@@ -708,6 +679,112 @@ std::string parity_name(const ::testing::TestParamInfo<ParityCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Proxies, MultiRhsParity,
                          ::testing::ValuesIn(parity_cases()), parity_name);
+
+// ------------------------------------------------------------------
+// Protocol-only is the numeric run with the bytes left out (DESIGN.md
+// §4m): over 3 proxies x both variants x rendezvous or eager+coalesce x
+// nrhs {1, 8}, at 8 and 64 ranks, the two modes' factor and solve
+// clocks, CommStats and per-op kernel call counts are bitwise equal. Of
+// CommStats only the counters of host work are left out: slab-pool hits
+// and misses (protocol-only allocates no buffers) and the symbolic
+// build time (host wall time).
+
+struct ModeParityCase {
+  const char* proxy;
+  Variant variant;
+  bool fast_comm;  // eager 4096 + coalescing instead of rendezvous
+  int nrhs;
+  int nranks;
+};
+
+Report run_mode(const ModeParityCase& c, bool numeric) {
+  pgas::Runtime rt(cluster(c.nranks));
+  SolverOptions opts;
+  opts.variant = c.variant;
+  opts.numeric = numeric;
+  if (c.fast_comm) {
+    opts.comm.eager_bytes = 4096;
+    opts.comm.coalesce = true;
+  }
+  SymPackSolver solver(rt, opts);
+  const CscMatrix a = parity_proxy(c.proxy);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  const std::vector<double> b(static_cast<std::size_t>(a.n()) * c.nrhs, 1.0);
+  (void)solver.solve(b, c.nrhs);
+  return solver.report();
+}
+
+class ProtocolOnlyParity : public ::testing::TestWithParam<ModeParityCase> {};
+
+TEST_P(ProtocolOnlyParity, BitwiseEqualToNumeric) {
+  const Report num = run_mode(GetParam(), /*numeric=*/true);
+  const Report dry = run_mode(GetParam(), /*numeric=*/false);
+  EXPECT_GT(dry.factor_sim_s, 0.0);
+  EXPECT_EQ(num.factor_sim_s, dry.factor_sim_s);
+  EXPECT_EQ(num.solve_sim_s, dry.solve_sim_s);
+  EXPECT_EQ(num.total_ops.cpu, dry.total_ops.cpu);
+  EXPECT_EQ(num.total_ops.gpu, dry.total_ops.gpu);
+  EXPECT_EQ(num.gpu_fallbacks, dry.gpu_fallbacks);
+  const pgas::CommStats& n = num.comm;
+  const pgas::CommStats& d = dry.comm;
+  EXPECT_EQ(n.rpcs_sent, d.rpcs_sent);
+  EXPECT_EQ(n.rpcs_executed, d.rpcs_executed);
+  EXPECT_EQ(n.gets, d.gets);
+  EXPECT_EQ(n.puts, d.puts);
+  EXPECT_EQ(n.bytes_from_host, d.bytes_from_host);
+  EXPECT_EQ(n.bytes_from_device, d.bytes_from_device);
+  EXPECT_EQ(n.bytes_to_device, d.bytes_to_device);
+  EXPECT_EQ(n.hd_copies, d.hd_copies);
+  const auto host_work = [](std::string_view label) {
+    return label == "pool_hits" || label == "pool_misses" ||
+           label == "symbolic_build_us";
+  };
+#define SYMPACK_PROTOCOL_COUNTER(field, label)                 \
+  if (!host_work(label)) {                                     \
+    EXPECT_EQ(n.field, d.field) << label;                      \
+  }
+#define SYMPACK_RECOVERY_COUNTER(field, label, trace_name) \
+  SYMPACK_PROTOCOL_COUNTER(field, label)
+#define SYMPACK_COMM_COUNTER(field, label, trace_name) \
+  SYMPACK_PROTOCOL_COUNTER(field, label)
+#define SYMPACK_SYMBOLIC_COUNTER(field, label, trace_name) \
+  SYMPACK_PROTOCOL_COUNTER(field, label)
+#include "core/taskrt/counters.def"
+#undef SYMPACK_PROTOCOL_COUNTER
+#undef SYMPACK_RECOVERY_COUNTER
+#undef SYMPACK_COMM_COUNTER
+#undef SYMPACK_SYMBOLIC_COUNTER
+}
+
+std::vector<ModeParityCase> mode_parity_cases() {
+  std::vector<ModeParityCase> cases;
+  for (const char* proxy : kParityProxies) {
+    for (const Variant v : {Variant::kFanOut, Variant::kFanIn}) {
+      for (const bool fast : {false, true}) {
+        for (const int nrhs : {1, 8}) {
+          for (const int p : {8, 64}) {
+            cases.push_back({proxy, v, fast, nrhs, p});
+          }
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+std::string mode_parity_name(
+    const ::testing::TestParamInfo<ModeParityCase>& info) {
+  const ModeParityCase& c = info.param;
+  return std::string(c.proxy) +
+         (c.variant == Variant::kFanOut ? "_fanout" : "_fanin") +
+         (c.fast_comm ? "_eager" : "_rdv") + "_nrhs" +
+         std::to_string(c.nrhs) + "_p" + std::to_string(c.nranks);
+}
+
+INSTANTIATE_TEST_SUITE_P(ProxiesVariantsTransports, ProtocolOnlyParity,
+                         ::testing::ValuesIn(mode_parity_cases()),
+                         mode_parity_name);
 
 TEST(Solver, RhsPanelUnboundedFusesAllColumns) {
   // rhs_panel = 0: one sweep carries every column; must still match the

@@ -1,8 +1,9 @@
 // Threaded-mode hardening suite (the TSan CI job runs exactly these
 // binaries): threaded-vs-sequential parity on the three paper proxy
 // generators across all four scheduling policies (and for the fan-in
-// variant), a fused multi-column solve and SolveServer drain (whose
-// consumers return producers' pool slabs across threads),
+// variant and a protocol-only run, whose null-buffer rget/copy calls
+// then run on rank threads), a fused multi-column solve and SolveServer
+// drain (whose consumers return producers' pool slabs across threads),
 // seeded-interleaving replay at the solver level, the duplicate-signal
 // device-leak regression for FactorEngine::handle_signal, and fan-in
 // aggregates freed under both drivers.
@@ -145,6 +146,20 @@ RunResult run_solver(const CscMatrix& a, int nranks, bool threaded,
   return r;
 }
 
+/// Aggregate CommStats of a protocol-only factorization plus solve.
+pgas::CommStats protocol_only_stats(const CscMatrix& a, int nranks,
+                                    bool threaded, core::Policy policy) {
+  pgas::Runtime rt(cluster(nranks, threaded));
+  core::SolverOptions opts;
+  opts.policy = policy;
+  opts.numeric = false;
+  core::SymPackSolver solver(rt, opts);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  (void)solver.solve(sparse::rhs_for_ones(a));
+  return rt.total_stats();
+}
+
 void expect_stats_equal(const pgas::CommStats& a, const pgas::CommStats& b) {
   EXPECT_EQ(a.rpcs_sent, b.rpcs_sent);
   EXPECT_EQ(a.rpcs_executed, b.rpcs_executed);
@@ -164,16 +179,27 @@ void expect_stats_equal(const pgas::CommStats& a, const pgas::CommStats& b) {
 }
 
 // ------------------------------------------------------------------
-// Threaded-vs-sequential parity: 3 proxy matrices x 4 policies x 8 ranks.
+// Threaded-vs-sequential parity: 3 proxy matrices x 4 policies x 8 ranks,
+// plus a protocol-only row.
 
-using ParityParam = std::tuple<std::string, core::Policy>;
+using ParityParam = std::tuple<std::string, core::Policy, bool /*numeric*/>;
 
 class ThreadedParity : public ::testing::TestWithParam<ParityParam> {};
 
 TEST_P(ThreadedParity, MatchesSequentialDriver) {
-  const auto& [name, policy] = GetParam();
+  const auto& [name, policy, numeric] = GetParam();
   const auto a = proxy_matrix(name);
   const int nranks = 8;
+
+  if (!numeric) {
+    // A protocol-only run is the numeric run without bytes, on either
+    // driver: the same counters as the sequential protocol-only run and
+    // as the threaded numeric run.
+    const pgas::CommStats thr = protocol_only_stats(a, nranks, true, policy);
+    expect_stats_equal(protocol_only_stats(a, nranks, false, policy), thr);
+    expect_stats_equal(run_solver(a, nranks, true, policy).stats, thr);
+    return;
+  }
 
   const RunResult seq = run_solver(a, nranks, /*threaded=*/false, policy);
   const RunResult thr = run_solver(a, nranks, /*threaded=*/true, policy);
@@ -215,8 +241,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(core::Policy::kFifo,
                                          core::Policy::kLifo,
                                          core::Policy::kPriority,
-                                         core::Policy::kCriticalPath)),
+                                         core::Policy::kCriticalPath),
+                       ::testing::Values(true)),
     parity_name);
+
+INSTANTIATE_TEST_SUITE_P(ProtocolOnly, ThreadedParity,
+                         ::testing::Values(ParityParam{
+                             "flan", core::Policy::kFifo, false}),
+                         parity_name);
 
 // The fan-in variant under both drive modes: its per-rank aggregate
 // vectors, update scratch and fetched-pivot copies are single-writer like
