@@ -3,9 +3,10 @@
 // policies to future work (§3.4, §6); this bench runs that evaluation:
 // FIFO vs LIFO vs lowest-supernode-first priority vs critical-path
 // (deepest-supernode-first) vs the measured `auto` mode — which runs
-// cheap protocol-only pilots through the critical-path analyzer
-// (core/critpath.hpp) and adopts the policy + supernode split width with
-// the shortest simulated makespan — at several node counts.
+// cheap protocol-only pilots (core/autotune.hpp) and adopts the
+// configuration with the shortest simulated makespan — at several node
+// counts. Only simulated values are printed, so a rerun at the same
+// settings reproduces BENCH_scheduler.json byte for byte.
 //
 // The bench is also the acceptance gate for `auto`: because the pilots
 // are protocol-only and this bench runs protocol-only, the pilot
@@ -21,7 +22,7 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/critpath.hpp"
+#include "core/autotune.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "core/solver.hpp"
 #include "support/json.hpp"
 
 namespace sympack::core {
@@ -449,129 +448,6 @@ std::string CritPathReport::to_json() const {
   }
   out << "]}";
   return out.str();
-}
-
-AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
-                                 const sparse::CscMatrix& a_perm,
-                                 const SolverOptions& base) {
-  // Pilots tune the healthy schedule on the same cluster shape.
-  cluster.faults = {};
-
-  AutoTuneChoice choice;
-  choice.mapping = base.mapping;
-  choice.gpu = base.gpu;
-
-  auto pilot = [&](Policy policy, sparse::idx_t width,
-                   symbolic::Mapping::Kind mapping,
-                   const GpuOptions& gpu) -> double {
-    pgas::Runtime rt(cluster);
-    SolverOptions opts = base;
-    opts.policy = policy;
-    opts.symbolic.max_width = width;
-    opts.mapping = mapping;
-    opts.gpu = gpu;
-    // Protocol-only: the numeric run's code path with the bytes left out
-    // (null buffers, no kernel math), so a pilot costs a fraction of a
-    // real factorization yet measures the simulated makespan the real
-    // run would have.
-    opts.numeric = false;
-    opts.ordering = ordering::Method::kNatural;  // a_perm is pre-permuted
-    SymPackSolver solver(rt, opts);
-    solver.symbolic_factorize(a_perm);
-    solver.factorize();
-    return solver.report().factor_sim_s;
-  };
-  auto record = [&](Policy p, sparse::idx_t w, symbolic::Mapping::Kind m,
-                    double scale, double sim) {
-    AutoTuneCandidate c;
-    c.policy = p;
-    c.max_width = w;
-    c.mapping = m;
-    c.offload_scale = scale;
-    c.sim_s = sim;
-    choice.candidates.push_back(c);
-  };
-
-  const sparse::idx_t w0 = base.symbolic.max_width;
-
-  // Stage 1: every fixed policy at the configured split width. The
-  // winner can therefore never be slower (in simulated time) than the
-  // best fixed policy at the defaults.
-  static constexpr Policy kPolicies[] = {Policy::kFifo, Policy::kLifo,
-                                         Policy::kPriority,
-                                         Policy::kCriticalPath};
-  choice.pilot_sim_s = 1e300;
-  for (const Policy p : kPolicies) {
-    const double t = pilot(p, w0, choice.mapping, choice.gpu);
-    record(p, w0, choice.mapping, 0.0, t);
-    if (p == Policy::kFifo) choice.default_sim_s = t;
-    if (t < choice.pilot_sim_s) {
-      choice.pilot_sim_s = t;
-      choice.policy = p;
-    }
-  }
-  choice.max_width = w0;
-
-  // Stage 2: nudge the supernode split width around the configured one
-  // under the winning policy (finer panels trade more parallelism for
-  // more messages; the pilot measures which side wins on this matrix).
-  if (w0 > 0) {
-    const sparse::idx_t widths[] = {std::max<sparse::idx_t>(16, w0 / 2),
-                                    w0 * 2};
-    for (const sparse::idx_t w : widths) {
-      if (w == w0) continue;
-      const double t = pilot(choice.policy, w, choice.mapping, choice.gpu);
-      record(choice.policy, w, choice.mapping, 0.0, t);
-      if (t < choice.pilot_sim_s) {
-        choice.pilot_sim_s = t;
-        choice.max_width = w;
-      }
-    }
-  }
-
-  // Stage 3: block-to-process mapping grids. The 2D block-cyclic grid is
-  // the paper's default; the 1D cyclic maps can win on tall elimination
-  // trees (row-cyclic keeps a panel's blocks on one rank) or very wide
-  // ones. Strictly-better adoption keeps the configured mapping on ties,
-  // so this stage can only improve on the stage-1/2 result.
-  {
-    static constexpr symbolic::Mapping::Kind kMappings[] = {
-        symbolic::Mapping::Kind::k2dBlockCyclic,
-        symbolic::Mapping::Kind::kRowCyclic,
-        symbolic::Mapping::Kind::kColCyclic};
-    for (const auto m : kMappings) {
-      if (m == choice.mapping) continue;
-      const double t = pilot(choice.policy, choice.max_width, m, choice.gpu);
-      record(choice.policy, choice.max_width, m, 0.0, t);
-      if (t < choice.pilot_sim_s) {
-        choice.pilot_sim_s = t;
-        choice.mapping = m;
-      }
-    }
-  }
-
-  // Stage 4: GPU offload thresholds. Candidates are the machine model's
-  // analytic crossovers (gpu/autotune.hpp) scaled by {0.5, 1, 2} —
-  // the scale sweeps offload aggressiveness around the modeled
-  // break-even point, and the pilot measures the real schedule effect
-  // (offload changes task durations and with them the critical path).
-  // Skipped entirely when the GPU is disabled: the thresholds are dead
-  // knobs there and every pilot would measure the same schedule.
-  if (base.gpu.enabled) {
-    for (const double scale : {0.5, 1.0, 2.0}) {
-      const GpuOptions g =
-          analytic_gpu_options(base.gpu, cluster.model, scale);
-      const double t = pilot(choice.policy, choice.max_width, choice.mapping,
-                             g);
-      record(choice.policy, choice.max_width, choice.mapping, scale, t);
-      if (t < choice.pilot_sim_s) {
-        choice.pilot_sim_s = t;
-        choice.gpu = g;
-        choice.offload_scale = scale;
-      }
-    }
-  }
-  return choice;
 }
 
 }  // namespace sympack::core

@@ -1,5 +1,4 @@
-// Trace-driven critical-path profiler and schedule autotuner
-// (DESIGN.md §4g).
+// Trace-driven critical-path profiler (DESIGN.md §4g).
 //
 // CritPathAnalyzer rebuilds the task DAG from a Tracer's event stream —
 // the task spans every engine records ("D k" / "F k:slot" / "U k:si:ti"
@@ -28,33 +27,18 @@
 // (gaps then count as wait), so pre-existing traces remain readable —
 // just with less precise attribution.
 //
-// autotune_schedule() resolves Policy::kAuto by running cheap
-// protocol-only pilot factorizations through a greedy sequence of search
-// stages on a fresh simulated runtime with the same cluster shape: (1)
-// every fixed scheduling policy at the configured split width, (2) split
-// widths around the configured one under the winning policy, (3) the
-// block-to-process mapping grids (2D block-cyclic / row-cyclic /
-// col-cyclic), and (4) GPU offload thresholds from analytic_gpu_options
-// at scales {0.5, 1, 2}. A protocol-only run is the numeric run with the
-// bytes left out (numeric=false: null buffers, no kernel math), so each
-// pilot's makespan is the one the real factorization would have. Stages
-// 3 and 4 adopt a candidate only when its pilot is *strictly* faster, so
-// the chosen configuration is never slower (in simulated time) than the
-// best fixed policy at the configured width — nor than what the
-// policy+width search alone would have picked. The pilots run untraced;
-// to see why a schedule won, trace the real factorization and analyze
-// it (as sympack-critpath does).
+// The schedule autotuner that resolves Policy::kAuto lives in
+// core/autotune.hpp; it measures pilots by simulated makespan and does
+// not trace them, so trace the real factorization to see why a schedule
+// won (as sympack-critpath does).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/options.hpp"
 #include "core/trace.hpp"
 #include "pgas/runtime.hpp"
-#include "sparse/csc.hpp"
-#include "sparse/types.hpp"
 
 namespace sympack::core {
 
@@ -126,43 +110,5 @@ class CritPathAnalyzer {
   bool has_comm_stats_ = false;
   pgas::CommStats comm_stats_{};
 };
-
-/// One pilot configuration and its measured simulated makespan.
-struct AutoTuneCandidate {
-  Policy policy = Policy::kFifo;
-  sparse::idx_t max_width = 0;
-  symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
-  /// GPU offload-threshold candidate: 0 = the configured GpuOptions
-  /// thresholds, otherwise analytic_gpu_options(.., scale) at this factor
-  /// (< 1 offloads more aggressively, > 1 more selectively).
-  double offload_scale = 0.0;
-  double sim_s = 0.0;
-};
-
-/// What Policy::kAuto resolved to (SymPackSolver::autotune_choice()).
-struct AutoTuneChoice {
-  Policy policy = Policy::kFifo;
-  sparse::idx_t max_width = 0;   // adopted SymbolicOptions::max_width
-  /// Adopted block-to-process mapping (stage 3 of the pilot search; the
-  /// configured mapping unless a cyclic grid measured strictly faster).
-  symbolic::Mapping::Kind mapping = symbolic::Mapping::Kind::k2dBlockCyclic;
-  /// Adopted GPU options: the configured thresholds, or the analytic
-  /// model thresholds scaled by `offload_scale` when a pilot at that
-  /// scale measured strictly faster (offload_scale stays 0 otherwise).
-  GpuOptions gpu{};
-  double offload_scale = 0.0;
-  double pilot_sim_s = 0.0;      // winner's pilot makespan
-  double default_sim_s = 0.0;    // FIFO at the configured width
-  std::vector<AutoTuneCandidate> candidates;  // every pilot, in run order
-};
-
-/// Resolve a scheduling policy + split width for `a_perm` (already
-/// permuted; the pilots run with ordering=kNatural) on a cluster shaped
-/// like `cluster` (faults are zeroed: the pilots tune the healthy
-/// schedule). `base` supplies every other solver option. Pilots are
-/// protocol-only regardless of base.numeric.
-AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
-                                 const sparse::CscMatrix& a_perm,
-                                 const SolverOptions& base);
 
 }  // namespace sympack::core

@@ -21,7 +21,7 @@ namespace sympack::core {
 ///                      longest elimination-tree chain run first)
 ///   kAuto              measured per matrix: symbolic_factorize runs
 ///                      cheap protocol-only pilot factorizations
-///                      (core/critpath.hpp) and resolves to the fixed
+///                      (core/autotune.hpp) and resolves to the fixed
 ///                      policy (and supernode split width, mapping and
 ///                      offload thresholds) with the shortest simulated
 ///                      makespan. Never reaches the engines unresolved.

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/critpath.hpp"
 #include "core/factor.hpp"
 #include "core/solve.hpp"
 #include "core/taskrt/reliable.hpp"
@@ -174,19 +173,18 @@ void SymPackSolver::symbolic_factorize(const sparse::CscMatrix& a) {
 
   // Resolve Policy::kAuto before the symbolic analysis consumes the
   // (possibly retuned) split width: run cheap protocol-only pilot
-  // factorizations on a fresh runtime with the same cluster shape and
+  // factorizations on fresh runtimes with the same cluster shape and
   // adopt the policy/width — and, when a pilot measured them strictly
   // faster, the block-to-process mapping and GPU offload thresholds —
-  // with the shortest simulated makespan (core/critpath.hpp). Faults are
-  // disabled in the pilots — they tune the healthy schedule, not a
-  // particular injected failure pattern. The adoption happens before the
-  // Mapping and Offload below are constructed, so the real factorization
-  // runs exactly the winning pilot's configuration.
+  // with the shortest simulated makespan (core/autotune.hpp). The pilots
+  // run fault-free with ranks stepped sequentially — they tune the
+  // healthy schedule, not a particular injected failure pattern or
+  // thread timing. The adoption happens before the Mapping and Offload
+  // below are constructed, so the real factorization runs exactly the
+  // winning pilot's configuration.
   if (opts_.policy == Policy::kAuto) {
-    auto cluster = rt_->config();
-    cluster.faults = {};
     auto_choice_ = std::make_unique<AutoTuneChoice>(
-        autotune_schedule(cluster, a_perm_, opts_));
+        autotune_schedule(rt_->config(), a_perm_, opts_));
     opts_.policy = auto_choice_->policy;
     opts_.symbolic.max_width = auto_choice_->max_width;
     opts_.mapping = auto_choice_->mapping;

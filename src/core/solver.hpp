@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/autotune.hpp"
 #include "core/block_store.hpp"
 #include "core/checkpoint.hpp"
 #include "core/errors.hpp"
@@ -29,8 +30,6 @@
 #include "symbolic/view.hpp"
 
 namespace sympack::core {
-
-struct AutoTuneChoice;  // core/critpath.hpp
 
 class SymPackSolver {
  public:

@@ -383,22 +383,23 @@ void Rank::hd_copy(const std::byte* src, std::byte* dst, std::size_t bytes) {
 
 // ------------------------------------------------------------- Runtime
 
-Runtime::Runtime(Config config) : config_(config) {
+Runtime::Runtime(Config config, EnvOverlay env) : config_(config) {
   if (config_.nranks < 1 || config_.ranks_per_node < 1 ||
       config_.gpus_per_node < 1) {
     throw std::invalid_argument("Runtime: invalid configuration");
   }
   // SYMPACK_FAULT_* environment knobs overlay the programmatic fault
-  // config; the injector is only attached when enabled, so a disabled
-  // config leaves every code path bitwise identical to the fault-free
-  // runtime.
-  config_.faults = env_fault_config(config_.faults);
+  // config, and SYMPACK_POOL_* the slab pool's; the injector is only
+  // attached when enabled, so a disabled config leaves every code path
+  // bitwise identical to the fault-free runtime.
+  if (env == EnvOverlay::kApply) {
+    config_.faults = env_fault_config(config_.faults);
+    config_.pool = env_pool_config(config_.pool);
+  }
   if (config_.faults.enabled) {
     injector_ = std::make_unique<FaultInjector>(config_.faults,
                                                 config_.nranks);
   }
-  // Same overlay pattern for the slab pool (SYMPACK_POOL_*).
-  config_.pool = env_pool_config(config_.pool);
   pool_.init(config_.nranks, config_.pool);
   ranks_.reserve(config_.nranks);
   for (int r = 0; r < config_.nranks; ++r) {

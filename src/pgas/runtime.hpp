@@ -346,7 +346,13 @@ class Runtime {
     int coalesce_defer = 4;
   };
 
-  explicit Runtime(Config config);
+  /// Whether the constructor overlays the SYMPACK_FAULT_* and
+  /// SYMPACK_POOL_* environment variables on `config`. kSkip takes the
+  /// config as already resolved, e.g. another runtime's config() with
+  /// fault injection turned off (the autotune pilots, core/autotune.hpp).
+  enum class EnvOverlay { kApply, kSkip };
+
+  explicit Runtime(Config config, EnvOverlay env = EnvOverlay::kApply);
   ~Runtime();
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;

@@ -1,11 +1,23 @@
 // Tests for the §6 future-work extensions: device vendor presets
-// (portability knob) and the analytical offload-threshold framework.
+// (portability knob) and the analytical offload-threshold framework;
+// and for the schedule autotuner's concurrent pilots (core/autotune.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <initializer_list>
+#include <optional>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "core/autotune.hpp"
 #include "core/solver.hpp"
 #include "gpu/autotune.hpp"
 #include "gpu/device.hpp"
 #include "gpu/vendors.hpp"
+#include "ordering/ordering.hpp"
 #include "sparse/densevec.hpp"
 #include "sparse/generators.hpp"
 
@@ -175,6 +187,243 @@ TEST(Autotune, AutoCompetitiveWithDefaultsOnProxyWorkload) {
   const double defaults = run(false);
   const double autotuned = run(true);
   EXPECT_LT(autotuned, 1.3 * defaults);
+}
+
+// ---------------------------------------------------------------------
+// Concurrent autotune pilots. Each stage's pilots run side by side; the
+// suite name matches the TSan job's 'Threaded|Drive' filter. Inputs are
+// small (proxies at 0.05, 8 ranks) so the suite stays quick under TSan.
+
+pgas::Runtime::Config pilot_cluster(bool threaded = false) {
+  pgas::Runtime::Config cfg;
+  cfg.nranks = 8;
+  cfg.ranks_per_node = 4;
+  cfg.threaded = threaded;
+  return cfg;
+}
+
+core::SolverOptions auto_options() {
+  core::SolverOptions opts;
+  opts.numeric = false;
+  opts.ordering = ordering::Method::kNatural;
+  opts.policy = core::Policy::kAuto;
+  return opts;
+}
+
+/// Resolves Policy::kAuto for `a`: symbolic_factorize runs the pilots.
+core::AutoTuneChoice tune(const sparse::CscMatrix& a,
+                          const pgas::Runtime::Config& cfg,
+                          const core::SolverOptions& opts = auto_options()) {
+  pgas::Runtime rt(cfg);
+  core::SymPackSolver solver(rt, opts);
+  solver.symbolic_factorize(a);
+  return *solver.autotune_choice();
+}
+
+/// Everything a choice decides and measures in simulated time, bitwise.
+/// (Host seconds differ from run to run.)
+void expect_same_choice(const core::AutoTuneChoice& x,
+                        const core::AutoTuneChoice& y) {
+  EXPECT_EQ(x.policy, y.policy);
+  EXPECT_EQ(x.max_width, y.max_width);
+  EXPECT_EQ(x.mapping, y.mapping);
+  EXPECT_EQ(x.offload_scale, y.offload_scale);
+  EXPECT_EQ(x.gpu.potrf_threshold, y.gpu.potrf_threshold);
+  EXPECT_EQ(x.gpu.trsm_threshold, y.gpu.trsm_threshold);
+  EXPECT_EQ(x.gpu.syrk_threshold, y.gpu.syrk_threshold);
+  EXPECT_EQ(x.gpu.gemm_threshold, y.gpu.gemm_threshold);
+  EXPECT_EQ(x.gpu.device_resident_threshold, y.gpu.device_resident_threshold);
+  EXPECT_EQ(x.pilot_sim_s, y.pilot_sim_s);
+  EXPECT_EQ(x.default_sim_s, y.default_sim_s);
+  ASSERT_EQ(x.candidates.size(), y.candidates.size());
+  for (std::size_t i = 0; i < x.candidates.size(); ++i) {
+    const auto& cx = x.candidates[i];
+    const auto& cy = y.candidates[i];
+    EXPECT_EQ(cx.policy, cy.policy) << "candidate " << i;
+    EXPECT_EQ(cx.max_width, cy.max_width) << "candidate " << i;
+    EXPECT_EQ(cx.mapping, cy.mapping) << "candidate " << i;
+    EXPECT_EQ(cx.offload_scale, cy.offload_scale) << "candidate " << i;
+    EXPECT_EQ(cx.sim_s, cy.sim_s) << "candidate " << i;
+  }
+}
+
+/// Sets environment variables for one scope, then restores each one's
+/// previous value (or unsets it).
+class ScopedEnv {
+ public:
+  ScopedEnv(std::initializer_list<std::pair<const char*, const char*>> vars) {
+    for (const auto& [name, value] : vars) {
+      const char* old = std::getenv(name);
+      saved_.emplace_back(name, old != nullptr
+                                    ? std::optional<std::string>(old)
+                                    : std::nullopt);
+      ::setenv(name, value, 1);
+    }
+  }
+  ~ScopedEnv() {
+    for (const auto& [name, old] : saved_) {
+      if (old) {
+        ::setenv(name, old->c_str(), 1);
+      } else {
+        ::unsetenv(name);
+      }
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+};
+
+TEST(AutotuneDrive, EveryPilotMatchesAStandaloneRun) {
+  // A pilot that ran beside others measures exactly what the same
+  // configuration measures alone: protocol-only, fault-free, sequential.
+  const auto cfg = pilot_cluster();
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  for (const auto& a : {sparse::flan_proxy(0.05), sparse::bones_proxy(0.05)}) {
+    const core::AutoTuneChoice choice = tune(a, cfg);
+    ASSERT_EQ(choice.candidates.size(), 11u);  // 4 + 2 + 2 + 3 pilots
+    EXPECT_EQ(choice.workers, static_cast<int>(std::min(hw, 4u)));
+    for (const auto& c : choice.candidates) {
+      pgas::Runtime rt(cfg, pgas::Runtime::EnvOverlay::kSkip);
+      core::SolverOptions opts = auto_options();
+      opts.policy = c.policy;
+      opts.symbolic.max_width = c.max_width;
+      opts.mapping = c.mapping;
+      if (c.offload_scale > 0.0) {
+        opts.gpu =
+            core::analytic_gpu_options(opts.gpu, rt.model(), c.offload_scale);
+      }
+      core::SymPackSolver solver(rt, opts);
+      solver.symbolic_factorize(a);
+      solver.factorize();
+      EXPECT_EQ(c.sim_s, solver.report().factor_sim_s)
+          << core::policy_name(c.policy) << " / " << c.max_width << " / "
+          << symbolic::Mapping::kind_name(c.mapping) << " / "
+          << c.offload_scale;
+      EXPECT_GT(c.host_s, 0.0);
+      EXPECT_LE(c.host_s, choice.wall_s);
+    }
+  }
+}
+
+TEST(AutotuneDrive, AdoptionIsStrictlyBetterInCandidateOrder) {
+  // Replays the search over the recorded candidates: stage by stage, each
+  // candidate varies only its stage's coordinate of the incumbent the
+  // stage started from, and replaces the incumbent only when strictly
+  // faster. The choice is where that walk ends.
+  const auto cfg = pilot_cluster();
+  const core::SolverOptions defaults;
+  const sparse::idx_t w0 = defaults.symbolic.max_width;
+  const core::AutoTuneChoice choice = tune(sparse::bones_proxy(0.05), cfg);
+  const auto& cands = choice.candidates;
+  ASSERT_EQ(cands.size(), 11u);
+
+  const core::Policy policies[] = {core::Policy::kFifo, core::Policy::kLifo,
+                                   core::Policy::kPriority,
+                                   core::Policy::kCriticalPath};
+  const sparse::idx_t widths[] = {w0 / 2, w0 * 2};
+  const symbolic::Mapping::Kind mappings[] = {
+      symbolic::Mapping::Kind::kRowCyclic,
+      symbolic::Mapping::Kind::kColCyclic};
+  const double scales[] = {0.5, 1.0, 2.0};
+  const std::size_t stage_end[] = {4, 6, 8, 11};
+
+  core::AutoTuneCandidate incumbent;
+  incumbent.max_width = w0;
+  incumbent.mapping = defaults.mapping;
+  double best = 1e300;
+  std::size_t i = 0;
+  for (int stage = 0; stage < 4; ++stage) {
+    const core::AutoTuneCandidate start = incumbent;
+    for (std::size_t k = 0; i < stage_end[stage]; ++i, ++k) {
+      const auto& c = cands[i];
+      EXPECT_EQ(c.policy, stage == 0 ? policies[k] : start.policy) << i;
+      EXPECT_EQ(c.max_width, stage == 1 ? widths[k] : start.max_width) << i;
+      EXPECT_EQ(c.mapping, stage == 2 ? mappings[k] : start.mapping) << i;
+      EXPECT_EQ(c.offload_scale, stage == 3 ? scales[k] : start.offload_scale)
+          << i;
+      if (c.sim_s < best) {
+        best = c.sim_s;
+        incumbent = c;
+      }
+    }
+  }
+  EXPECT_EQ(choice.default_sim_s, cands[0].sim_s);  // FIFO's pilot
+  EXPECT_EQ(choice.pilot_sim_s, best);
+  EXPECT_EQ(choice.policy, incumbent.policy);
+  EXPECT_EQ(choice.max_width, incumbent.max_width);
+  EXPECT_EQ(choice.mapping, incumbent.mapping);
+  EXPECT_EQ(choice.offload_scale, incumbent.offload_scale);
+  const core::GpuOptions gpu =
+      incumbent.offload_scale > 0.0
+          ? core::analytic_gpu_options(defaults.gpu, cfg.model,
+                                       incumbent.offload_scale)
+          : defaults.gpu;
+  EXPECT_EQ(choice.gpu.gemm_threshold, gpu.gemm_threshold);
+  EXPECT_EQ(choice.gpu.device_resident_threshold,
+            gpu.device_resident_threshold);
+}
+
+TEST(AutotuneDrive, RepeatedRunsChooseIdentically) {
+  const auto a = sparse::flan_proxy(0.05);
+  expect_same_choice(tune(a, pilot_cluster()), tune(a, pilot_cluster()));
+}
+
+TEST(AutotuneDrive, ThreadedCallerGetsSequentialPilots) {
+  // A threaded caller's runtime does not make the pilots threaded:
+  // threaded makespans vary with thread timing, so the choice would too.
+  const auto a = sparse::flan_proxy(0.05);
+  expect_same_choice(tune(a, pilot_cluster(/*threaded=*/true)),
+                     tune(a, pilot_cluster()));
+}
+
+TEST(AutotuneDrive, FaultEnvDoesNotReachPilots) {
+  // SYMPACK_FAULT_* set while symbolic_factorize runs must not reach the
+  // pilots' runtimes: they tune the healthy schedule.
+  const auto a = sparse::flan_proxy(0.05);
+  core::SolverOptions opts = auto_options();
+  opts.resilience.buddy_replicas = 1;  // a killed pilot would recover
+  auto tune_under = [&](std::initializer_list<
+                        std::pair<const char*, const char*>> env) {
+    pgas::Runtime rt(pilot_cluster());
+    core::SymPackSolver solver(rt, opts);
+    {
+      const ScopedEnv scoped(env);
+      solver.symbolic_factorize(a);
+    }
+    return *solver.autotune_choice();
+  };
+  const core::AutoTuneChoice clean = tune_under({});
+  expect_same_choice(tune_under({{"SYMPACK_FAULT_KILL", "3@40"}}), clean);
+  expect_same_choice(tune_under({{"SYMPACK_FAULT_ENABLED", "1"},
+                                 {"SYMPACK_FAULT_DROP", "0.02"}}),
+                     clean);
+}
+
+TEST(AutotuneDrive, PilotExceptionSurfacesOnceWithItsType) {
+  // Every pilot offloads into a device share too small for any kernel's
+  // device buffer and is told to throw rather than fall back. The stage joins
+  // its threads, then symbolic_factorize throws one pgas::DeviceOom.
+  pgas::Runtime::Config cfg = pilot_cluster();
+  cfg.device_memory_bytes = 4096;
+  pgas::Runtime rt(cfg);
+  core::SolverOptions opts = auto_options();
+  opts.gpu.fallback = core::GpuFallback::kThrow;
+  opts.gpu.potrf_threshold = 1;
+  opts.gpu.trsm_threshold = 1;
+  opts.gpu.syrk_threshold = 1;
+  opts.gpu.gemm_threshold = 1;
+  core::SymPackSolver solver(rt, opts);
+  int device_ooms = 0;
+  try {
+    solver.symbolic_factorize(sparse::flan_proxy(0.05));
+  } catch (const pgas::DeviceOom&) {
+    ++device_ooms;
+  }
+  EXPECT_EQ(device_ooms, 1);
+  EXPECT_EQ(solver.autotune_choice(), nullptr);
 }
 
 }  // namespace

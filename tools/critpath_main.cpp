@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "core/autotune.hpp"
 #include "core/critpath.hpp"
 #include "core/solver.hpp"
 #include "ordering/ordering.hpp"
@@ -97,27 +98,27 @@ void print_report(const char* phase, const core::CritPathReport& rep,
 std::string autotune_json(const core::AutoTuneChoice& c) {
   using symbolic::Mapping;
   std::string out = "{\"policy\":\"" + core::policy_name(c.policy) + "\"";
-  char buf[256];
+  char buf[320];
   std::snprintf(buf, sizeof buf,
                 ",\"max_width\":%lld,\"mapping\":\"%s\","
                 "\"offload_scale\":%.9g,\"gemm_threshold\":%lld,"
                 "\"pilot_sim_s\":%.9g,\"default_sim_s\":%.9g,"
-                "\"candidates\":[",
+                "\"wall_s\":%.9g,\"workers\":%d,\"candidates\":[",
                 static_cast<long long>(c.max_width),
                 Mapping::kind_name(c.mapping), c.offload_scale,
                 static_cast<long long>(c.gpu.gemm_threshold), c.pilot_sim_s,
-                c.default_sim_s);
+                c.default_sim_s, c.wall_s, c.workers);
   out += buf;
   for (std::size_t i = 0; i < c.candidates.size(); ++i) {
     const auto& cand = c.candidates[i];
     std::snprintf(buf, sizeof buf,
                   "%s{\"policy\":\"%s\",\"max_width\":%lld,"
                   "\"mapping\":\"%s\",\"offload_scale\":%.9g,"
-                  "\"sim_s\":%.9g}",
+                  "\"sim_s\":%.9g,\"host_s\":%.9g}",
                   i > 0 ? "," : "", core::policy_name(cand.policy).c_str(),
                   static_cast<long long>(cand.max_width),
                   Mapping::kind_name(cand.mapping), cand.offload_scale,
-                  cand.sim_s);
+                  cand.sim_s, cand.host_s);
     out += buf;
   }
   out += "]}";
@@ -178,6 +179,8 @@ int main(int argc, char** argv) {
                 symbolic::Mapping::kind_name(choice->mapping),
                 choice->pilot_sim_s, choice->default_sim_s,
                 choice->candidates.size());
+    std::printf("   auto: tuner host time %.3f s on up to %d thread(s)\n",
+                choice->wall_s, choice->workers);
     if (choice->offload_scale > 0.0) {
       std::printf("   auto: offload thresholds from analytic model x %.2g "
                   "(potrf %lld, trsm %lld, syrk %lld, gemm %lld elems)\n",
