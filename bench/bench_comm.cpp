@@ -1,20 +1,20 @@
-// Comm-path ablation: eager/coalesced signal transport + slab pool
-// (DESIGN.md §4e) vs the rendezvous-only baseline protocol, across the
-// three proxy matrices and both factorization variants at a
-// communication-bound rank count.
+// Comm-path ablation: eager/coalesced signal transport (DESIGN.md §4e)
+// vs the rendezvous-only baseline protocol, across the three proxy
+// matrices and both factorization variants at a communication-bound
+// rank count.
 //
 // The baseline runs the historical protocol exactly (eager off,
-// coalescing off, pool off); the fast configuration inlines payloads
-// below the eager threshold, batches same-target signals per progress
-// quantum, and recycles staging buffers through the slab pool. Both are
-// protocol-only runs (the schedule and the machine-model charges are
-// what's being measured).
+// coalescing off); the fast configuration inlines payloads below the
+// eager threshold and batches same-target signals per progress quantum.
+// Both are protocol-only runs (the schedule and the machine-model
+// charges are what's being measured); a numeric factorize+solve leg
+// checks that the fast path engages with real buffers too.
 //
 // Options: --scale 1.0 --nodes 16 --ppn 4 --eager 4096 --json <path>
 //
-// Exit code 1 (the CI smoke contract) if the fast path never engaged:
-// eager_sends, coalesced_signals, and pool_hits all zero would mean the
-// knobs silently stopped reaching the transport.
+// Exit code 1 (the CI smoke contract) unless every fast row and the
+// numeric row have both eager_sends > 0 and coalesced_signals > 0: a
+// zero would mean a knob silently stopped reaching the transport.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -31,14 +31,17 @@ int main(int argc, char** argv) {
   const int ppn = static_cast<int>(opts.get_int("ppn", 4));
   const auto eager_bytes = opts.get_int("eager", 4096);
 
-  std::printf("== Comm-path ablation: eager+coalesced+pooled vs "
+  std::printf("== Comm-path ablation: eager+coalesced vs "
               "rendezvous-only (%d ranks) ==\n", nodes * ppn);
   bench::JsonReport report;
   support::AsciiTable table({"matrix", "variant", "baseline (s)", "fast (s)",
                              "speedup", "rpcs base", "rpcs fast", "eager",
-                             "coalesced", "pool hit%"});
+                             "coalesced"});
 
-  bool fast_path_engaged = false;
+  bool fast_path_engaged = true;
+  const auto engaged = [](const pgas::CommStats& s) {
+    return s.eager_sends > 0 && s.coalesced_signals > 0;
+  };
   for (const char* mat : {"flan", "bones", "thermal"}) {
     const auto info = bench::make_matrix(mat, scale);
     for (const auto variant : {core::Variant::kFanOut, core::Variant::kFanIn}) {
@@ -48,7 +51,6 @@ int main(int argc, char** argv) {
         pgas::Runtime::Config cfg;
         cfg.nranks = nodes * ppn;
         cfg.ranks_per_node = ppn;
-        cfg.pool.enabled = fast == 1;
         pgas::Runtime rt(cfg);
         core::SolverOptions sopts;
         sopts.numeric = false;
@@ -65,15 +67,7 @@ int main(int argc, char** argv) {
         stats[fast] = solver.report().comm;
       }
       const double speedup = sim[1] > 0 ? sim[0] / sim[1] : 0.0;
-      const auto pool_ops = stats[1].pool_hits + stats[1].pool_misses;
-      const double hit_pct =
-          pool_ops > 0 ? 100.0 * static_cast<double>(stats[1].pool_hits) /
-                             static_cast<double>(pool_ops)
-                       : 0.0;
-      if (stats[1].eager_sends > 0 || stats[1].coalesced_signals > 0 ||
-          stats[1].pool_hits > 0) {
-        fast_path_engaged = true;
-      }
+      if (!engaged(stats[1])) fast_path_engaged = false;
       table.add_row({mat, core::variant_name(variant),
                      support::AsciiTable::fmt(sim[0], 4),
                      support::AsciiTable::fmt(sim[1], 4),
@@ -81,8 +75,7 @@ int main(int argc, char** argv) {
                      support::AsciiTable::fmt_int(stats[0].rpcs_sent),
                      support::AsciiTable::fmt_int(stats[1].rpcs_sent),
                      support::AsciiTable::fmt_int(stats[1].eager_sends),
-                     support::AsciiTable::fmt_int(stats[1].coalesced_signals),
-                     support::AsciiTable::fmt(hit_pct, 1)});
+                     support::AsciiTable::fmt_int(stats[1].coalesced_signals)});
       report.add_row()
           .set("matrix", mat)
           .set("variant", core::variant_name(variant))
@@ -98,17 +91,14 @@ int main(int argc, char** argv) {
           .set("fast_gets", static_cast<std::int64_t>(stats[1].gets))
           .set("eager_sends", static_cast<std::int64_t>(stats[1].eager_sends))
           .set("coalesced_signals",
-               static_cast<std::int64_t>(stats[1].coalesced_signals))
-          .set("pool_hits", static_cast<std::int64_t>(stats[1].pool_hits))
-          .set("pool_misses",
-               static_cast<std::int64_t>(stats[1].pool_misses));
+               static_cast<std::int64_t>(stats[1].coalesced_signals));
     }
   }
   std::printf("%s", table.to_string().c_str());
 
-  // Numeric leg: protocol-only runs never touch real buffers, so the
-  // slab pool's recycle rate is measured on a numeric factorize+solve
-  // (8 ranks — the tier-1 test configuration) with the fast path on.
+  // Numeric leg: the fast path on a numeric factorize+solve (8 ranks —
+  // the tier-1 test configuration), where eager payloads are real
+  // buffers.
   {
     const auto info = bench::make_matrix("flan", scale);
     pgas::Runtime::Config cfg;
@@ -127,16 +117,11 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(info.matrix.n()), 1.0);
     (void)solver.solve(b);
     const pgas::CommStats numeric = solver.report().comm;
-    const auto ops = numeric.pool_hits + numeric.pool_misses;
-    const double hit_pct =
-        ops > 0 ? 100.0 * static_cast<double>(numeric.pool_hits) /
-                      static_cast<double>(ops)
-                : 0.0;
-    if (numeric.pool_hits > 0) fast_path_engaged = true;
-    std::printf("numeric flan factor+solve at 8 ranks: pool hit rate %.1f%% "
-                "(%llu hits / %llu misses)\n", hit_pct,
-                static_cast<unsigned long long>(numeric.pool_hits),
-                static_cast<unsigned long long>(numeric.pool_misses));
+    if (!engaged(numeric)) fast_path_engaged = false;
+    std::printf("numeric flan factor+solve at 8 ranks: %llu eager sends, "
+                "%llu coalesced signals\n",
+                static_cast<unsigned long long>(numeric.eager_sends),
+                static_cast<unsigned long long>(numeric.coalesced_signals));
     report.add_row()
         .set("matrix", "flan")
         .set("variant", "numeric-factor-solve")
@@ -144,20 +129,17 @@ int main(int argc, char** argv) {
         .set("eager_bytes", eager_bytes)
         .set("eager_sends", static_cast<std::int64_t>(numeric.eager_sends))
         .set("coalesced_signals",
-             static_cast<std::int64_t>(numeric.coalesced_signals))
-        .set("pool_hits", static_cast<std::int64_t>(numeric.pool_hits))
-        .set("pool_misses", static_cast<std::int64_t>(numeric.pool_misses));
+             static_cast<std::int64_t>(numeric.coalesced_signals));
   }
 
   std::printf("eager inlining removes the signal->rget round trip for small "
               "blocks; coalescing amortizes the per-message overhead across "
-              "same-target signals; the pool recycles the staging buffers "
-              "both paths allocate.\n");
+              "same-target signals.\n");
   if (!bench::maybe_write_json(opts, report)) return 1;
   if (!fast_path_engaged) {
     std::fprintf(stderr,
-                 "FAIL: eager_sends, coalesced_signals and pool_hits are all "
-                 "zero — the fast path never engaged\n");
+                 "FAIL: a fast or numeric row has eager_sends or "
+                 "coalesced_signals at zero — the fast path did not engage\n");
     return 1;
   }
   return 0;

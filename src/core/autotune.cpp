@@ -29,8 +29,8 @@ void run_pilot(Pilot& p, const pgas::Runtime::Config& cluster,
                const sparse::CscMatrix& a_perm, const SolverOptions& base) {
   const double t0 = WallClock::now();
   // The cluster config is already resolved and fault-free: skip the
-  // SYMPACK_FAULT_* / SYMPACK_POOL_* overlay, which would turn the
-  // caller's environment faults back on.
+  // SYMPACK_FAULT_* overlay, which would turn the caller's environment
+  // faults back on.
   pgas::Runtime rt(cluster, pgas::Runtime::EnvOverlay::kSkip);
   SolverOptions opts = base;
   opts.policy = p.cand.policy;

@@ -34,9 +34,7 @@ BlockStore::BlockStore(const symbolic::TaskGraph& tg, pgas::Runtime& rt,
       nrows_[bid] = slot == 0 ? w : sn.blocks[slot - 1].nrows;
       ncols_[bid] = w;
       if (numeric_) {
-        // Pool-backed: small factor blocks recycle slab-pool classes
-        // across factorizations; big blocks bypass to the raw allocator.
-        gptr_[bid] = rt.rank(owner_[bid]).pool_allocate_host(bytes(bid));
+        gptr_[bid] = rt.rank(owner_[bid]).allocate_host(bytes(bid));
         data_[bid] = gptr_[bid].local<double>();
       } else {
         // No bytes, but the owner and kind every rget charges from.
@@ -51,7 +49,7 @@ BlockStore::~BlockStore() {
   if (!numeric_) return;
   for (idx_t bid = 0; bid < num_blocks(); ++bid) {
     if (!gptr_[bid].is_null()) {
-      rt_->rank(owner_[bid]).pool_deallocate(gptr_[bid]);
+      rt_->rank(owner_[bid]).deallocate(gptr_[bid]);
     }
   }
 }

@@ -26,7 +26,7 @@ CheckpointStore::CheckpointStore(pgas::Runtime& rt, BlockStore& store,
 CheckpointStore::~CheckpointStore() {
   for (idx_t bid = 0; bid < store_->num_blocks(); ++bid) {
     if (!copies_[bid].is_null()) {
-      rt_->rank(buddy(bid)).pool_deallocate(copies_[bid]);
+      rt_->rank(buddy(bid)).deallocate(copies_[bid]);
     }
   }
 }
@@ -35,9 +35,9 @@ void CheckpointStore::save(pgas::Rank& rank, idx_t bid) {
   if (replicas_ <= 0) return;
   const std::size_t nbytes = store_->bytes(bid);
   if (store_->numeric() && copies_[bid].is_null()) {
-    // Replica lives in the buddy's shared segment (slab-pool backed),
-    // like any other protocol buffer.
-    copies_[bid] = rt_->rank(buddy(bid)).pool_allocate_host(nbytes);
+    // Replica lives in the buddy's shared segment, like any other
+    // protocol buffer.
+    copies_[bid] = rt_->rank(buddy(bid)).allocate_host(nbytes);
   }
   rank.copy(store_->gptr(bid), copies_[bid], nbytes);
   saved_[bid] = 1;

@@ -12,7 +12,7 @@
 // both variants).
 //
 // Cost honesty: the replica buffers live in the buddy's shared segment
-// (slab-pool backed) and every save/restore is charged like any other
+// (Rank::allocate_host) and every save/restore is charged like any other
 // RMA — checkpointing shows up in the simulated makespan and in the
 // ckpt_saves/ckpt_restores counters, which is exactly what the recovery
 // overhead gate measures.  In protocol-only runs (BlockStore::numeric()

@@ -149,7 +149,7 @@ CritPathReport CritPathAnalyzer::analyze(int top_k) const {
       s.tgt = e.meta.tgt;
       s.tgt_slot = e.meta.tgt_slot;
     } else if (!parse_span_name(e.name, s)) {
-      s.kind = 0;  // recovery/pool mark or foreign event
+      s.kind = 0;  // recovery mark or foreign event
     }
     if (s.kind == 'g') {
       fetches[bkey(s.snode, std::max<std::int64_t>(s.a, 0))].push_back(s.end);

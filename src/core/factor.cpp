@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "pgas/pool.hpp"
 
 namespace sympack::core {
 
@@ -86,8 +85,8 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
 
 FactorEngine::~FactorEngine() {
   // An abnormal unwind (rank death mid-phase) can leave fetched blocks
-  // parked in the use caches and sent aggregates unconsumed; return their
-  // device and pool allocations so the next attempt starts with the full
+  // parked in the use caches and sent aggregates unconsumed; free their
+  // device and host allocations so the next attempt starts with the full
   // segments.
   for (int r = 0; r < static_cast<int>(per_rank_.size()); ++r) {
     pgas::Rank& rank = rt_->rank(r);
@@ -101,7 +100,7 @@ FactorEngine::~FactorEngine() {
 
 void FactorEngine::free_out_buffers() {
   for (int r = 0; r < static_cast<int>(per_rank_.size()); ++r) {
-    for (auto& g : per_rank_[r].out_buffers) rt_->rank(r).pool_deallocate(g);
+    for (auto& g : per_rank_[r].out_buffers) rt_->rank(r).deallocate(g);
     per_rank_[r].out_buffers.clear();
   }
 }
@@ -419,9 +418,8 @@ void FactorEngine::share(pgas::Rank& rank, idx_t k, BlockSlot slot) {
   if (net_.eager(bytes)) {
     sig.eager_bytes = static_cast<std::uint32_t>(bytes);
     if (store_->numeric()) {
-      // One pooled buffer serves every recipient (the signal copies
-      // share it); it returns to the pool when the last consumer's
-      // uses drain.
+      // One shared buffer serves every recipient (the signal copies
+      // share it); it is freed when the last consumer's uses drain.
       auto buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
       std::memcpy(buf.get(), store_->data(bid), bytes);
       sig.payload = std::move(buf);
@@ -577,7 +575,7 @@ void FactorEngine::flush_aggregate(pgas::Rank& rank, idx_t t,
     // Send the aggregate (one message carrying the whole block
     // contribution, §2.3's second message type). Small aggregates go
     // eager — inlined into the signal, no staging buffer and no pull on
-    // the receiver; larger ones are staged in a pool buffer the receiver
+    // the receiver; larger ones are staged in a host buffer the receiver
     // pulls from.
     const std::size_t bytes = store_->bytes(bid);
     Signal sig{t, slot};
@@ -590,7 +588,7 @@ void FactorEngine::flush_aggregate(pgas::Rank& rank, idx_t t,
         sig.payload = std::move(payload);
       }
     } else if (store_->numeric()) {
-      auto g = rank.pool_allocate_host(bytes);
+      auto g = rank.allocate_host(bytes);
       std::memcpy(g.addr, buf, bytes);
       pr.out_buffers.push_back(g);
       sig.data = g.local<double>();

@@ -117,7 +117,7 @@ class FactorEngine {
     std::unique_ptr<double[]> host;
     pgas::GlobalPtr device;  // device copy (when resident)
     /// Eager-inlined payload (shared with the producer's other
-    /// recipients); keeps the pooled buffer alive for this consumer's
+    /// recipients); keeps the shared buffer alive for this consumer's
     /// uses when the signal carried the data inline.
     std::shared_ptr<const double> eager;
     FactorRef ref;
@@ -220,7 +220,7 @@ class FactorEngine {
   void complete_target_update(pgas::Rank& rank, idx_t t, BlockSlot slot,
                               double ready);
   void release_ref(pgas::Rank& rank, const FactorRef& ref);
-  /// Return the sent aggregates' staging buffers to the pool.
+  /// Free the sent aggregates' staging buffers.
   void free_out_buffers();
   /// Push a task with its policy priority (kPriority: -supernode;
   /// kCriticalPath: elimination-tree depth; queue order otherwise).

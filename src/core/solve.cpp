@@ -4,23 +4,22 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "pgas/pool.hpp"
 
 namespace sympack::core {
 
 namespace {
 
-/// A pooled copy of `bytes` from `src` on `rank`: the carrier of a
-/// published segment or partial sum, returned to `rank`'s pool when the
-/// last message (or use-cache entry) referencing it dies.
-std::shared_ptr<double> pooled_copy(pgas::Rank& rank, const double* src,
+/// A shared copy of `bytes` from `src` on `rank`: the carrier of a
+/// published segment or partial sum, freed when the last message (or
+/// use-cache entry) referencing it dies.
+std::shared_ptr<double> shared_copy(pgas::Rank& rank, const double* src,
                                     std::size_t bytes) {
   auto buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
   std::memcpy(buf.get(), src, bytes);
   return buf;
 }
 
-/// Where a consumer pulls a pooled copy made on `rank` from.
+/// Where a consumer pulls a shared copy made on `rank` from.
 pgas::GlobalPtr pull_ptr(const pgas::Rank& rank,
                          const std::shared_ptr<double>& buf) {
   return pgas::GlobalPtr{reinterpret_cast<std::byte*>(buf.get()), rank.id(),
@@ -244,12 +243,12 @@ void SolveEngine::publish_solution(pgas::Rank& rank, idx_t k, bool backward) {
       std::any_of(consumers.begin(), consumers.end(),
                   [me](int r) { return r != me; });
 
-  // One pooled copy serves every remote consumer, inline (eager) or
+  // One shared copy serves every remote consumer, inline (eager) or
   // pulled one-sidedly (rendezvous, exactly like factor blocks); local
   // consumers read the segment in place.
   std::shared_ptr<double> buf;
   if (store_->numeric() && has_remote) {
-    buf = pooled_copy(rank, seg_[k].data(), bytes);
+    buf = shared_copy(rank, seg_[k].data(), bytes);
   }
   for (int r : consumers) {
     if (r == me) {
@@ -307,7 +306,7 @@ void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
   const int me = rank.id();
   PerRank& pr = per_rank_[me];
   if (msg.type == Msg::Type::kX) {
-    // Take the published segment (inline, or pulled into a pooled copy;
+    // Take the published segment (inline, or pulled into a shared copy;
     // a protocol-only pull lands nowhere), then enqueue the local
     // contribution tasks that consume it.
     std::shared_ptr<const double> segment;
@@ -398,7 +397,7 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
                            store_->data(bid), m, xsub, m, 0.0, z, w);
   }
   // This task is done with its operand: a remote segment's last use
-  // returns it to its pool (a local segment is not cached: no-op).
+  // frees it (a local segment is not cached: no-op).
   pr.segments.release(backward ? s : panel,
                       [](std::shared_ptr<const double>& seg) { seg.reset(); });
   ++pr.done_contrib;
@@ -421,10 +420,10 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
   }
   const std::size_t bytes =
       sizeof(double) * static_cast<std::size_t>(out_rows) * nrhs_;
-  // The partial sum leaves the per-rank scratch for a pooled copy that
+  // The partial sum leaves the per-rank scratch for a shared copy that
   // the message owns (inline if eager, pulled otherwise).
   std::shared_ptr<double> buf;
-  if (numeric) buf = pooled_copy(rank, z, bytes);
+  if (numeric) buf = shared_copy(rank, z, bytes);
   net_.send(rank, dest_owner,
             Msg{.type = Msg::Type::kContrib,
                 .panel = panel,

@@ -37,13 +37,14 @@
 //
 // Buffer ownership (DESIGN.md §4f): every solve buffer is freed at its
 // last use, never parked for the whole sweep. A published segment or
-// partial sum is a pooled shared buffer held by the messages that carry
-// it (eager) or point at it (rendezvous); the last copy to die returns
-// it to the producer's pool shard — on the consumer's thread once it has
-// handled the message, or at the sweep's ledger reset under fault
-// injection. A pulled segment copy, like an eager segment, sits in the
-// consumer's use cache with one use per local contribution task; the
-// last task returns it. No release is a message, so nothing is charged.
+// partial sum is a shared host buffer (pgas::shared_host_buffer) held by
+// the messages that carry it (eager) or point at it (rendezvous); the
+// last copy to die frees it with Rank::deallocate — on the consumer's
+// thread once it has handled the message, or at the sweep's ledger reset
+// under fault injection. A pulled segment copy, like an eager segment,
+// sits in the consumer's use cache with one use per local contribution
+// task; the last task frees it. No release is a message, so nothing is
+// charged.
 #pragma once
 
 #include <cstdint>
@@ -106,10 +107,10 @@ class SolveEngine {
     /// partial sum rides inside the message and `data` is unused. Set
     /// even in protocol-only runs.
     std::uint32_t eager_bytes = 0;
-    /// The producer's pooled copy of the segment / partial sum, inline
+    /// The producer's shared copy of the segment / partial sum, inline
     /// (eager) or behind `data` (rendezvous); null in protocol-only
     /// runs. Every copy of the message shares it — ledger copies too, so
-    /// retransmits replay it — and the last one returns it to the pool.
+    /// retransmits replay it — and the last one frees it.
     std::shared_ptr<const double> payload;
 
     friend std::size_t inline_payload_bytes(const Msg& m) {
@@ -129,8 +130,8 @@ class SolveEngine {
     idx_t done_contrib = 0;
     /// Remote solution segments (eager payloads and pulled copies) that
     /// local contribution tasks read through Task::operand, keyed by
-    /// supernode with one use per task; the last task returns the
-    /// buffer to its pool, so the cache is empty when a sweep ends.
+    /// supernode with one use per task; the last task frees the
+    /// buffer, so the cache is empty when a sweep ends.
     taskrt::UseCache<std::shared_ptr<const double>> segments;
     // Scratch, grown on demand and reused by every task of the rank
     // (DESIGN.md §4k): the consumer ranks of a published segment, a

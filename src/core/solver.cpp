@@ -11,7 +11,6 @@
 #include "core/solve.hpp"
 #include "core/taskrt/reliable.hpp"
 #include "ordering/etree.hpp"
-#include "pgas/pool.hpp"
 #include "sparse/permute.hpp"
 #include "support/env.hpp"
 #include "support/timer.hpp"
@@ -236,22 +235,6 @@ void SymPackSolver::factorize() {
   seed_symbolic_counters();
   offload_->reset_counters();
 
-  // Pool hit/miss tracer marks are gated on the fast comm path being
-  // enabled: at the eager-off/coalesce-off defaults the pool must leave
-  // the trace (and therefore the golden schedule hashes) untouched.
-  const bool comm_fast_path =
-      opts_.comm.eager_bytes > 0 || opts_.comm.coalesce;
-  if (tracer_ != nullptr && comm_fast_path) {
-    Tracer* tracer = tracer_;
-    pgas::Runtime* rt = rt_;
-    rt_->pool().set_event_hook([tracer, rt](int rank, bool hit) {
-      const double t = rt->rank(rank).now();
-      tracer->record(rank,
-                     hit ? taskrt::kTrace_pool_hits : taskrt::kTrace_pool_misses,
-                     t, t);
-    });
-  }
-
   // Arm the resilience layer: fresh buddy replicas + completed-block
   // ledger per numeric factorization (refactorize starts clean).
   RecoveryContext* rec = nullptr;
@@ -278,7 +261,6 @@ void SymPackSolver::factorize() {
     // The engines name the column in the factor's ordering.
     throw NotPositiveDefiniteError(perm_[e.column()]);
   }
-  if (tracer_ != nullptr && comm_fast_path) rt_->pool().set_event_hook({});
 
   report_.factor_wall_s = support::WallClock::now() - t0;
   report_.factor_sim_s = rt_->max_clock();

@@ -93,14 +93,6 @@ void Rank::deallocate(GlobalPtr ptr) {
   delete[] ptr.addr;
 }
 
-GlobalPtr Rank::pool_allocate_host(std::size_t bytes) {
-  return runtime_->pool_.acquire(*this, bytes);
-}
-
-void Rank::pool_deallocate(GlobalPtr ptr) {
-  runtime_->pool_.release(*this, ptr);
-}
-
 void Rank::rpc(int target, std::function<void(Rank&)> fn,
                std::size_t payload_bytes) {
   Rank& t = runtime_->rank(target);
@@ -389,18 +381,16 @@ Runtime::Runtime(Config config, EnvOverlay env) : config_(config) {
     throw std::invalid_argument("Runtime: invalid configuration");
   }
   // SYMPACK_FAULT_* environment knobs overlay the programmatic fault
-  // config, and SYMPACK_POOL_* the slab pool's; the injector is only
-  // attached when enabled, so a disabled config leaves every code path
-  // bitwise identical to the fault-free runtime.
+  // config; the injector is only attached when enabled, so a disabled
+  // config leaves every code path bitwise identical to the fault-free
+  // runtime.
   if (env == EnvOverlay::kApply) {
     config_.faults = env_fault_config(config_.faults);
-    config_.pool = env_pool_config(config_.pool);
   }
   if (config_.faults.enabled) {
     injector_ = std::make_unique<FaultInjector>(config_.faults,
                                                 config_.nranks);
   }
-  pool_.init(config_.nranks, config_.pool);
   ranks_.reserve(config_.nranks);
   for (int r = 0; r < config_.nranks; ++r) {
     auto rank = std::make_unique<Rank>();
@@ -420,9 +410,6 @@ Runtime::Runtime(Config config, EnvOverlay env) : config_(config) {
 }
 
 Runtime::~Runtime() {
-  // Return the pool's cached slabs first: they are real registered
-  // allocations parked in free lists, not leaks.
-  for (auto& r : ranks_) pool_.drain(*r);
   // Free anything the user leaked so ASAN-style runs stay clean; warn so
   // tests can keep allocation discipline honest.
   std::lock_guard<std::mutex> lock(alloc_mutex_);
@@ -549,9 +536,7 @@ void Runtime::drive(const std::function<Step(Rank&)>& step, int stall_limit,
     drive_threaded(step);
     return;
   }
-  const std::uint64_t seed =
-      interleave_seed != 0 ? interleave_seed : config_.interleave_seed;
-  drive_sequential(step, stall_limit, seed);
+  drive_sequential(step, stall_limit, interleave_seed);
 }
 
 void Runtime::drive_sequential(const std::function<Step(Rank&)>& step,
@@ -816,6 +801,15 @@ std::size_t Runtime::peak_bytes() const {
 void Runtime::reset_peak_memory() {
   std::lock_guard<std::mutex> lock(alloc_mutex_);
   peak_bytes_ = bytes_in_use_;
+}
+
+// ------------------------------------------------------ shared buffers
+
+std::shared_ptr<double> shared_host_buffer(Rank& rank, std::size_t count) {
+  const GlobalPtr g = rank.allocate_host(count * sizeof(double));
+  Rank* owner = &rank;
+  return std::shared_ptr<double>(
+      g.local<double>(), [owner, g](double*) { owner->deallocate(g); });
 }
 
 }  // namespace sympack::pgas

@@ -45,7 +45,6 @@
 #include "pgas/fault.hpp"
 #include "pgas/global_ptr.hpp"
 #include "pgas/machine_model.hpp"
-#include "pgas/pool.hpp"
 
 namespace sympack::pgas {
 
@@ -120,6 +119,12 @@ struct CommStats {
 #undef SYMPACK_COMM_COUNTER
 #undef SYMPACK_SYMBOLIC_COUNTER
 
+  /// Always 0: there is no buffer pool, every host buffer comes from
+  /// Rank::allocate_host. Kept only because the end-to-end benchmark
+  /// (bench/e2e) reports them.
+  std::uint64_t pool_hits = 0;
+  std::uint64_t pool_misses = 0;
+
   [[nodiscard]] std::uint64_t total_bytes() const {
     return bytes_from_host + bytes_from_device;
   }
@@ -171,15 +176,10 @@ class Rank {
   GlobalPtr allocate_device(std::size_t bytes, bool nothrow = true);
   /// This rank's equal share of its device's segment, in bytes.
   [[nodiscard]] std::size_t device_share_bytes() const;
+  /// Free an allocate_host/allocate_device result. Safe from any thread:
+  /// the allocation registry and the device accounting are locked, and
+  /// no CommStats are touched.
   void deallocate(GlobalPtr ptr);
-
-  /// allocate_host through the runtime's slab pool: small requests are
-  /// served from a per-rank free list when possible (pool_hits), large
-  /// or pool-disabled requests fall back to allocate_host unchanged.
-  /// Free with pool_deallocate (which also accepts raw allocate_host
-  /// pointers, so call sites can free uniformly).
-  GlobalPtr pool_allocate_host(std::size_t bytes);
-  void pool_deallocate(GlobalPtr ptr);
 
   // --- RPC (Fig. 4 step 1): enqueue `fn` for execution on `target`
   // during its next progress(). The callback receives the target rank.
@@ -324,20 +324,11 @@ class Runtime {
     /// this long, drive() aborts the phase and throws with a per-rank
     /// queue/counter dump instead of hanging CI forever. <= 0 disables.
     int threaded_watchdog_ms = 10000;
-    /// Default interleaving-fuzzer seed for the sequential driver
-    /// (overridden per call by drive()'s seed argument). 0 = plain
-    /// deterministic round-robin.
-    std::uint64_t interleave_seed = 0;
     /// Deterministic fault injection (pgas/fault.hpp). Disabled by
     /// default; the constructor overlays SYMPACK_FAULT_* environment
     /// variables, so any binary can be chaos-tested without a rebuild.
     FaultConfig faults{};
     MachineModel model{};
-    /// Shared-segment slab pool (pgas/pool.hpp). On by default — it
-    /// changes no simulated time and emits no trace events unless a
-    /// hook is installed, so golden schedules are unaffected. The
-    /// constructor overlays SYMPACK_POOL_* environment variables.
-    PoolConfig pool{};
     /// Coalescing age window: an open outbox is flushed once it has
     /// survived this many progress() calls on the sending rank (engines
     /// additionally flush_signals() whenever they run out of other
@@ -346,8 +337,8 @@ class Runtime {
     int coalesce_defer = 4;
   };
 
-  /// Whether the constructor overlays the SYMPACK_FAULT_* and
-  /// SYMPACK_POOL_* environment variables on `config`. kSkip takes the
+  /// Whether the constructor overlays the SYMPACK_FAULT_* environment
+  /// variables on `config`. kSkip takes the
   /// config as already resolved, e.g. another runtime's config() with
   /// fault injection turned off (the autotune pilots, core/autotune.hpp).
   enum class EnvOverlay { kApply, kSkip };
@@ -376,10 +367,6 @@ class Runtime {
     return injector_ != nullptr;
   }
 
-  /// The shared-segment slab pool (Rank::pool_allocate_host routes
-  /// through it; exposed for eager payload buffers and tests).
-  [[nodiscard]] SlabPool& pool() { return pool_; }
-
   /// Run a phase: call `step` on every rank until all report kDone.
   /// Sequential round-robin when config.threaded is false (deterministic),
   /// one thread per rank otherwise.
@@ -395,7 +382,8 @@ class Runtime {
   /// `interleave_seed` (sequential mode only): nonzero permutes the rank
   /// stepping order each sweep from a xoshiro256** stream seeded with it,
   /// deterministically — rerunning with the same seed replays the exact
-  /// schedule. 0 falls back to config.interleave_seed, then round-robin.
+  /// schedule. 0 steps plain round-robin. The engines pass
+  /// SolverOptions::interleave_seed, the one place a seed is set.
   void drive(const std::function<Step(Rank&)>& step, int stall_limit = 10000,
              std::uint64_t interleave_seed = 0);
 
@@ -440,7 +428,6 @@ class Runtime {
   std::vector<std::unique_ptr<Rank>> ranks_;
   // Attached only when config_.faults.enabled (after env overlay).
   std::unique_ptr<FaultInjector> injector_;
-  SlabPool pool_;
   // NIC channel availability (simulated time), per global NIC id.
   mutable std::mutex nic_mutex_;
   std::vector<double> nic_busy_;
@@ -483,5 +470,12 @@ class Runtime {
   std::map<int, StateDumper> state_dumpers_;
   int next_dumper_token_ = 0;
 };
+
+/// A host buffer of `count` doubles allocated on `rank` with
+/// allocate_host, freed with Rank::deallocate when the last reference
+/// dies (from whichever thread that happens on). This is the eager
+/// payload and solve-segment carrier: one producer-side buffer is shared
+/// by every recipient's copy of the signal.
+std::shared_ptr<double> shared_host_buffer(Rank& rank, std::size_t count);
 
 }  // namespace sympack::pgas

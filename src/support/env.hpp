@@ -17,9 +17,6 @@
 //   SYMPACK_EAGER_BYTES / SYMPACK_COALESCE
 //                                     eager/coalesced signal transport
 //                                     (core/options.hpp env_comm_options)
-//   SYMPACK_POOL / SYMPACK_POOL_MAX_BLOCK / SYMPACK_POOL_MAX_CACHED
-//                                     shared-segment slab pool
-//                                     (pgas/pool.hpp env_pool_config)
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,9 @@
-// Tests for the eager/coalesced signal transport and the shared-segment
-// slab pool (DESIGN.md §4e).
+// Tests for the eager/coalesced signal transport and the shared host
+// buffers that carry its payloads (DESIGN.md §4e).
 //
 // Covers: the machine model's per-message/per-byte RPC cost split (N
 // coalesced signals must cost less simulated time than N singletons),
-// slab-pool recycle/bypass/cap/drain semantics, eager inlined payloads
+// shared host buffers freed at their last release, eager inlined payloads
 // charging bytes_from_host without any rget, engine-level coalescing
 // (fewer RPCs, same numerics), and the solve phase's endpoint reset
 // across sweeps with eager payloads riding the recovery ledger.
@@ -16,7 +16,6 @@
 #include "core/solver.hpp"
 #include "pgas/fault.hpp"
 #include "pgas/machine_model.hpp"
-#include "pgas/pool.hpp"
 #include "pgas/runtime.hpp"
 #include "sparse/densevec.hpp"
 #include "sparse/generators.hpp"
@@ -121,80 +120,20 @@ TEST(Coalesce, ProgressAgesOutParkedBatches) {
 }
 
 // ------------------------------------------------------------------
-// Slab pool.
+// Shared host buffers: every eager payload and solve segment is one
+// allocate_host buffer, freed by whichever reference dies last.
 
-TEST(Pool, RecyclesSlabsWithinASizeClass) {
+TEST(SharedHostBuffer, FreesOnLastRelease) {
   pgas::Runtime rt(cluster(2));
-  pgas::Rank& r0 = rt.rank(0);
-  const pgas::GlobalPtr g1 = r0.pool_allocate_host(100);  // 128-B class
-  EXPECT_EQ(rt.total_stats().pool_misses, 1u);
-  EXPECT_EQ(rt.total_stats().pool_hits, 0u);
-  EXPECT_EQ(rt.pool().cached_bytes(0), 0u);
-  r0.pool_deallocate(g1);
-  EXPECT_EQ(rt.pool().cached_bytes(0), 128u);
-  const pgas::GlobalPtr g2 = r0.pool_allocate_host(90);  // same class
-  EXPECT_EQ(rt.total_stats().pool_hits, 1u);
-  EXPECT_EQ(rt.total_stats().pool_misses, 1u);
-  EXPECT_EQ(g2.addr, g1.addr);  // the cached slab came back
-  EXPECT_EQ(rt.pool().cached_bytes(0), 0u);
-  r0.pool_deallocate(g2);
-  // Cached slabs are drained by the Runtime destructor (leak check).
-}
-
-TEST(Pool, OversizeRequestsBypassThePool) {
-  pgas::Runtime rt(cluster(2));
-  pgas::Rank& r0 = rt.rank(0);
-  const std::size_t big = rt.config().pool.max_block_bytes + 1;
-  const pgas::GlobalPtr g = r0.pool_allocate_host(big);
-  EXPECT_EQ(rt.total_stats().pool_misses, 0u);  // bypass, not a miss
-  r0.pool_deallocate(g);  // unknown to the pool: passed through
-  EXPECT_EQ(rt.pool().cached_bytes(0), 0u);
-}
-
-TEST(Pool, DisabledPoolFallsBackToRawAllocator) {
-  pgas::Runtime::Config cfg = cluster(2);
-  cfg.pool.enabled = false;
-  pgas::Runtime rt(cfg);
-  pgas::Rank& r0 = rt.rank(0);
-  const pgas::GlobalPtr g = r0.pool_allocate_host(100);
-  EXPECT_NE(g.addr, nullptr);
-  EXPECT_EQ(rt.total_stats().pool_misses, 0u);
-  EXPECT_EQ(rt.total_stats().pool_hits, 0u);
-  r0.pool_deallocate(g);
-  EXPECT_EQ(rt.pool().cached_bytes(0), 0u);
-}
-
-TEST(Pool, CachedBytesRespectTheCap) {
-  pgas::Runtime::Config cfg = cluster(2);
-  cfg.pool.max_cached_bytes = 256;  // room for two 128-B slabs
-  pgas::Runtime rt(cfg);
-  pgas::Rank& r0 = rt.rank(0);
-  std::vector<pgas::GlobalPtr> slabs;
-  for (int i = 0; i < 3; ++i) slabs.push_back(r0.pool_allocate_host(100));
-  for (const auto& g : slabs) r0.pool_deallocate(g);
-  // The third release overflows the cap and frees for real.
-  EXPECT_EQ(rt.pool().cached_bytes(0), 256u);
-}
-
-TEST(Pool, DrainFreesEverythingCached) {
-  pgas::Runtime rt(cluster(2));
-  pgas::Rank& r0 = rt.rank(0);
-  const pgas::GlobalPtr g = r0.pool_allocate_host(100);
-  r0.pool_deallocate(g);
-  ASSERT_GT(rt.pool().cached_bytes(0), 0u);
-  rt.pool().drain(r0);
-  EXPECT_EQ(rt.pool().cached_bytes(0), 0u);
-}
-
-TEST(Pool, SharedHostBufferReturnsToPoolOnLastRelease) {
-  pgas::Runtime rt(cluster(2));
-  auto buf = pgas::shared_host_buffer(rt.rank(0), 16);  // 128 bytes
+  const std::size_t base = rt.bytes_in_use();
+  auto buf = pgas::shared_host_buffer(rt.rank(0), 13);
   ASSERT_NE(buf, nullptr);
+  EXPECT_EQ(rt.bytes_in_use(), base + 13 * sizeof(double));  // no rounding
   auto alias = buf;  // a second recipient of the same eager payload
   buf.reset();
-  EXPECT_EQ(rt.pool().cached_bytes(0), 0u);  // still referenced
+  EXPECT_EQ(rt.bytes_in_use(), base + 13 * sizeof(double));  // still held
   alias.reset();
-  EXPECT_EQ(rt.pool().cached_bytes(0), 128u);
+  EXPECT_EQ(rt.bytes_in_use(), base);
 }
 
 // ------------------------------------------------------------------

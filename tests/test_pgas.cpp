@@ -410,17 +410,6 @@ TEST(Drive, SeedZeroIsPlainRoundRobin) {
   EXPECT_EQ(order, expect);
 }
 
-TEST(Drive, ConfigSeedAppliesWhenCallSeedIsZero) {
-  Runtime::Config cfg = small_config(6, 2);
-  cfg.interleave_seed = 999;
-  Runtime rt_cfg(cfg);
-  const auto order_cfg = stepping_order(rt_cfg, 0, 8);
-
-  Runtime rt_arg(small_config(6, 2));
-  const auto order_arg = stepping_order(rt_arg, 999, 8);
-  EXPECT_EQ(order_cfg, order_arg);
-}
-
 TEST(Drive, FuzzedInterleavingStillCompletesPingPong) {
   // The RPC protocol must be schedule-independent: fuzz a handful of
   // adversarial stepping orders over the ping-pong exchange.

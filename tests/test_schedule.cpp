@@ -241,14 +241,16 @@ core::CommOptions golden_comm() {
 }
 
 // Captured with eager_bytes=4096 + coalesce on (sequential driver, 8
-// ranks, fifo). Regenerate via DISABLED_PrintEagerTable.
+// ranks, fifo), and re-captured when the slab pool was deleted: its
+// zero-width pool-hit/pool-miss trace events were folded into these
+// hashes and nothing else moved. Regenerate via DISABLED_PrintEagerTable.
 const Golden kGoldenEager[] = {
-    {"flan", core::Policy::kFifo, false, 0x34cf3f084429f975ull},
-    {"bones", core::Policy::kFifo, false, 0x4dc256fe6fa820full},
-    {"thermal", core::Policy::kFifo, false, 0xd612a177306949a5ull},
-    {"flan", core::Policy::kFifo, true, 0xb9ad88dc509c2124ull},
-    {"bones", core::Policy::kFifo, true, 0x413c247cc578f413ull},
-    {"thermal", core::Policy::kFifo, true, 0xdfa3340b25e33d12ull},
+    {"flan", core::Policy::kFifo, false, 0xbfd6b1472d664788ull},
+    {"bones", core::Policy::kFifo, false, 0x3c6748155189f3eaull},
+    {"thermal", core::Policy::kFifo, false, 0x8707dfb0dc286caaull},
+    {"flan", core::Policy::kFifo, true, 0xe7c87391361d0265ull},
+    {"bones", core::Policy::kFifo, true, 0xe33ee2500d15829dull},
+    {"thermal", core::Policy::kFifo, true, 0xafcc5d9ecf379a3cull},
 };
 
 class GoldenEagerSchedule : public ::testing::TestWithParam<Golden> {};
@@ -293,8 +295,10 @@ TEST(GoldenScheduleTable, DISABLED_PrintEagerTable) {
 // driver, 8 ranks) on the rendezvous transport and on the eager +
 // coalesced one, faults off and on. Captured on the standalone fan-in
 // engine before both variants ran through core::FactorEngine, so these
-// rows pin that the merge moved no fan-in task or message. Regenerate
-// via DISABLED_PrintFanInTable.
+// rows pin that the merge moved no fan-in task or message. The eager
+// rows were re-captured when the slab pool was deleted (its trace
+// events went away, as in kGoldenEager). Regenerate via
+// DISABLED_PrintFanInTable.
 
 struct FanInGolden {
   const char* proxy;
@@ -316,12 +320,12 @@ const FanInGolden kGoldenFanIn[] = {
     {"flan", true, false, 0x1e1d12d82c42a3f5ull},
     {"bones", true, false, 0xaad2830b1e87781bull},
     {"thermal", true, false, 0x6133c2425027d6d0ull},
-    {"flan", false, true, 0x22916ab0acf6991cull},
-    {"bones", false, true, 0xcef4e13ed012f67aull},
-    {"thermal", false, true, 0x50cf8ae32c6c4c41ull},
-    {"flan", true, true, 0x360bcd0e418a43b6ull},
-    {"bones", true, true, 0xb33a0e9c5e696d7bull},
-    {"thermal", true, true, 0x656df396bf3a96d5ull},
+    {"flan", false, true, 0xe071a337870170d1ull},
+    {"bones", false, true, 0x6135cd805a875c60ull},
+    {"thermal", false, true, 0x273e34719cda9b65ull},
+    {"flan", true, true, 0xeb85868c33ba5692ull},
+    {"bones", true, true, 0xbd1150acfca5c7adull},
+    {"thermal", true, true, 0x44cc03345050569full},
 };
 
 class GoldenFanInSchedule : public ::testing::TestWithParam<FanInGolden> {};
@@ -512,18 +516,33 @@ TEST(SolveSchedule, PanelSweepAmortizesMessages) {
 }
 
 // ------------------------------------------------------------------
+// Host accounting: every factor block is one allocate_host buffer of
+// exactly its size, so once factorize() returns the runtime holds the
+// blocks' bytes and nothing else — peak_bytes() counts what the solver
+// asked for.
+
+TEST(HostMemory, FactorizeHoldsExactlyTheBlockBytes) {
+  if (fault_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
+  }
+  pgas::Runtime rt(golden_cluster());
+  core::SymPackSolver solver(rt, core::SolverOptions{});
+  solver.symbolic_factorize(proxy_matrix("flan"));
+  solver.factorize();
+  const core::BlockStore& store = solver.block_store();
+  std::size_t block_bytes = 0;
+  for (sparse::idx_t bid = 0; bid < store.num_blocks(); ++bid) {
+    block_bytes += store.bytes(bid);
+  }
+  EXPECT_EQ(rt.bytes_in_use(), block_bytes);
+}
+
+// ------------------------------------------------------------------
 // Solve-phase memory. Every solve buffer is freed at its last use
 // (DESIGN.md §4f), so a sweep holds only the segments and partial sums
 // still in flight. These pin the solve phase's transient high-water
 // mark: the peak bytes during solve(b, 8) above the bytes in use once
-// factorize() returned (pool slabs count while cached, as in
-// peak_bytes()).
-
-bool pool_env_overridden() {
-  return std::getenv("SYMPACK_POOL") != nullptr ||
-         std::getenv("SYMPACK_POOL_MAX_BLOCK") != nullptr ||
-         std::getenv("SYMPACK_POOL_MAX_CACHED") != nullptr;
-}
+// factorize() returned.
 
 std::size_t run_solve_memory(const std::string& proxy, int rhs_panel,
                              bool shard = false) {
@@ -548,12 +567,12 @@ struct SolveMemoryGolden {
   std::size_t bytes;
 };
 
-// Captured when solve buffers moved from sweep-long parking to
-// last-use release, sequential driver, 8 ranks, faults off. Regenerate
-// via DISABLED_PrintSolveMemoryTable.
+// Captured when the slab pool was deleted (every buffer is the size
+// asked for, not a power-of-two class), sequential driver, 8 ranks,
+// faults off. Regenerate via DISABLED_PrintSolveMemoryTable.
 const SolveMemoryGolden kGoldenSolveMemory[] = {
-    {"flan", 1, 14848},  {"flan", 0, 113664},   {"bones", 1, 10496},
-    {"bones", 0, 71616}, {"thermal", 1, 7488}, {"thermal", 0, 51008},
+    {"flan", 1, 4744},   {"flan", 0, 37952},    {"bones", 1, 2888},
+    {"bones", 0, 23104}, {"thermal", 1, 1784}, {"thermal", 0, 14272},
 };
 
 class SolveMemory : public ::testing::TestWithParam<SolveMemoryGolden> {};
@@ -561,7 +580,7 @@ class SolveMemory : public ::testing::TestWithParam<SolveMemoryGolden> {};
 TEST_P(SolveMemory, TransientPeakMatchesCapture) {
   const SolveMemoryGolden& g = GetParam();
   if (fault_env_overridden() || comm_env_overridden() ||
-      solve_env_overridden() || pool_env_overridden()) {
+      solve_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_* environment override active";
   }
   for (const bool shard : kShardModes) {
@@ -585,13 +604,6 @@ TEST(GoldenScheduleTable, DISABLED_PrintSolveMemoryTable) {
   }
 }
 
-/// Bytes still allocated once every rank's pool has freed its cached
-/// slabs: live buffers only.
-std::size_t live_bytes(pgas::Runtime& rt) {
-  for (int r = 0; r < rt.nranks(); ++r) rt.pool().drain(rt.rank(r));
-  return rt.bytes_in_use();
-}
-
 // Leak check: solve() and a SolveServer drain give back every buffer
 // they allocate. With faults off nothing outlives its last use; under
 // injection the ledger's message copies hold their payloads until the
@@ -605,7 +617,7 @@ class SolveBuffers : public ::testing::TestWithParam<LeakParam> {};
 TEST_P(SolveBuffers, AllReturnedAfterSolveAndDrain) {
   const auto& [proxy, faults] = GetParam();
   if (fault_env_overridden() || comm_env_overridden() ||
-      solve_env_overridden() || pool_env_overridden()) {
+      solve_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_* environment override active";
   }
   pgas::Runtime::Config cfg = golden_cluster();
@@ -615,11 +627,11 @@ TEST_P(SolveBuffers, AllReturnedAfterSolveAndDrain) {
   const CscMatrix a = proxy_matrix(proxy);
   solver.symbolic_factorize(a);
   solver.factorize();
-  const std::size_t before = live_bytes(rt);
+  const std::size_t before = rt.bytes_in_use();
   const auto n = static_cast<std::size_t>(a.n());
 
   (void)solver.solve(std::vector<double>(n * 8, 1.0), 8);
-  EXPECT_EQ(live_bytes(rt), before) << "after solve()";
+  EXPECT_EQ(rt.bytes_in_use(), before) << "after solve()";
 
   {
     core::SolveServer server(solver);
@@ -627,9 +639,9 @@ TEST_P(SolveBuffers, AllReturnedAfterSolveAndDrain) {
       EXPECT_TRUE(server.submit(std::vector<double>(n * 2, 1.0), 2));
     }
     EXPECT_EQ(server.drain().size(), 4u);
-    EXPECT_EQ(live_bytes(rt), before) << "after drain()";
+    EXPECT_EQ(rt.bytes_in_use(), before) << "after drain()";
   }
-  EXPECT_EQ(live_bytes(rt), before) << "after ~SolveServer()";
+  EXPECT_EQ(rt.bytes_in_use(), before) << "after ~SolveServer()";
 }
 
 INSTANTIATE_TEST_SUITE_P(

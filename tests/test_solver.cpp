@@ -685,9 +685,7 @@ INSTANTIATE_TEST_SUITE_P(Proxies, MultiRhsParity,
 // §4m): over 3 proxies x both variants x rendezvous or eager+coalesce x
 // nrhs {1, 8}, at 8 and 64 ranks, the two modes' factor and solve
 // clocks, CommStats and per-op kernel call counts are bitwise equal. Of
-// CommStats only the counters of host work are left out: slab-pool hits
-// and misses (protocol-only allocates no buffers) and the symbolic
-// build time (host wall time).
+// CommStats only the symbolic build time (host wall time) is left out.
 
 struct ModeParityCase {
   const char* proxy;
@@ -736,12 +734,10 @@ TEST_P(ProtocolOnlyParity, BitwiseEqualToNumeric) {
   EXPECT_EQ(n.bytes_from_device, d.bytes_from_device);
   EXPECT_EQ(n.bytes_to_device, d.bytes_to_device);
   EXPECT_EQ(n.hd_copies, d.hd_copies);
-  const auto host_work = [](std::string_view label) {
-    return label == "pool_hits" || label == "pool_misses" ||
-           label == "symbolic_build_us";
-  };
+  EXPECT_EQ(n.pool_hits, d.pool_hits);
+  EXPECT_EQ(n.pool_misses, d.pool_misses);
 #define SYMPACK_PROTOCOL_COUNTER(field, label)                 \
-  if (!host_work(label)) {                                     \
+  if (std::string_view(label) != "symbolic_build_us") {        \
     EXPECT_EQ(n.field, d.field) << label;                      \
   }
 #define SYMPACK_RECOVERY_COUNTER(field, label, trace_name) \

@@ -363,7 +363,7 @@ TEST(EnvKnobs, ReadmeTablesListExactlyTheKnobsSrcReads) {
   EXPECT_EQ(missing_from(readme, src), "") << "read in src/, no README row";
   EXPECT_EQ(missing_from(src, readme), "") << "README row, not read in src/";
   // Pinned so that adding or removing a knob is a deliberate change.
-  EXPECT_EQ(src.size(), 31u);
+  EXPECT_EQ(src.size(), 28u);
 }
 
 TEST(Options, SingleDashFlagsLikeThePaperDriver) {

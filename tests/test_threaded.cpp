@@ -3,7 +3,7 @@
 // generators across all four scheduling policies (and for the fan-in
 // variant and a protocol-only run, whose null-buffer rget/copy calls
 // then run on rank threads), a fused multi-column solve and SolveServer
-// drain (whose consumers return producers' pool slabs across threads),
+// drain (whose consumers free producers' buffers across threads),
 // seeded-interleaving replay at the solver level, the duplicate-signal
 // device-leak regression for FactorEngine::handle_signal, and fan-in
 // aggregates freed under both drivers.
@@ -307,15 +307,8 @@ INSTANTIATE_TEST_SUITE_P(Drivers, FanInAggregates, ::testing::Bool(),
 // ------------------------------------------------------------------
 // Fused solves under both drivers. With default options solve(b, 8) and
 // a drain carry every column through one sweep pair, and each consumer
-// thread returns the producer's segment and partial-sum slabs to the
-// producer's pool shard once it has handled the message (DESIGN.md §4f).
-
-/// Bytes still allocated once every rank's pool has freed its cached
-/// slabs: live buffers only.
-std::size_t live_bytes(pgas::Runtime& rt) {
-  for (int r = 0; r < rt.nranks(); ++r) rt.pool().drain(rt.rank(r));
-  return rt.bytes_in_use();
-}
+// thread frees the producer's segment and partial-sum buffers once it
+// has handled the message (DESIGN.md §4f).
 
 struct SolveRun {
   std::vector<double> x;                     // solve(b, 8)
@@ -338,11 +331,11 @@ SolveRun run_fused_solves(const CscMatrix& a, bool threaded) {
   for (auto& v : b) v = rng.next_in(-1, 1);
 
   SolveRun r;
-  r.live_before = live_bytes(rt);
+  r.live_before = rt.bytes_in_use();
   rt.reset_stats();
   r.x = solver.solve(b, 8);
   r.solve_stats = rt.total_stats();
-  r.live_after_solve = live_bytes(rt);
+  r.live_after_solve = rt.bytes_in_use();
   rt.reset_stats();
   {
     core::SolveServer server(solver);
@@ -354,7 +347,7 @@ SolveRun run_fused_solves(const CscMatrix& a, bool threaded) {
     r.drained = server.drain();
     r.drain_stats = rt.total_stats();
   }
-  r.live_after_server = live_bytes(rt);
+  r.live_after_server = rt.bytes_in_use();
   return r;
 }
 
