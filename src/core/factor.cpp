@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-
 namespace sympack::core {
 
 FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,

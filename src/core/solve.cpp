@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-
 namespace sympack::core {
 
 namespace {

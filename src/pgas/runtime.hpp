@@ -338,9 +338,9 @@ class Runtime {
   };
 
   /// Whether the constructor overlays the SYMPACK_FAULT_* environment
-  /// variables on `config`. kSkip takes the
-  /// config as already resolved, e.g. another runtime's config() with
-  /// fault injection turned off (the autotune pilots, core/autotune.hpp).
+  /// variables on `config`. kSkip takes the config as already resolved,
+  /// e.g. another runtime's config() with fault injection turned off (the
+  /// autotune pilots, core/autotune.hpp).
   enum class EnvOverlay { kApply, kSkip };
 
   explicit Runtime(Config config, EnvOverlay env = EnvOverlay::kApply);
