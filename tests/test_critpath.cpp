@@ -8,7 +8,7 @@
 //   * A full factor + solve trace round-trips through the serializer
 //     and parses.
 //   * bench::JsonReport renders non-finite doubles as null, not as the
-//     unparseable bare tokens nan/inf.
+//     unparseable bare tokens nan/inf, and quotes and escapes strings.
 //   * DepTracker::satisfy asserts on a decrement below zero in debug
 //     builds (a duplicate signal that escaped the dedup layer).
 //   * CritPathAnalyzer on a hand-built five-task DAG: known critical
@@ -125,6 +125,28 @@ TEST(JsonReport, NonFiniteRendersAsNull) {
   EXPECT_EQ(doc.find(": nan"), std::string::npos) << doc;
   EXPECT_EQ(doc.find(": inf"), std::string::npos) << doc;
   EXPECT_EQ(doc.find(": -inf"), std::string::npos) << doc;
+}
+
+// String values and keys are quoted and escaped, and rows and fields
+// are laid out byte for byte as every bench's --json output expects.
+TEST(JsonReport, StringsAreQuotedAndEscaped) {
+  bench::JsonReport report;
+  report.add_row()
+      .set("name", std::string("a\"b\\c\n"))
+      .set("k\"ey", "tab\there\x01")
+      .set("n", 3);
+  report.add_row();
+  report.add_row().set("", "");
+  const std::string doc = report.to_string();
+  EXPECT_EQ(doc,
+            "[\n"
+            "  {\"name\": \"a\\\"b\\\\c\\n\", \"k\\\"ey\": "
+            "\"tab\\there\\u0001\", \"n\": 3},\n"
+            "  {},\n"
+            "  {\"\": \"\"}\n"
+            "]\n");
+  std::string err;
+  EXPECT_TRUE(support::json_validate(doc, &err)) << err << "\n" << doc;
 }
 
 // ---------------------------------------------------------------------

@@ -521,6 +521,16 @@ TEST(SolveSchedule, PanelSweepAmortizesMessages) {
 // blocks' bytes and nothing else — peak_bytes() counts what the solver
 // asked for.
 
+/// Sum of every factor block's size: the bytes the block store asked for.
+std::size_t block_bytes(const core::SymPackSolver& solver) {
+  const core::BlockStore& store = solver.block_store();
+  std::size_t bytes = 0;
+  for (sparse::idx_t bid = 0; bid < store.num_blocks(); ++bid) {
+    bytes += store.bytes(bid);
+  }
+  return bytes;
+}
+
 TEST(HostMemory, FactorizeHoldsExactlyTheBlockBytes) {
   if (fault_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
@@ -529,12 +539,66 @@ TEST(HostMemory, FactorizeHoldsExactlyTheBlockBytes) {
   core::SymPackSolver solver(rt, core::SolverOptions{});
   solver.symbolic_factorize(proxy_matrix("flan"));
   solver.factorize();
-  const core::BlockStore& store = solver.block_store();
-  std::size_t block_bytes = 0;
-  for (sparse::idx_t bid = 0; bid < store.num_blocks(); ++bid) {
-    block_bytes += store.bytes(bid);
+  EXPECT_EQ(rt.bytes_in_use(), block_bytes(solver));
+}
+
+// Fan-in stages each aggregate in an allocate_host buffer of exactly
+// its size (FactorEngine::out_buffers) and frees every one before
+// factorize() returns: the staging copies raise the peak, and only the
+// blocks are left.
+TEST(HostMemory, FanInFreesEveryStagingBuffer) {
+  if (fault_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
   }
-  EXPECT_EQ(rt.bytes_in_use(), block_bytes);
+  pgas::Runtime rt(golden_cluster());
+  core::SolverOptions opts;
+  opts.variant = core::Variant::kFanIn;
+  core::SymPackSolver solver(rt, opts);
+  solver.symbolic_factorize(proxy_matrix("flan"));
+  solver.factorize();
+  EXPECT_GT(rt.peak_bytes(), block_bytes(solver));
+  EXPECT_EQ(rt.bytes_in_use(), block_bytes(solver));
+}
+
+// Buddy checkpointing keeps one replica of every completed panel in the
+// buddy's segment, allocated at the panel's own size: with faults off
+// every block completes once, so the runtime holds each block twice.
+TEST(HostMemory, BuddyReplicasDoubleTheBlockBytes) {
+  if (fault_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
+  }
+  pgas::Runtime rt(golden_cluster());
+  core::SolverOptions opts;
+  opts.resilience.buddy_replicas = 1;
+  core::SymPackSolver solver(rt, opts);
+  solver.symbolic_factorize(proxy_matrix("flan"));
+  solver.factorize();
+  EXPECT_EQ(rt.bytes_in_use(), 2 * block_bytes(solver));
+}
+
+// Protocol-only runs allocate no factor, eager, solve or checkpoint
+// buffer (DESIGN.md §4m): nothing ever reaches the host allocator. GPU
+// offload is off because a protocol-only run still allocates each
+// kernel's device scratch (its share-OOM fallbacks are a numeric run's),
+// and peak_bytes() counts device bytes too.
+TEST(HostMemory, ProtocolOnlyAllocatesNoHostBuffers) {
+  if (fault_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
+  }
+  pgas::Runtime rt(golden_cluster());
+  core::SolverOptions opts;
+  opts.numeric = false;
+  opts.gpu.enabled = false;
+  opts.comm = golden_comm();  // eager payloads and coalesced signals
+  opts.resilience.buddy_replicas = 1;
+  core::SymPackSolver solver(rt, opts);
+  const CscMatrix a = proxy_matrix("flan");
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  (void)solver.solve(std::vector<double>(static_cast<std::size_t>(a.n()) * 8,
+                                         1.0),
+                     8);
+  EXPECT_EQ(rt.peak_bytes(), 0u);
 }
 
 // ------------------------------------------------------------------

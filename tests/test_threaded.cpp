@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -382,6 +383,69 @@ TEST(ThreadedSolve, FusedSolveAndDrainMatchSequential) {
     EXPECT_EQ(r->live_after_solve, r->live_before);
     EXPECT_EQ(r->live_after_server, r->live_before);
   }
+}
+
+// ------------------------------------------------------------------
+// Host buffers freed from rank threads. Every host buffer is one
+// allocate_host allocation of exactly its size, and whichever thread
+// drops the last reference frees it with Rank::deallocate (DESIGN.md
+// §4f), so the accounting must come out exact under the threaded
+// driver too.
+
+TEST(ThreadedHostMemory, FactorizeHoldsExactlyTheBlockBytes) {
+  pgas::Runtime rt(cluster(8, /*threaded=*/true));
+  core::SymPackSolver solver(rt, core::SolverOptions{});
+  solver.symbolic_factorize(proxy_matrix("flan"));
+  solver.factorize();
+  const core::BlockStore& store = solver.block_store();
+  std::size_t block_bytes = 0;
+  for (idx_t bid = 0; bid < store.num_blocks(); ++bid) {
+    block_bytes += store.bytes(bid);
+  }
+  EXPECT_EQ(rt.bytes_in_use(), block_bytes);
+}
+
+TEST(ThreadedHostMemory, SharedHostBuffersFreedOnConsumerThreads) {
+  pgas::Runtime rt(cluster(4, /*threaded=*/true));
+  const std::size_t base = rt.bytes_in_use();
+  constexpr int kPayloads = 64;
+  constexpr int kConsumers = 3;
+
+  // Rank 0 produces the payloads; every consumer thread holds a
+  // reference to each, as every recipient of one eager signal does.
+  std::vector<std::shared_ptr<double>> payloads;
+  std::size_t payload_bytes = 0;
+  for (int i = 0; i < kPayloads; ++i) {
+    const auto count = static_cast<std::size_t>(i + 1);
+    payloads.push_back(pgas::shared_host_buffer(rt.rank(0), count));
+    for (std::size_t j = 0; j < count; ++j) payloads.back().get()[j] = i;
+    payload_bytes += count * sizeof(double);
+  }
+  EXPECT_EQ(rt.bytes_in_use(), base + payload_bytes);
+
+  std::vector<int> mismatches(kConsumers, 0);
+  std::vector<std::thread> consumers;
+  consumers.reserve(kConsumers);
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&rt, &mismatches, c, held = payloads]() mutable {
+      // Each consumer also allocates and frees on its own rank while
+      // the payloads are released around it.
+      pgas::Rank& own = rt.rank(c + 1);
+      for (int i = 0; i < kPayloads; ++i) {
+        const pgas::GlobalPtr scratch = own.allocate_host(64);
+        if (held[i].get()[i] != i) ++mismatches[c];
+        own.deallocate(scratch);
+        held[i].reset();
+      }
+    });
+  }
+  payloads.clear();  // the producer's references die mid-flight
+  for (auto& t : consumers) t.join();
+
+  for (int c = 0; c < kConsumers; ++c) {
+    EXPECT_EQ(mismatches[c], 0) << "consumer " << c;
+  }
+  EXPECT_EQ(rt.bytes_in_use(), base);
 }
 
 // ------------------------------------------------------------------
