@@ -18,13 +18,6 @@ std::shared_ptr<double> shared_copy(pgas::Rank& rank, const double* src,
   return buf;
 }
 
-/// Where a consumer pulls a shared copy made on `rank` from.
-pgas::GlobalPtr pull_ptr(const pgas::Rank& rank,
-                         const std::shared_ptr<double>& buf) {
-  return pgas::GlobalPtr{reinterpret_cast<std::byte*>(buf.get()), rank.id(),
-                         pgas::MemKind::kHost};
-}
-
 }  // namespace
 
 SolveEngine::SolveEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
@@ -257,7 +250,7 @@ void SolveEngine::publish_solution(pgas::Rank& rank, idx_t k, bool backward) {
       net_.send(rank, r,
                 Msg{.type = Msg::Type::kX,
                     .k = k,
-                    .data = pull_ptr(rank, buf),
+                    .data = pgas::pull_ptr(me, buf),
                     .bytes = bytes,
                     .eager_bytes = inline_bytes(bytes),
                     .payload = buf});
@@ -427,7 +420,7 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
             Msg{.type = Msg::Type::kContrib,
                 .panel = panel,
                 .slot = slot,
-                .data = pull_ptr(rank, buf),
+                .data = pgas::pull_ptr(me, buf),
                 .bytes = bytes,
                 .eager_bytes = inline_bytes(bytes),
                 .payload = std::move(buf)});
