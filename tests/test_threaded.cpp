@@ -6,7 +6,8 @@
 // drain (whose consumers free producers' buffers across threads),
 // seeded-interleaving replay at the solver level, the duplicate-signal
 // device-leak regression for FactorEngine::handle_signal, and fan-in
-// aggregates freed under both drivers.
+// aggregates freed under both drivers (on the consumer's thread when
+// threaded).
 //
 // Parity is *numeric*, not bitwise: the threaded schedule changes the
 // order scatter-adds fold update contributions into a block, so entries
@@ -277,9 +278,12 @@ TEST_P(ThreadedFanInParity, MatchesSequentialMode) {
 INSTANTIATE_TEST_SUITE_P(Proxies, ThreadedFanInParity,
                          ::testing::Values("flan", "bones", "thermal"));
 
-// Fan-in frees each aggregate vector once it is flushed (sent, or applied
-// at the target's owner): every rank starts with the aggregates it owes
-// and holds none after run(), whichever driver stepped the ranks.
+// Fan-in drops each aggregate once it is flushed (sent, or applied at the
+// target's owner): every rank starts with the aggregates it owes and
+// holds none after run(), whichever driver stepped the ranks. A sent
+// aggregate's buffer is freed with the last copy of its signal, which
+// under the threaded driver happens on the owner's thread, so once run()
+// returns the runtime holds the factor blocks and nothing else.
 class FanInAggregates : public ::testing::TestWithParam<bool> {};
 
 TEST_P(FanInAggregates, NoneLeftAfterRun) {
@@ -298,6 +302,11 @@ TEST_P(FanInAggregates, NoneLeftAfterRun) {
   for (int r = 0; r < rt.nranks(); ++r) {
     EXPECT_EQ(Peer::aggregates(engine, r), 0u) << "rank " << r;
   }
+  std::size_t block_bytes = 0;
+  for (idx_t bid = 0; bid < parts.store.num_blocks(); ++bid) {
+    block_bytes += parts.store.bytes(bid);
+  }
+  EXPECT_EQ(rt.bytes_in_use(), block_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Drivers, FanInAggregates, ::testing::Bool(),
