@@ -423,9 +423,6 @@ void SymPackSolver::run_recoverable(const std::function<void()>& phase) {
 }
 
 void SymPackSolver::recover_from_death(const pgas::RankDeathError& e) {
-  // Drop every in-flight RPC: the parked lambdas capture the failed
-  // attempt's engine and must never run inside the next attempt.
-  rt_->purge_inboxes();
   pgas::Rank& dead = rt_->rank(e.dead_rank);
   dead.resurrect(rt_->max_clock() + opts_.resilience.restart_delay_s);
 

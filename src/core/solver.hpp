@@ -125,11 +125,11 @@ class SymPackSolver {
   /// stats carry across attempts: recovery is part of the phase.
   void run_recoverable(const std::function<void()>& phase);
 
-  /// Rank-death recovery (DESIGN.md §4h): purge stale inboxes, resurrect
-  /// the victim at the survivors' clock frontier plus the restart
-  /// penalty, pull its completed blocks back from the buddy replicas,
-  /// and re-assemble every still-incomplete block from A. The caller
-  /// then re-drives the phase with a fresh engine.
+  /// Rank-death recovery (DESIGN.md §4h), after drive() purged the
+  /// inboxes: resurrect the victim at the survivors' clock frontier plus
+  /// the restart penalty, pull its completed blocks back from the buddy
+  /// replicas, and re-assemble every still-incomplete block from A. The
+  /// caller then re-drives the phase with a fresh engine.
   void recover_from_death(const pgas::RankDeathError& e);
 
   pgas::Runtime* rt_;

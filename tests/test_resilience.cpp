@@ -445,17 +445,35 @@ TEST(RmaRetry, ExhaustionThrowsTypedErrorWithContext) {
   EXPECT_EQ(rank.stats().retries, 4u);
 }
 
+// The second row is fan-in with the column-cyclic mapping, where every
+// factorization rget is an aggregate pull, and with eager coalescing,
+// so small aggregates wait in their senders' outboxes and in inboxes.
+// The first failed pull then unwinds the phase while RPCs that own
+// aggregate buffers are still in flight: drive() must drop them while
+// the runtime that frees those buffers is whole.
 TEST(RmaRetry, HardDownLinkSurfacesAsRmaRetryError) {
   const auto a = sparse::flan_proxy(0.02);
-  pgas::Runtime::Config cfg = cluster(8, /*threaded=*/false);
-  cfg.faults.enabled = true;
-  cfg.faults.seed = 41;
-  cfg.faults.transfer_fail_rate = 1.0;  // every rget fails, forever
-  pgas::Runtime rt(cfg);
-  core::SymPackSolver solver(rt, {});
-  solver.symbolic_factorize(a);
-  EXPECT_THROW(solver.factorize(), core::taskrt::RmaRetryError);
-  EXPECT_GT(rt.total_stats().rma_exhausted, 0u);
+  core::SolverOptions fan_in;
+  fan_in.variant = core::Variant::kFanIn;
+  fan_in.mapping = symbolic::Mapping::Kind::kColCyclic;
+  fan_in.comm.eager_bytes = 4096;
+  fan_in.comm.coalesce = true;
+  for (const core::SolverOptions& opts : {core::SolverOptions{}, fan_in}) {
+    SCOPED_TRACE(opts.variant == core::Variant::kFanIn ? "fan-in" : "fan-out");
+    pgas::Runtime::Config cfg = cluster(8, /*threaded=*/false);
+    cfg.faults.enabled = true;
+    cfg.faults.seed = 41;
+    cfg.faults.transfer_fail_rate = 1.0;  // every rget fails, forever
+    pgas::Runtime rt(cfg);
+    core::SymPackSolver solver(rt, opts);
+    solver.symbolic_factorize(a);
+    EXPECT_THROW(solver.factorize(), core::taskrt::RmaRetryError);
+    EXPECT_GT(rt.total_stats().rma_exhausted, 0u);
+    for (int r = 0; r < rt.nranks(); ++r) {
+      EXPECT_EQ(rt.rank(r).pending_rpc_count(), 0u) << "rank " << r;
+      EXPECT_FALSE(rt.rank(r).has_unflushed_signals()) << "rank " << r;
+    }
+  }
 }
 
 // ------------------------------------------------------------------
