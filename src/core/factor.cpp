@@ -4,7 +4,35 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "support/timer.hpp"
+
 namespace sympack::core {
+
+namespace {
+
+/// Doubles a pulled aggregate moves through scratch at a time (32 KiB).
+constexpr std::size_t kPullPiece = 4096;
+
+/// Add the aggregate sum `buf` into `target`, `elems` doubles. A pulled
+/// aggregate lives in the sender's buffer, so its bytes are first moved
+/// into the running thread's scratch, one cache-sized piece at a time,
+/// and each piece is added from there; either way every element gets the
+/// same single add.
+void add_aggregate(double* target, const double* buf, std::size_t elems,
+                   bool pulled) {
+  if (!pulled) {
+    for (std::size_t i = 0; i < elems; ++i) target[i] += buf[i];
+    return;
+  }
+  double* piece = taskrt::thread_scratch().fetched.get(kPullPiece);
+  for (std::size_t off = 0; off < elems; off += kPullPiece) {
+    const std::size_t n = std::min(kPullPiece, elems - off);
+    std::memcpy(piece, buf + off, n * sizeof(double));
+    for (std::size_t i = 0; i < n; ++i) target[off + i] += piece[i];
+  }
+}
+
+}  // namespace
 
 FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
                            const symbolic::SymbolicView& view,
@@ -16,7 +44,9 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
       opts_(opts), fan_in_(tg.variant() == Variant::kFanIn),
       stats_(tracer, opts.trace.metadata), rec_(rec) {
   const symbolic::Symbolic& sym = *sym_;
-  per_rank_.resize(rt.nranks());
+  // Built in place: PerRank is move-only (its fetch cache owns host
+  // copies), and resize() would need it copyable.
+  per_rank_ = std::vector<PerRank>(rt.nranks());
   for (PerRank& pr : per_rank_) pr.rtq.set_policy(opts_.policy);
   net_.init(rt, opts_.fault, tracer, opts_.comm, opts_.resilience);
   // Supernodal elimination-tree depths for the critical-path policy.
@@ -83,6 +113,8 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
 }
 
 FactorEngine::~FactorEngine() {
+  // Let every action this engine submitted run before its state goes.
+  rt_->wait_actions();
   // An abnormal unwind (rank death mid-phase) can leave fetched blocks
   // parked in the use caches; free their device allocations so the next
   // attempt starts with the full segments. Unsent aggregates, and sent
@@ -113,6 +145,9 @@ void FactorEngine::run() {
   if (rec_ != nullptr) publish_restored();
   rt_->drive([this](pgas::Rank& rank) { return step(rank); },
              /*stall_limit=*/10000, opts_.interleave_seed);
+  const double drive_end = support::WallClock::now();
+  rt_->wait_actions();
+  join_wall_s_ = support::WallClock::now() - drive_end;
 }
 
 void FactorEngine::publish_restored() {
@@ -256,8 +291,8 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
       }
     }
     if (!on_device) {
-      rf.host = std::make_unique_for_overwrite<double[]>(
-          static_cast<std::size_t>(elems));
+      rf.host = HostCopy(new double[static_cast<std::size_t>(elems)],
+                         HostCopyFree{&rank});
     }
   }
   double* dst = on_device ? rf.device.local<double>() : rf.host.get();
@@ -287,23 +322,21 @@ void FactorEngine::receive_aggregate(pgas::Rank& rank, const Signal& sig) {
   if (sig.eager_bytes > 0) {
     // Eager: the aggregate arrived inline (wire bytes and arrival time
     // already charged at the Rank layer); fold it in directly.
-    apply_aggregate(rank, sig.k, sig.slot, sig.payload.get(), rank.now());
+    apply_aggregate(rank, sig.k, sig.slot, sig.payload.get(), rank.now(),
+                    /*pulled=*/false);
     return;
   }
   // Rendezvous: pull the aggregate from the sender's buffer, which the
-  // signal keeps alive. It lands in the rank's product scratch, idle
-  // between update tasks and uncounted like the solve's partial sums
-  // (DESIGN.md §4k); a protocol-only pull lands nowhere.
+  // signal keeps alive. The rget is charged here and moves no bytes
+  // itself: the apply action pulls the payload piece by piece into the
+  // block (add_aggregate).
   const std::size_t bytes = store_->bytes(store_->block_id(sig.k, sig.slot));
-  double* dst = store_->numeric()
-                    ? per_rank_[rank.id()].product.get(bytes / sizeof(double))
-                    : nullptr;
   const double ready = net_.with_retry(rank, [&] {
-    return rank.rget(pgas::pull_ptr(sig.from, sig.payload),
-                     reinterpret_cast<std::byte*>(dst), bytes,
+    return rank.rget(pgas::pull_ptr(sig.from, sig.payload), nullptr, bytes,
                      pgas::MemKind::kHost);
   });
-  apply_aggregate(rank, sig.k, sig.slot, dst, ready);
+  apply_aggregate(rank, sig.k, sig.slot, sig.payload.get(), ready,
+                  /*pulled=*/true);
 }
 
 void FactorEngine::deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
@@ -414,7 +447,10 @@ void FactorEngine::share(pgas::Rank& rank, idx_t k, BlockSlot slot) {
       // One shared buffer serves every recipient (the signal copies
       // share it); it is freed when the last consumer's uses drain.
       auto buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
-      std::memcpy(buf.get(), store_->data(bid), bytes);
+      double* dst = buf.get();
+      const double* src = store_->data(bid);
+      rank.act([dst, src, bytes] { std::memcpy(dst, src, bytes); },
+               {pgas::reads(src), pgas::writes(dst)}, bytes);
       sig.payload = std::move(buf);
     }
   }
@@ -464,8 +500,7 @@ void FactorEngine::execute_diag(pgas::Rank& rank, const Task& task) {
   const auto& sn = sym_->snode(task.k);
   const int w = static_cast<int>(sn.width());
   const idx_t bid = store_->block_id(task.k, 0);
-  const int info = offload_->run_potrf(rank, w, store_->data(bid), w);
-  if (info != 0) throw NotPositiveDefiniteError(sn.first + info - 1);
+  offload_->run_potrf(rank, w, store_->data(bid), w, sn.first);
   publish(rank, task.k, 0);
 }
 
@@ -522,27 +557,42 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
     if (numeric && !agg->buf) {
       const std::size_t elems = store_->bytes(tbid) / sizeof(double);
       agg->buf = pgas::shared_host_buffer(rank, elems);
-      std::fill_n(agg->buf.get(), elems, 0.0);
+      double* zero = agg->buf.get();
+      rank.act([zero, elems] { std::fill_n(zero, elems, 0.0); },
+               {pgas::writes(zero)}, elems * sizeof(double));
     }
     target = agg->buf.get();
   }
 
   // SYRK (s == t) updates the diagonal block of t with an m x m product;
-  // GEMM updates block B_{s,t} with an m x np one.
+  // GEMM updates block B_{s,t} with an m x np one. The kernel and its
+  // scatter are one action, so the product never leaves the scratch of
+  // the thread that runs it.
   const int cols = (s == t) ? m : np;
-  double* product =
-      numeric ? pr.product.get(static_cast<std::size_t>(m) * cols) : nullptr;
-  if (s == t) {
-    offload_->run_syrk(rank, m, w, st.src.data, m, product, m,
-                       st.src.on_device);
-  } else {
-    offload_->run_gemm(rank, m, np, w, st.src.data, m, st.piv.data, np,
-                       product, m, st.src.on_device, st.piv.on_device);
-  }
-  if (numeric) {
-    store_->scatter_update(j, task.si, task.ti, tslot, product, target,
-                           pr.offsets);
-  }
+  const Offload::Call call =
+      (s == t) ? Offload::Call::syrk(m, w, st.src.on_device)
+               : Offload::Call::gemm(m, np, w, st.src.on_device,
+                                     st.piv.on_device);
+  const double* src = st.src.data;
+  const double* piv = st.piv.data;
+  offload_->run(
+      rank, call,
+      [store = store_, j, si = task.si, ti = task.ti, tslot, m, np, w, src,
+       piv, target] {
+        taskrt::ThreadScratch& scratch = taskrt::thread_scratch();
+        double* product = scratch.product.get(
+            static_cast<std::size_t>(m) * (si == ti ? m : np));
+        if (si == ti) {
+          blas::syrk(blas::UpLo::kLower, blas::Trans::kNo, m, w, -1.0, src,
+                     m, 0.0, product, m);
+        } else {
+          blas::gemm(blas::Trans::kNo, blas::Trans::kYes, m, np, w, 1.0, src,
+                     m, piv, np, 0.0, product, m);
+        }
+        store->scatter_update(j, si, ti, tslot, product, target,
+                              scratch.offsets);
+      },
+      {pgas::reads(src), pgas::reads(piv), pgas::writes(target)});
   offload_->charge_scatter(
       rank, sizeof(double) * static_cast<std::size_t>(m) * cols);
 
@@ -564,7 +614,8 @@ void FactorEngine::flush_aggregate(pgas::Rank& rank, idx_t t,
   const auto it = pr.aggs.find(bid);
   const int owner = store_->owner(bid);
   if (owner == me) {
-    apply_aggregate(rank, t, slot, it->second.buf.get(), rank.now());
+    apply_aggregate(rank, t, slot, it->second.buf.get(), rank.now(),
+                    /*pulled=*/false);
   } else {
     // Send the aggregate (one message carrying the whole block
     // contribution, §2.3's second message type). The buffer itself is
@@ -581,13 +632,17 @@ void FactorEngine::flush_aggregate(pgas::Rank& rank, idx_t t,
 }
 
 void FactorEngine::apply_aggregate(pgas::Rank& rank, idx_t t, BlockSlot slot,
-                                   const double* buf, double ready) {
+                                   const double* buf, double ready,
+                                   bool pulled) {
   const idx_t bid = store_->block_id(t, slot);
   if (store_->numeric() && buf != nullptr) {
     // The aggregate holds the (negative) update sum to be added.
     double* target = store_->data(bid);
     const std::size_t elems = store_->bytes(bid) / sizeof(double);
-    for (std::size_t i = 0; i < elems; ++i) target[i] += buf[i];
+    rank.act([target, buf, elems,
+              pulled] { add_aggregate(target, buf, elems, pulled); },
+             {pgas::reads(buf), pgas::writes(target)},
+             elems * sizeof(double));
   }
   offload_->charge_scatter(rank, store_->bytes(bid));
   complete_target_update(rank, t, slot, std::max(ready, rank.now()));

@@ -32,6 +32,13 @@
 // the full recovery protocol, use-counted fetch cache, tracer hook —
 // lives in core/taskrt/ and is shared with the solve engine.
 //
+// Bytes (DESIGN.md §4n): every kernel, scatter, copy, aggregate fill or
+// apply, and free is an action on the buffers it touches
+// (pgas::Rank::act); the engine decides and charges everything at
+// the call, on the driving thread, and never reads a value. In numeric
+// runs the solver attaches a taskrt::Executor, so the actions run on its
+// workers in submission order per buffer.
+//
 // Thread-safety (audited; see DESIGN.md "Threading memory model" and
 // §4d): the engine holds no locks because every mutable member is
 // single-writer. per_rank_[r] (RTQ, caches, aggregates, counters) and the
@@ -88,11 +95,15 @@ class FactorEngine {
   FactorEngine(const FactorEngine&) = delete;
   FactorEngine& operator=(const FactorEngine&) = delete;
 
-  /// Run the factorization to completion. Throws NotPositiveDefiniteError
-  /// (with the column in the factor's own ordering) if a diagonal pivot
-  /// fails, and pgas::RankDeathError when a killed rank is confirmed dead
+  /// Run the factorization to completion, then wait for its actions. A
+  /// failed diagonal pivot throws NotPositiveDefiniteError (with the
+  /// column in the factor's own ordering) from its POTRF action: here
+  /// when actions run inline, at the executor's join otherwise.
+  /// Throws pgas::RankDeathError when a killed rank is confirmed dead
   /// (the solver's recovery loop catches that one).
   void run();
+  /// Host seconds run() waited, after the drive, for the last action.
+  [[nodiscard]] double join_wall_s() const { return join_wall_s_; }
 
  private:
   // --- task representation -------------------------------------------
@@ -114,10 +125,18 @@ class FactorEngine {
     idx_t cache_bid = -1;  // block id of the cache entry, -1 if local
   };
 
+  /// Frees a fetched block's host copy as an action on it, so the free
+  /// runs after the rget that fills it and the tasks that read it.
+  struct HostCopyFree {
+    pgas::Rank* rank;
+    void operator()(double* p) const { rank->free_after(p); }
+  };
+  using HostCopy = std::unique_ptr<double[], HostCopyFree>;
+
   struct RemoteFactor {
     // Host copy (when not device resident), uninitialised until the rget
     // fills it.
-    std::unique_ptr<double[]> host;
+    HostCopy host{nullptr, HostCopyFree{nullptr}};
     pgas::GlobalPtr device;  // device copy (when resident)
     /// Eager-inlined payload (shared with the producer's other
     /// recipients); keeps the shared buffer alive for this consumer's
@@ -174,12 +193,6 @@ class FactorEngine {
     std::unordered_map<idx_t, Aggregate> aggs;      // fan-in; key: block id
     idx_t done_factor = 0;
     idx_t done_update = 0;
-    // Numeric scratch, grown on demand and reused by every task of the
-    // rank (DESIGN.md §4k): an update's dense product and its offsets in
-    // the target block. Fan-in also pulls a rendezvous aggregate into
-    // `product`, which no update holds while a signal is handled.
-    taskrt::Scratch<double> product;
-    taskrt::Scratch<idx_t> offsets;
   };
 
   static std::uint64_t ukey(idx_t j, idx_t si, idx_t ti) {
@@ -220,8 +233,10 @@ class FactorEngine {
   /// Fan-in: send (or, at the owner, apply) this rank's finished
   /// aggregate for block (t, slot), then drop this rank's reference.
   void flush_aggregate(pgas::Rank& rank, idx_t t, BlockSlot slot);
+  /// Add aggregate `buf` into block (t, slot); `pulled` when it is the
+  /// sender's buffer behind a rendezvous rget.
   void apply_aggregate(pgas::Rank& rank, idx_t t, BlockSlot slot,
-                       const double* buf, double ready);
+                       const double* buf, double ready, bool pulled);
   /// One update contribution to block (t, slot) has landed at `ready`.
   void complete_target_update(pgas::Rank& rank, idx_t t, BlockSlot slot,
                               double ready);
@@ -265,6 +280,7 @@ class FactorEngine {
   // Supernode depth in the supernodal elimination tree (root = 0).
   // Immutable after construction.
   std::vector<idx_t> snode_depth_;
+  double join_wall_s_ = 0.0;
 
   /// White-box access for regression tests (duplicate-signal leak,
   /// aggregates freed at flush).

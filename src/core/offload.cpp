@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "core/errors.hpp"
 #include "gpu/autotune.hpp"
 
 namespace sympack::core {
@@ -49,8 +50,7 @@ bool Offload::device_resident(std::int64_t elems) const {
   return opts_.enabled && elems >= opts_.device_resident_threshold;
 }
 
-template <typename Math>
-void Offload::run(pgas::Rank& rank, const Call& call, Math&& math) {
+pgas::GlobalPtr Offload::reserve(pgas::Rank& rank, const Call& call) {
   pgas::GlobalPtr scratch;
   if (should_offload(call.op, call.elems)) {
     scratch = rank.allocate_device(call.scratch_bytes, /*nothrow=*/true);
@@ -64,15 +64,18 @@ void Offload::run(pgas::Rank& rank, const Call& call, Math&& math) {
       ++rank.stats().oom_fallbacks;
     }
   }
-  const bool use_gpu = !scratch.is_null();
-  if (use_gpu) {
+  if (!scratch.is_null()) {
     for (const std::size_t bytes : call.staged) {
       if (bytes > 0) charge_stage(rank, bytes);
     }
   }
-  if (numeric_) math();
+  return scratch;
+}
+
+void Offload::settle(pgas::Rank& rank, const Call& call,
+                     pgas::GlobalPtr scratch) {
   const auto op = static_cast<std::size_t>(call.op);
-  if (use_gpu) {
+  if (!scratch.is_null()) {
     // symPACK synchronizes after each offloaded kernel: the rank waits
     // for it behind whatever the shared device is already running.
     rank.merge_clock(
@@ -97,64 +100,40 @@ void Offload::charge_scatter(pgas::Rank& rank, std::size_t bytes) {
                rt_->model().cpu_mem_bandwidth_Bps);
 }
 
-int Offload::run_potrf(pgas::Rank& rank, int w, double* a, int lda) {
+Offload::Call Offload::Call::potrf(int w) {
   const std::size_t bytes = doubles(w, w);
-  int info = 0;
-  run(rank,
-      {gpu::Op::kPotrf, std::int64_t{w} * w,
-       static_cast<double>(blas::potrf_flops(w)), bytes, {bytes, 0}, bytes},
-      [&] { info = blas::potrf(blas::UpLo::kLower, w, a, lda); });
-  return info;
+  return {gpu::Op::kPotrf, std::int64_t{w} * w,
+          static_cast<double>(blas::potrf_flops(w)), bytes, {bytes, 0}, bytes};
 }
 
-void Offload::run_trsm(pgas::Rank& rank, int m, int w, const double* diag,
-                       int ldd, double* b, int ldb, bool diag_resident) {
+Offload::Call Offload::Call::trsm(int m, int w, bool diag_resident) {
   const std::size_t b_bytes = doubles(m, w);
   const std::size_t d_bytes = doubles(w, w);
-  run(rank,
-      {gpu::Op::kTrsm, std::int64_t{m} * w,
-       static_cast<double>(blas::trsm_flops(blas::Side::kRight, m, w)),
-       b_bytes + d_bytes, {b_bytes, diag_resident ? 0 : d_bytes}, b_bytes},
-      [&] {
-        blas::trsm(blas::Side::kRight, blas::UpLo::kLower, blas::Trans::kYes,
-                   blas::Diag::kNonUnit, m, w, 1.0, diag, ldd, b, ldb);
-      });
+  return {gpu::Op::kTrsm, std::int64_t{m} * w,
+          static_cast<double>(blas::trsm_flops(blas::Side::kRight, m, w)),
+          b_bytes + d_bytes, {b_bytes, diag_resident ? 0 : d_bytes}, b_bytes};
 }
 
-void Offload::run_syrk(pgas::Rank& rank, int n, int k, const double* a,
-                       int lda, double* c, int ldc, bool a_resident) {
+Offload::Call Offload::Call::syrk(int n, int k, bool a_resident) {
   const std::size_t a_bytes = doubles(n, k);
   const std::size_t c_bytes = doubles(n, n);
-  run(rank,
-      {gpu::Op::kSyrk, std::int64_t{n} * k,
-       static_cast<double>(blas::syrk_flops(n, k)), a_bytes + c_bytes,
-       {a_resident ? 0 : a_bytes, c_bytes}, c_bytes},
-      [&] {
-        blas::syrk(blas::UpLo::kLower, blas::Trans::kNo, n, k, -1.0, a, lda,
-                   0.0, c, ldc);
-      });
+  return {gpu::Op::kSyrk, std::int64_t{n} * k,
+          static_cast<double>(blas::syrk_flops(n, k)), a_bytes + c_bytes,
+          {a_resident ? 0 : a_bytes, c_bytes}, c_bytes};
 }
 
-void Offload::run_gemm(pgas::Rank& rank, int m, int n, int k, const double* a,
-                       int lda, const double* b, int ldb, double* c, int ldc,
-                       bool a_resident, bool b_resident) {
+Offload::Call Offload::Call::gemm(int m, int n, int k, bool a_resident,
+                                  bool b_resident) {
   const std::size_t a_bytes = doubles(m, k);
   const std::size_t b_bytes = doubles(n, k);
   const std::size_t c_bytes = doubles(m, n);
-  run(rank,
-      {gpu::Op::kGemm, std::int64_t{std::max(m, n)} * k,
-       static_cast<double>(blas::gemm_flops(m, n, k)),
-       a_bytes + b_bytes + c_bytes,
-       {a_resident ? 0 : a_bytes, b_resident ? 0 : b_bytes}, c_bytes},
-      [&] {
-        blas::gemm(blas::Trans::kNo, blas::Trans::kYes, m, n, k, 1.0, a, lda,
-                   b, ldb, 0.0, c, ldc);
-      });
+  return {gpu::Op::kGemm, std::int64_t{std::max(m, n)} * k,
+          static_cast<double>(blas::gemm_flops(m, n, k)),
+          a_bytes + b_bytes + c_bytes,
+          {a_resident ? 0 : a_bytes, b_resident ? 0 : b_bytes}, c_bytes};
 }
 
-void Offload::run_trsm_left(pgas::Rank& rank, bool transposed, int n,
-                            int nrhs, const double* diag, int ldd, double* x,
-                            int ldx) {
+Offload::Call Offload::Call::trsm_left(int n, int nrhs) {
   // The offload decision keys on the RHS panel (the buffer the solve
   // actually computes on): with one right-hand side these stay on the
   // CPU, with blocked RHS the GPU pays off — matching the hybrid
@@ -162,34 +141,85 @@ void Offload::run_trsm_left(pgas::Rank& rank, bool transposed, int n,
   // diagonal factor travels with the panel.
   const std::size_t x_bytes = doubles(n, nrhs);
   const std::size_t in_bytes = doubles(n, n) + x_bytes;
+  return {gpu::Op::kTrsm, std::int64_t{n} * nrhs,
+          static_cast<double>(blas::trsm_flops(blas::Side::kLeft, n, nrhs)),
+          in_bytes, {in_bytes, 0}, x_bytes};
+}
+
+Offload::Call Offload::Call::gemm_any(int m, int n, int k) {
+  // Like trsm_left: key on the RHS/solution panels (n = nrhs here), not
+  // on the factor block, so thin solves stay on the CPU.
+  const std::size_t a_bytes = doubles(m, k);
+  const std::size_t b_bytes = doubles(k, n);
+  const std::size_t c_bytes = doubles(m, n);
+  return {gpu::Op::kGemm, std::int64_t{std::max(m, k)} * n,
+          static_cast<double>(blas::gemm_flops(m, n, k)),
+          a_bytes + b_bytes + c_bytes, {a_bytes + b_bytes, 0}, c_bytes};
+}
+
+void Offload::run_potrf(pgas::Rank& rank, int w, double* a, int lda,
+                        sparse::idx_t first_column) {
+  run(rank, Call::potrf(w),
+      [w, a, lda, first_column] {
+        const int info = blas::potrf(blas::UpLo::kLower, w, a, lda);
+        if (info != 0) throw NotPositiveDefiniteError(first_column + info - 1);
+      },
+      {pgas::writes(a)});
+}
+
+void Offload::run_trsm(pgas::Rank& rank, int m, int w, const double* diag,
+                       int ldd, double* b, int ldb, bool diag_resident) {
+  run(rank, Call::trsm(m, w, diag_resident),
+      [m, w, diag, ldd, b, ldb] {
+        blas::trsm(blas::Side::kRight, blas::UpLo::kLower, blas::Trans::kYes,
+                   blas::Diag::kNonUnit, m, w, 1.0, diag, ldd, b, ldb);
+      },
+      {pgas::reads(diag), pgas::writes(b)});
+}
+
+void Offload::run_syrk(pgas::Rank& rank, int n, int k, const double* a,
+                       int lda, double* c, int ldc, bool a_resident) {
+  run(rank, Call::syrk(n, k, a_resident),
+      [n, k, a, lda, c, ldc] {
+        blas::syrk(blas::UpLo::kLower, blas::Trans::kNo, n, k, -1.0, a, lda,
+                   0.0, c, ldc);
+      },
+      {pgas::reads(a), pgas::writes(c)});
+}
+
+void Offload::run_gemm(pgas::Rank& rank, int m, int n, int k, const double* a,
+                       int lda, const double* b, int ldb, double* c, int ldc,
+                       bool a_resident, bool b_resident) {
+  run(rank, Call::gemm(m, n, k, a_resident, b_resident),
+      [m, n, k, a, lda, b, ldb, c, ldc] {
+        blas::gemm(blas::Trans::kNo, blas::Trans::kYes, m, n, k, 1.0, a, lda,
+                   b, ldb, 0.0, c, ldc);
+      },
+      {pgas::reads(a), pgas::reads(b), pgas::writes(c)});
+}
+
+void Offload::run_trsm_left(pgas::Rank& rank, bool transposed, int n,
+                            int nrhs, const double* diag, int ldd, double* x,
+                            int ldx) {
   const auto trans = transposed ? blas::Trans::kYes : blas::Trans::kNo;
-  run(rank,
-      {gpu::Op::kTrsm, std::int64_t{n} * nrhs,
-       static_cast<double>(blas::trsm_flops(blas::Side::kLeft, n, nrhs)),
-       in_bytes, {in_bytes, 0}, x_bytes},
-      [&] {
+  run(rank, Call::trsm_left(n, nrhs),
+      [trans, n, nrhs, diag, ldd, x, ldx] {
         blas::trsm(blas::Side::kLeft, blas::UpLo::kLower, trans,
                    blas::Diag::kNonUnit, n, nrhs, 1.0, diag, ldd, x, ldx);
-      });
+      },
+      {pgas::reads(diag), pgas::writes(x)});
 }
 
 void Offload::run_gemm_any(pgas::Rank& rank, blas::Trans trans_a, int m,
                            int n, int k, double alpha, const double* a,
                            int lda, const double* b, int ldb, double beta,
                            double* c, int ldc) {
-  // Like run_trsm_left: key on the RHS/solution panels (n = nrhs here),
-  // not on the factor block, so thin solves stay on the CPU.
-  const std::size_t a_bytes = doubles(m, k);
-  const std::size_t b_bytes = doubles(k, n);
-  const std::size_t c_bytes = doubles(m, n);
-  run(rank,
-      {gpu::Op::kGemm, std::int64_t{std::max(m, k)} * n,
-       static_cast<double>(blas::gemm_flops(m, n, k)),
-       a_bytes + b_bytes + c_bytes, {a_bytes + b_bytes, 0}, c_bytes},
-      [&] {
+  run(rank, Call::gemm_any(m, n, k),
+      [trans_a, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc] {
         blas::gemm(trans_a, blas::Trans::kNo, m, n, k, alpha, a, lda, b, ldb,
                    beta, c, ldc);
-      });
+      },
+      {pgas::reads(a), pgas::reads(b), pgas::writes(c)});
 }
 
 OpCounts Offload::total_counts() const {

@@ -10,15 +10,20 @@
 //
 // Every entry point describes its call (op, offload key, flops, scratch,
 // staged operands, result bytes) and hands it with its host math to one
-// private skeleton. The device computes on host-addressable buffers, so
+// skeleton, run(). The device computes on host-addressable buffers, so
 // an offloaded call runs the same blas:: routine as the CPU path and
-// then charges simulated device time. A protocol-only run
-// (numeric = false) skips the math and nothing else, so its clocks and
-// counters cannot drift from the numeric run's.
+// then charges simulated device time. The charges happen at the call;
+// the math is an action on the buffers it reads and writes
+// (pgas::Rank::act, DESIGN.md §4n), so it may run later on an executor
+// worker. A protocol-only run (numeric = false) builds no action and
+// skips nothing else, so its clocks and counters cannot drift from the
+// numeric run's.
 #pragma once
 
 #include <atomic>
+#include <initializer_list>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -26,6 +31,7 @@
 #include "core/report.hpp"
 #include "gpu/device.hpp"
 #include "pgas/runtime.hpp"
+#include "sparse/types.hpp"
 
 namespace sympack::core {
 
@@ -51,13 +57,60 @@ class Offload {
   /// device memory on arrival ("GPU block", paper §4.2)?
   [[nodiscard]] bool device_resident(std::int64_t elems) const;
 
-  // Kernel entry points used by the factorization and solve engines.
-  // `*_resident` flags mark operands already in device memory (skipping
-  // their staging charge). Each call runs the real math when `numeric`
-  // and always charges simulated time on the CPU or GPU path.
-  /// Returns the POTRF info code (0 = success; always 0 when
-  /// protocol-only).
-  int run_potrf(pgas::Rank& rank, int w, double* a, int lda);
+  /// What one kernel call costs, independent of its data.
+  struct Call {
+    gpu::Op op;
+    std::int64_t elems;         // the buffer size should_offload keys on
+    double flops;
+    std::size_t scratch_bytes;  // device scratch reserved when offloaded
+    std::size_t staged[2];      // host -> device copies, in order (0 = none)
+    std::size_t result_bytes;   // device -> host copy of the result
+
+    // The calls the entry points below make, by the same arguments.
+    static Call potrf(int w);
+    static Call trsm(int m, int w, bool diag_resident);
+    static Call syrk(int n, int k, bool a_resident);
+    static Call gemm(int m, int n, int k, bool a_resident, bool b_resident);
+    static Call trsm_left(int n, int nrhs);
+    static Call gemm_any(int m, int n, int k);
+  };
+
+  /// The one kernel skeleton: offload decision and scratch (with the
+  /// §4.2 OOM fallback), staging, the CPU or device time charge,
+  /// copy-back and the Fig. 6 counters, all at the call; and, when
+  /// numeric, `math` as one action on `buffers`. `math` captures by
+  /// value. The engines call it directly to fuse a kernel with the work
+  /// around it (an update's scatter, a solve contribution's gather and
+  /// apply), so the kernel's output can stay in the running thread's
+  /// scratch.
+  template <typename Math>
+  void run(pgas::Rank& rank, const Call& call, Math&& math,
+           std::initializer_list<pgas::Access> buffers) {
+    const pgas::GlobalPtr scratch = reserve(rank, call);
+    try {
+      if (numeric_) {
+        rank.act(std::forward<Math>(math), buffers,
+                 static_cast<std::size_t>(call.flops));
+      }
+    } catch (...) {
+      // Run inline, a failed pivot throws here: charge the call as when
+      // it surfaces from a worker, and give the device scratch back.
+      settle(rank, call, scratch);
+      throw;
+    }
+    settle(rank, call, scratch);
+  }
+
+  // Kernel entry points. `*_resident` flags mark operands already in
+  // device memory (skipping their staging charge). Each call runs the
+  // real math when `numeric` and always charges simulated time on the
+  // CPU or GPU path.
+  /// Factor the w-by-w block `a`; a failed pivot throws
+  /// NotPositiveDefiniteError naming column `first_column + info - 1`
+  /// (from the action, so it surfaces at the executor's join when the
+  /// math runs on a worker).
+  void run_potrf(pgas::Rank& rank, int w, double* a, int lda,
+                 sparse::idx_t first_column);
   void run_trsm(pgas::Rank& rank, int m, int w, const double* diag, int ldd,
                 double* b, int ldb, bool diag_resident);
   /// c := -a a^T on the lower triangle of the n-by-n c; the upper
@@ -99,21 +152,12 @@ class Offload {
   void reset_counters();
 
  private:
-  /// What one kernel call costs, independent of its data.
-  struct Call {
-    gpu::Op op;
-    std::int64_t elems;         // the buffer size should_offload keys on
-    double flops;
-    std::size_t scratch_bytes;  // device scratch reserved when offloaded
-    std::size_t staged[2];      // host -> device copies, in order (0 = none)
-    std::size_t result_bytes;   // device -> host copy of the result
-  };
-
-  /// The one kernel skeleton: offload decision and scratch (with the
-  /// §4.2 OOM fallback), staging, `math()` when numeric, the CPU or
-  /// device time charge, copy-back, and the Fig. 6 counters.
-  template <typename Math>
-  void run(pgas::Rank& rank, const Call& call, Math&& math);
+  /// run()'s charges before the math: the offload decision, the device
+  /// scratch (null on the CPU path) and the staging copies.
+  pgas::GlobalPtr reserve(pgas::Rank& rank, const Call& call);
+  /// run()'s charges after the math: the kernel time, the copy-back, the
+  /// scratch's release and the counters.
+  void settle(pgas::Rank& rank, const Call& call, pgas::GlobalPtr scratch);
   void charge_stage(pgas::Rank& rank, std::size_t bytes);
 
   GpuOptions opts_;

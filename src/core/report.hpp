@@ -42,6 +42,17 @@ struct Report {
   double solve_sim_s = 0.0;
   double solve_wall_s = 0.0;
 
+  // Which side bound a numeric phase (DESIGN.md §4n). executor_workers
+  // is the worker count of the executor that ran the phase's kernels,
+  // scatters and copies (0: protocol-only, or the threaded driver, where
+  // every rank thread runs its own). *_join_wall_s is the host time from
+  // the end of the phase's drive to its last action's completion: near 0
+  // means the simulating thread was the bottleneck, a large share of
+  // *_wall_s means the workers were.
+  int executor_workers = 0;
+  double factor_join_wall_s = 0.0;
+  double solve_join_wall_s = 0.0;
+
   // Work distribution (Fig. 6): rank 0 and aggregate.
   OpCounts rank0_ops;
   OpCounts total_ops;

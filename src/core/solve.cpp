@@ -4,18 +4,39 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "support/timer.hpp"
+
 namespace sympack::core {
 
 namespace {
 
-/// A shared copy of `bytes` from `src` on `rank`: the carrier of a
-/// published segment or partial sum, freed when the last message (or
-/// use-cache entry) referencing it dies.
-std::shared_ptr<double> shared_copy(pgas::Rank& rank, const double* src,
-                                    std::size_t bytes) {
-  auto buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
-  std::memcpy(buf.get(), src, bytes);
-  return buf;
+/// Subtract the partial sum `z` of block (panel, slot) from the segment
+/// it folds into, `seg`: forward, the block's rows of its target
+/// supernode; backward, the whole segment of `panel`. Runs in an action.
+void subtract_contribution(const symbolic::Symbolic& sym, idx_t panel,
+                           BlockSlot slot, int nrhs, const double* z,
+                           double* seg, bool backward) {
+  const auto& sn = sym.snode(panel);
+  const auto& blk = sn.blocks[slot - 1];
+  if (!backward) {
+    const auto& tgt = sym.snode(blk.target);
+    const int m = static_cast<int>(blk.nrows);
+    for (int c = 0; c < nrhs; ++c) {
+      for (int r = 0; r < m; ++r) {
+        const idx_t gr = sn.below[blk.row_off + r] - tgt.first;
+        seg[gr + static_cast<std::size_t>(c) * tgt.width()] -=
+            z[r + static_cast<std::size_t>(c) * m];
+      }
+    }
+  } else {
+    const int w = static_cast<int>(sn.width());
+    for (int c = 0; c < nrhs; ++c) {
+      for (int r = 0; r < w; ++r) {
+        seg[r + static_cast<std::size_t>(c) * w] -=
+            z[r + static_cast<std::size_t>(c) * w];
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -51,6 +72,11 @@ SolveEngine::SolveEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
   net_.init(rt, opts_.fault, tracer, opts_.comm, opts_.resilience);
 }
 
+SolveEngine::~SolveEngine() {
+  // The actions read and write seg_: let them run before it goes.
+  rt_->wait_actions();
+}
+
 std::vector<double> SolveEngine::solve(const std::vector<double>& b,
                                        int nrhs) {
   const idx_t n = sym_->n();
@@ -67,6 +93,10 @@ std::vector<double> SolveEngine::solve(const std::vector<double>& b,
     begin(b.data() + static_cast<std::size_t>(c0) * n, pw);
     drive_phase(/*backward=*/false);
     drive_phase(/*backward=*/true);
+    // begin() and gather() touch the segments on this thread.
+    const double drive_end = support::WallClock::now();
+    rt_->wait_actions();
+    join_wall_s_ += support::WallClock::now() - drive_end;
     gather(x.data() + static_cast<std::size_t>(c0) * n);
   }
   return x;
@@ -240,7 +270,11 @@ void SolveEngine::publish_solution(pgas::Rank& rank, idx_t k, bool backward) {
   // consumers read the segment in place.
   std::shared_ptr<double> buf;
   if (store_->numeric() && has_remote) {
-    buf = shared_copy(rank, seg_[k].data(), bytes);
+    buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
+    double* dst = buf.get();
+    const double* src = seg_[k].data();
+    rank.act([dst, src, bytes] { std::memcpy(dst, src, bytes); },
+             {pgas::reads(src), pgas::writes(dst)}, bytes);
   }
   for (int r : consumers) {
     if (r == me) {
@@ -330,22 +364,21 @@ void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
 
   // kContrib: a partial sum arrives for a segment this rank owns.
   if (msg.eager_bytes > 0) {
-    // Eager: apply the inline partial sum directly (it is consumed
-    // synchronously, so nothing here holds it past the message).
+    // Eager: apply the inline partial sum directly (the apply action is
+    // submitted before the message drops its payload).
     stats_.fetch_mark(me, msg.panel, msg.slot, rank.now());
-    apply_contribution(rank, msg.panel, msg.slot,
-                       msg.payload ? msg.payload.get() : nullptr, rank.now(),
-                       backward);
+    apply_contribution(rank, msg.panel, msg.slot, msg.payload.get(),
+                       rank.now(), backward, /*pull_bytes=*/0);
     return;
   }
-  double* z =
-      store_->numeric() ? pr.fetched.get(msg.bytes / sizeof(double)) : nullptr;
+  // Rendezvous: the rget is charged here and moves no bytes itself; the
+  // apply action pulls the partial sum from the sender's buffer.
   const double ready = net_.with_retry(rank, [&] {
-    return rank.rget(msg.data, reinterpret_cast<std::byte*>(z), msg.bytes,
-                     pgas::MemKind::kHost);
+    return rank.rget(msg.data, nullptr, msg.bytes, pgas::MemKind::kHost);
   });
   stats_.fetch_mark(me, msg.panel, msg.slot, ready);
-  apply_contribution(rank, msg.panel, msg.slot, z, ready, backward);
+  apply_contribution(rank, msg.panel, msg.slot, msg.payload.get(), ready,
+                     backward, msg.bytes);
 }
 
 void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
@@ -362,32 +395,59 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
   const int m = static_cast<int>(blk.nrows);
   const idx_t bid = store_->block_id(panel, slot);
   const bool numeric = store_->numeric();
+  const idx_t dest = backward ? panel : s;
+  const int dest_owner = tg_->mapping()(dest, dest);
+  const bool local = dest_owner == me;
 
   // Forward: z = B y_panel (m x nrhs). Backward: z = B^T x_s|rows
-  // (w x nrhs).
+  // (w x nrhs). A local partial sum is subtracted from the owner's
+  // segment straight from the running thread's scratch; a remote one is
+  // computed into the shared buffer its message carries (inline if
+  // eager, pulled otherwise). The gather, kernel and apply are one action.
   const int out_rows = backward ? w : m;
-  double* z =
-      numeric ? pr.z.get(static_cast<std::size_t>(out_rows) * nrhs_) : nullptr;
-  if (!backward) {
-    offload_->run_gemm_any(rank, blas::Trans::kNo, m, nrhs_, w, 1.0,
-                           store_->data(bid), m, task.operand, w, 0.0, z, m);
-  } else {
-    // Extract the rows of x_s this block touches.
-    const auto& tgt = sym_->snode(s);
-    double* xsub =
-        numeric ? pr.xsub.get(static_cast<std::size_t>(m) * nrhs_) : nullptr;
-    if (numeric) {
-      for (int c = 0; c < nrhs_; ++c) {
-        for (int r = 0; r < m; ++r) {
-          const idx_t gr = sn.below[blk.row_off + r] - tgt.first;
-          xsub[r + static_cast<std::size_t>(c) * m] =
-              task.operand[gr + static_cast<std::size_t>(c) * tgt.width()];
-        }
-      }
-    }
-    offload_->run_gemm_any(rank, blas::Trans::kYes, w, nrhs_, m, 1.0,
-                           store_->data(bid), m, xsub, m, 0.0, z, w);
+  const std::size_t bytes =
+      sizeof(double) * static_cast<std::size_t>(out_rows) * nrhs_;
+  std::shared_ptr<double> buf;
+  if (numeric && !local) {
+    buf = pgas::shared_host_buffer(rank, bytes / sizeof(double));
   }
+  double* out = !numeric ? nullptr : local ? seg_[dest].data() : buf.get();
+  const double* block = store_->data(bid);
+  const double* operand = task.operand;
+  offload_->run(
+      rank,
+      backward ? Offload::Call::gemm_any(w, nrhs_, m)
+               : Offload::Call::gemm_any(m, nrhs_, w),
+      [sym = sym_, panel, slot, nrhs = nrhs_, m, w, block, operand, out,
+       local, backward] {
+        taskrt::ThreadScratch& scratch = taskrt::thread_scratch();
+        const int rows = backward ? w : m;
+        double* z = local ? scratch.z.get(static_cast<std::size_t>(rows) *
+                                          nrhs)
+                          : out;
+        if (!backward) {
+          blas::gemm(blas::Trans::kNo, blas::Trans::kNo, m, nrhs, w, 1.0,
+                     block, m, operand, w, 0.0, z, m);
+        } else {
+          // Extract the rows of x_s this block touches.
+          const auto& src = sym->snode(panel);
+          const auto& b = src.blocks[slot - 1];
+          const auto& tgt = sym->snode(b.target);
+          double* xsub = scratch.xsub.get(static_cast<std::size_t>(m) * nrhs);
+          for (int c = 0; c < nrhs; ++c) {
+            for (int r = 0; r < m; ++r) {
+              const idx_t gr = src.below[b.row_off + r] - tgt.first;
+              xsub[r + static_cast<std::size_t>(c) * m] =
+                  operand[gr + static_cast<std::size_t>(c) * tgt.width()];
+            }
+          }
+          blas::gemm(blas::Trans::kYes, blas::Trans::kNo, w, nrhs, m, 1.0,
+                     block, m, xsub, m, 0.0, z, w);
+        }
+        if (local) subtract_contribution(*sym, panel, slot, nrhs, z, out,
+                                         backward);
+      },
+      {pgas::reads(block), pgas::reads(operand), pgas::writes(out)});
   // This task is done with its operand: a remote segment's last use
   // frees it (a local segment is not cached: no-op).
   pr.segments.release(backward ? s : panel,
@@ -395,7 +455,6 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
   ++pr.done_contrib;
 
   // Fan the partial sum in to the segment owner.
-  const idx_t dest = backward ? panel : s;
   if (stats_.tracing()) {
     // b = the supernode whose solution segment this contribution
     // consumed; tgt = the segment it folds into (its Y/X diag task).
@@ -405,17 +464,10 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
                      panel, slot, backward ? s : panel, begin, rank.now(),
                      dest, 0);
   }
-  const int dest_owner = tg_->mapping()(dest, dest);
-  if (dest_owner == me) {
-    apply_contribution(rank, panel, slot, z, rank.now(), backward);
+  if (local) {
+    contribution_landed(rank, dest, rank.now());
     return;
   }
-  const std::size_t bytes =
-      sizeof(double) * static_cast<std::size_t>(out_rows) * nrhs_;
-  // The partial sum leaves the per-rank scratch for a shared copy that
-  // the message owns (inline if eager, pulled otherwise).
-  std::shared_ptr<double> buf;
-  if (numeric) buf = shared_copy(rank, z, bytes);
   net_.send(rank, dest_owner,
             Msg{.type = Msg::Type::kContrib,
                 .panel = panel,
@@ -428,32 +480,35 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
 
 void SolveEngine::apply_contribution(pgas::Rank& rank, idx_t panel,
                                      BlockSlot slot, const double* z,
-                                     double ready, bool backward) {
+                                     double ready, bool backward,
+                                     std::size_t pull_bytes) {
   const auto& sn = sym_->snode(panel);
-  const auto& blk = sn.blocks[slot - 1];
-  const idx_t dest = backward ? panel : blk.target;
+  const idx_t dest = backward ? panel : sn.blocks[slot - 1].target;
   if (store_->numeric() && z != nullptr) {
-    auto& seg = seg_[dest];
-    if (!backward) {
-      const auto& tgt = sym_->snode(dest);
-      const int m = static_cast<int>(blk.nrows);
-      for (int c = 0; c < nrhs_; ++c) {
-        for (int r = 0; r < m; ++r) {
-          const idx_t gr = sn.below[blk.row_off + r] - tgt.first;
-          seg[gr + static_cast<std::size_t>(c) * tgt.width()] -=
-              z[r + static_cast<std::size_t>(c) * m];
-        }
-      }
-    } else {
-      const int w = static_cast<int>(sn.width());
-      for (int c = 0; c < nrhs_; ++c) {
-        for (int r = 0; r < w; ++r) {
-          seg[r + static_cast<std::size_t>(c) * w] -=
-              z[r + static_cast<std::size_t>(c) * w];
-        }
-      }
-    }
+    double* seg = seg_[dest].data();
+    const std::size_t rows = backward ? static_cast<std::size_t>(sn.width())
+                                      : sn.blocks[slot - 1].nrows;
+    rank.act(
+        [sym = sym_, panel, slot, nrhs = nrhs_, z, seg, backward,
+         pull_bytes] {
+          const double* sum = z;
+          if (pull_bytes > 0) {
+            // z is the sender's buffer: move its bytes here first.
+            double* copy = taskrt::thread_scratch().fetched.get(
+                pull_bytes / sizeof(double));
+            std::memcpy(copy, z, pull_bytes);
+            sum = copy;
+          }
+          subtract_contribution(*sym, panel, slot, nrhs, sum, seg, backward);
+        },
+        {pgas::reads(z), pgas::writes(seg)},
+        rows * static_cast<std::size_t>(nrhs_) * sizeof(double));
   }
+  contribution_landed(rank, dest, ready);
+}
+
+void SolveEngine::contribution_landed(pgas::Rank& rank, idx_t dest,
+                                      double ready) {
   if (deps_.satisfy(dest, ready)) {
     per_rank_[rank.id()].tasks.push(
         Task{Task::Type::kDiag, dest, 0, nullptr,

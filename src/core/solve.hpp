@@ -24,6 +24,12 @@
 // per call and per recovery attempt), and SolveServer::drain() is one
 // such call, so nothing outside solve() steps the sweeps.
 //
+// Bytes (DESIGN.md §4n): every kernel, copy and apply is an action on
+// the buffers it touches (pgas::Rank::act), submitted and charged on
+// the driving thread; seg_[k] is named by its data pointer. solve()
+// waits for the actions before it gathers a panel's solution, and the
+// destructor waits before seg_ goes.
+//
 // Thread-safety (audited; see DESIGN.md "Threading memory model" and
 // §4d): no locks because every mutable member is single-writer.
 // per_rank_[r] and the endpoint's slot r are touched only by the thread
@@ -79,6 +85,7 @@ class SolveEngine {
               const symbolic::SymbolicView& view, BlockStore& store,
               Offload& offload, const SolverOptions& opts,
               Tracer* tracer = nullptr);
+  ~SolveEngine();
   SolveEngine(const SolveEngine&) = delete;
   SolveEngine& operator=(const SolveEngine&) = delete;
 
@@ -93,6 +100,9 @@ class SolveEngine {
   /// ordering). In protocol-only mode the returned vector is
   /// zero-filled but the full task/communication schedule still runs.
   std::vector<double> solve(const std::vector<double>& b, int nrhs);
+  /// Host seconds solve() waited, after each panel's sweeps, for the
+  /// panel's last action.
+  [[nodiscard]] double join_wall_s() const { return join_wall_s_; }
 
  private:
   struct Msg {
@@ -133,14 +143,9 @@ class SolveEngine {
     /// supernode with one use per task; the last task frees the
     /// buffer, so the cache is empty when a sweep ends.
     taskrt::UseCache<std::shared_ptr<const double>> segments;
-    // Scratch, grown on demand and reused by every task of the rank
-    // (DESIGN.md §4k): the consumer ranks of a published segment, a
-    // contribution's partial sum and the x rows it reads, and the host
-    // copy of a pulled partial sum.
+    // The consumer ranks of a published segment, reused by every
+    // publish of the rank (DESIGN.md §4k).
     std::vector<int> consumers;
-    taskrt::Scratch<double> z;
-    taskrt::Scratch<double> xsub;
-    taskrt::Scratch<double> fetched;
   };
 
   /// Scatter `panel` (n x nrhs column-major, permuted ordering) into
@@ -161,8 +166,14 @@ class SolveEngine {
                         bool backward);
   /// A message's eager size for a `bytes` payload (0 = rendezvous).
   [[nodiscard]] std::uint32_t inline_bytes(std::size_t bytes) const;
+  /// Subtract partial sum `z` of block (panel, slot) from the segment it
+  /// folds into. `pull_bytes` > 0: z is the sender's buffer behind a
+  /// rendezvous rget, and the apply action moves those bytes first.
   void apply_contribution(pgas::Rank& rank, idx_t panel, BlockSlot slot,
-                          const double* z, double ready, bool backward);
+                          const double* z, double ready, bool backward,
+                          std::size_t pull_bytes);
+  /// One contribution to segment `dest` has landed at `ready`.
+  void contribution_landed(pgas::Rank& rank, idx_t dest, double ready);
   void reset_phase(bool backward);
 
   pgas::Runtime* rt_;
@@ -174,6 +185,7 @@ class SolveEngine {
   SolverOptions opts_;
   taskrt::EngineStats stats_;
   int nrhs_ = 1;  // columns carried by the sweep in flight
+  double join_wall_s_ = 0.0;
 
   // (panel, slot) pairs targeting each supernode (transpose structure).
   std::vector<std::vector<std::pair<idx_t, BlockSlot>>> target_blocks_;

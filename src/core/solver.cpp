@@ -9,6 +9,7 @@
 
 #include "core/factor.hpp"
 #include "core/solve.hpp"
+#include "core/taskrt/executor.hpp"
 #include "core/taskrt/reliable.hpp"
 #include "ordering/etree.hpp"
 #include "sparse/permute.hpp"
@@ -150,6 +151,28 @@ std::string variant_name(Variant v) {
   return v == Variant::kFanOut ? "fan-out" : "fan-in";
 }
 
+namespace {
+
+/// Routes the runtime's actions to `exec` (null: inline) for one phase
+/// and waits for them before detaching it.
+class ActionScope {
+ public:
+  ActionScope(pgas::Runtime& rt, taskrt::Executor* exec) : rt_(&rt) {
+    rt_->set_action_sink(exec);
+  }
+  ~ActionScope() {
+    rt_->wait_actions();
+    rt_->set_action_sink(nullptr);
+  }
+  ActionScope(const ActionScope&) = delete;
+  ActionScope& operator=(const ActionScope&) = delete;
+
+ private:
+  pgas::Runtime* rt_;
+};
+
+}  // namespace
+
 SymPackSolver::SymPackSolver(pgas::Runtime& rt, SolverOptions opts)
     : rt_(&rt), opts_(opts) {
   opts_.comm = env_comm_options(opts_.comm);
@@ -158,6 +181,10 @@ SymPackSolver::SymPackSolver(pgas::Runtime& rt, SolverOptions opts)
   opts_.trace = env_trace_options(opts_.trace);
   opts_.symbolic = env_symbolic_options(opts_.symbolic);
   validate_options(opts_);
+  if (opts_.numeric) {
+    exec_ = std::make_unique<taskrt::Executor>(
+        taskrt::Executor::default_workers(rt.config().threaded));
+  }
 }
 
 SymPackSolver::~SymPackSolver() = default;
@@ -251,11 +278,13 @@ void SymPackSolver::factorize() {
   // resurrects the victim, restores its completed panels from the
   // buddies, re-assembles the incomplete blocks, and re-drives with the
   // completed sub-DAG cut out (rec_ tells the fresh engine what is done).
+  double join_wall = 0.0;
   try {
     run_recoverable([&] {
       FactorEngine engine(*rt_, *tg_, *view_, *store_, *offload_, opts_,
                           tracer_, rec);
       engine.run();
+      join_wall = engine.join_wall_s();
     });
   } catch (const NotPositiveDefiniteError& e) {
     // The engines name the column in the factor's ordering.
@@ -263,6 +292,8 @@ void SymPackSolver::factorize() {
   }
 
   report_.factor_wall_s = support::WallClock::now() - t0;
+  report_.factor_join_wall_s = join_wall;
+  report_.executor_workers = exec_ ? exec_->workers() : 0;
   report_.factor_sim_s = rt_->max_clock();
   report_.rank0_ops = offload_->counts(0);
   report_.total_ops = offload_->total_counts();
@@ -313,12 +344,15 @@ std::vector<double> SymPackSolver::solve(const std::vector<double>& b,
   // post-factorization), and the whole triangular solve re-runs on a
   // fresh engine: the failed attempt's partial sweeps die with it.
   std::vector<double> x_perm;
+  double join_wall = 0.0;
   run_recoverable([&] {
     SolveEngine engine(*rt_, *tg_, *view_, *store_, *offload_, opts_,
                        tracer_);
     x_perm = engine.solve(b_perm, nrhs);
+    join_wall = engine.join_wall_s();
   });
   report_.solve_wall_s = support::WallClock::now() - t0;
+  report_.solve_join_wall_s = join_wall;
   report_.solve_sim_s = rt_->max_clock();
   // Fold solve-phase ops and comm into the report totals.
   report_.rank0_ops = offload_->counts(0);
@@ -408,18 +442,30 @@ void SymPackSolver::seed_symbolic_counters() {
 }
 
 void SymPackSolver::run_recoverable(const std::function<void()>& phase) {
+  const ActionScope scope(*rt_, exec_.get());
   for (int attempt = 0;; ++attempt) {
     try {
       phase();
+      join_actions();
       return;
     } catch (const pgas::RankDeathError& e) {
+      // An action submitted before the death that failed is what the
+      // inline run would have thrown: it wins, and nothing is recovered.
+      join_actions();
       if (ckpt_ == nullptr || attempt >= opts_.resilience.max_recoveries) {
         throw;
       }
       recover_from_death(e);
       ++rec_.attempt;
+    } catch (...) {
+      join_actions();
+      throw;
     }
   }
+}
+
+void SymPackSolver::join_actions() {
+  if (exec_) exec_->join();
 }
 
 void SymPackSolver::recover_from_death(const pgas::RankDeathError& e) {

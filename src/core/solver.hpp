@@ -31,6 +31,10 @@
 
 namespace sympack::core {
 
+namespace taskrt {
+class Executor;
+}  // namespace taskrt
+
 class SymPackSolver {
  public:
   SymPackSolver(pgas::Runtime& rt, SolverOptions opts = {});
@@ -45,7 +49,8 @@ class SymPackSolver {
   /// Phase 2: numeric factorization. May be called repeatedly (the panels
   /// are re-assembled from A each time); requires symbolic_factorize.
   /// Throws NotPositiveDefiniteError (core/errors.hpp) naming the failing
-  /// column in A's ordering when a pivot fails; it is never retried as a
+  /// column in A's ordering when a pivot fails (the earliest failing
+  /// POTRF in submission order, DESIGN.md §4n); it is never retried as a
   /// rank death.
   void factorize();
 
@@ -122,8 +127,13 @@ class SymPackSolver {
   /// it unwinds with a pgas::RankDeathError, recover_from_death() and
   /// run it again. A death is rethrown when no buddy checkpoints are
   /// armed or after resilience.max_recoveries recoveries. Clocks and
-  /// stats carry across attempts: recovery is part of the phase.
+  /// stats carry across attempts: recovery is part of the phase. The
+  /// executor is attached for the whole loop and joined after every
+  /// attempt, so a failed action's exception wins over a later death or
+  /// error of the simulation, as in the inline run.
   void run_recoverable(const std::function<void()>& phase);
+  /// Wait for every action and rethrow the earliest one that failed.
+  void join_actions();
 
   /// Rank-death recovery (DESIGN.md §4h), after drive() purged the
   /// inboxes: resurrect the victim at the survivors' clock frontier plus
@@ -156,7 +166,13 @@ class SymPackSolver {
   RecoveryContext rec_;
   Tracer* tracer_ = nullptr;
   std::unique_ptr<AutoTuneChoice> auto_choice_;
+  /// Runs the numeric phases' actions (DESIGN.md §4n); null when
+  /// protocol-only, so such a run starts no thread.
+  std::unique_ptr<taskrt::Executor> exec_;
   bool factorized_ = false;
+
+  /// Tests pin the executor's worker count through it.
+  friend struct SolverTestPeer;
 };
 
 }  // namespace sympack::core

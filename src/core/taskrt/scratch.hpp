@@ -1,22 +1,25 @@
-// Per-rank reusable host buffers for the engines' numeric path.
+// Per-thread reusable host buffers for the engines' numeric actions.
 //
 // An update task's dense product and offsets, and the solve's partial
-// sums, are fully overwritten by the kernel or the rget that fills them,
+// sums, are fully overwritten by the kernel or the copy that fills them,
 // so a fresh zero-filled allocation per task (a fresh mmap and its page
-// faults for the large ones) is pure host overhead. Each engine's PerRank
-// slot owns these buffers and grows them on demand; their contents are
-// never initialised, so every writer must fill what its reader reads
-// (beta = 0 kernels, full rgets).
+// faults for the large ones) is pure host overhead. Every thread that
+// runs actions (an executor worker, the simulating thread while it helps,
+// a rank thread of the threaded driver) owns one set of these buffers and
+// grows them on demand; their contents are never initialised, so every
+// writer must fill what its reader reads (beta = 0 kernels, full copies).
 //
-// Single-writer like the rest of the per-rank state (DESIGN.md §4b): one
-// instance per rank, touched only by that rank's driving thread. The
-// buffers come from the host heap, not the pgas allocator, so
-// peak_memory_bytes never sees them.
+// An action uses the scratch only between its start and its end, and a
+// thread runs one action at a time, so nothing else names these buffers
+// (DESIGN.md §4k, §4n). They come from the host heap, not the pgas
+// allocator, so peak_memory_bytes never sees them.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <utility>
+
+#include "sparse/types.hpp"
 
 namespace sympack::core::taskrt {
 
@@ -50,5 +53,19 @@ class Scratch {
   std::unique_ptr<T[]> data_;
   std::size_t capacity_ = 0;
 };
+
+/// The scratch of the calling thread, kept until the thread exits.
+struct ThreadScratch {
+  Scratch<double> product;          // an update's SYRK or GEMM output
+  Scratch<sparse::idx_t> offsets;   // its row and column offsets
+  Scratch<double> z;                // a solve contribution's partial sum
+  Scratch<double> xsub;             // the x rows it reads
+  Scratch<double> fetched;          // a piece of a pulled payload
+};
+
+inline ThreadScratch& thread_scratch() {
+  thread_local ThreadScratch scratch;
+  return scratch;
+}
 
 }  // namespace sympack::core::taskrt

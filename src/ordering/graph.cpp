@@ -37,9 +37,14 @@ Graph build_graph(const sparse::CscMatrix& a) {
 }
 
 Graph induced_subgraph(const Graph& g, const std::vector<idx_t>& vertices) {
+  std::vector<idx_t> local(g.n, -1);
+  return induced_subgraph(g, vertices, local);
+}
+
+Graph induced_subgraph(const Graph& g, const std::vector<idx_t>& vertices,
+                       std::vector<idx_t>& local) {
   Graph sub;
   sub.n = static_cast<idx_t>(vertices.size());
-  std::vector<idx_t> local(g.n, -1);
   for (idx_t k = 0; k < sub.n; ++k) local[vertices[k]] = k;
 
   sub.adjptr.assign(sub.n + 1, 0);
@@ -60,6 +65,7 @@ Graph induced_subgraph(const Graph& g, const std::vector<idx_t>& vertices) {
       if (lu >= 0) sub.adjind[cur++] = lu;
     }
   }
+  for (const idx_t v : vertices) local[v] = -1;
   return sub;
 }
 

@@ -31,6 +31,12 @@ Graph build_graph(const sparse::CscMatrix& a);
 /// local-to-global map.
 Graph induced_subgraph(const Graph& g, const std::vector<idx_t>& vertices);
 
+/// The same through a caller-owned global-to-local map: `local` holds g.n
+/// entries, all -1, and is left that way on return, so one map serves
+/// every call (nested dissection makes one per part and per leaf).
+Graph induced_subgraph(const Graph& g, const std::vector<idx_t>& vertices,
+                       std::vector<idx_t>& local);
+
 /// BFS levels from a root within the whole graph. Returns the level of
 /// each vertex (-1 if unreachable) and fills `order` with visit order.
 std::vector<idx_t> bfs_levels(const Graph& g, idx_t root,

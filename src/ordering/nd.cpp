@@ -9,28 +9,30 @@ namespace sympack::ordering {
 namespace {
 
 // Order the subgraph on `vertices` (global ids) with AMD and append the
-// result (as global ids) to `out`.
+// result (as global ids) to `out`. `local` is the all -1 map every
+// induced_subgraph call of one ordering shares.
 void order_leaf(const Graph& g, const std::vector<idx_t>& vertices,
-                std::vector<idx_t>& out) {
+                std::vector<idx_t>& local, std::vector<idx_t>& out) {
   if (vertices.empty()) return;
   if (vertices.size() == 1) {
     out.push_back(vertices[0]);
     return;
   }
-  const Graph sub = induced_subgraph(g, vertices);
-  for (idx_t local : amd(sub)) out.push_back(vertices[local]);
+  const Graph sub = induced_subgraph(g, vertices, local);
+  for (idx_t v : amd(sub)) out.push_back(vertices[v]);
 }
 
 // Recursive dissection of the subgraph induced on `vertices`.
 void dissect(const Graph& g, const std::vector<idx_t>& vertices,
-             const NdOptions& opts, int depth, std::vector<idx_t>& out) {
+             const NdOptions& opts, int depth, std::vector<idx_t>& local,
+             std::vector<idx_t>& out) {
   const idx_t nv = static_cast<idx_t>(vertices.size());
   if (nv <= opts.leaf_size || depth >= opts.max_depth) {
-    order_leaf(g, vertices, out);
+    order_leaf(g, vertices, local, out);
     return;
   }
 
-  const Graph sub = induced_subgraph(g, vertices);
+  const Graph sub = induced_subgraph(g, vertices, local);
 
   // Handle disconnected subgraphs by dissecting each component.
   const auto [comp, ncomp] = connected_components(sub);
@@ -40,7 +42,7 @@ void dissect(const Graph& g, const std::vector<idx_t>& vertices,
       for (idx_t k = 0; k < nv; ++k) {
         if (comp[k] == c) part.push_back(vertices[k]);
       }
-      dissect(g, part, opts, depth, out);
+      dissect(g, part, opts, depth, local, out);
     }
     return;
   }
@@ -52,7 +54,7 @@ void dissect(const Graph& g, const std::vector<idx_t>& vertices,
   for (idx_t v = 0; v < nv; ++v) max_level = std::max(max_level, level[v]);
   if (max_level == 0) {
     // Complete graph (single BFS level): no useful separator.
-    order_leaf(g, vertices, out);
+    order_leaf(g, vertices, local, out);
     return;
   }
 
@@ -95,22 +97,22 @@ void dissect(const Graph& g, const std::vector<idx_t>& vertices,
 
   // Degenerate split (e.g. star graphs): fall back to AMD on the whole.
   if (part_a.empty() || part_b.empty()) {
-    order_leaf(g, vertices, out);
+    order_leaf(g, vertices, local, out);
     return;
   }
 
-  auto to_global = [&](const std::vector<idx_t>& local) {
+  auto to_global = [&](const std::vector<idx_t>& ids) {
     std::vector<idx_t> global;
-    global.reserve(local.size());
-    for (idx_t v : local) global.push_back(vertices[v]);
+    global.reserve(ids.size());
+    for (idx_t v : ids) global.push_back(vertices[v]);
     return global;
   };
 
-  dissect(g, to_global(part_a), opts, depth + 1, out);
-  dissect(g, to_global(part_b), opts, depth + 1, out);
+  dissect(g, to_global(part_a), opts, depth + 1, local, out);
+  dissect(g, to_global(part_b), opts, depth + 1, local, out);
   // Separator last: its columns are eliminated after both halves,
   // confining fill between the halves to the separator block.
-  order_leaf(g, to_global(sep), out);
+  order_leaf(g, to_global(sep), local, out);
 }
 
 }  // namespace
@@ -120,7 +122,8 @@ std::vector<idx_t> nested_dissection(const Graph& g, const NdOptions& opts) {
   out.reserve(g.n);
   std::vector<idx_t> all(g.n);
   for (idx_t v = 0; v < g.n; ++v) all[v] = v;
-  dissect(g, all, opts, 0, out);
+  std::vector<idx_t> local(g.n, -1);
+  dissect(g, all, opts, 0, local, out);
   return out;
 }
 

@@ -90,7 +90,7 @@ void Rank::deallocate(GlobalPtr ptr) {
     runtime_->device_used_[alloc.device] -= alloc.bytes;
     runtime_->rank_device_used_[alloc.rank] -= alloc.bytes;
   }
-  delete[] ptr.addr;
+  free_after(ptr.addr);
 }
 
 void Rank::rpc(int target, std::function<void(Rank&)> fn,
@@ -330,7 +330,11 @@ double Rank::rget(const GlobalPtr& src, std::byte* dst, std::size_t bytes,
                         std::to_string(id_) + " (" + std::to_string(bytes) +
                         " B from rank " + std::to_string(src.rank) + ")");
   }
-  if (dst != nullptr) std::memcpy(dst, src.addr, bytes);
+  if (dst != nullptr) {
+    const std::byte* from = src.addr;
+    act([dst, from, bytes] { std::memcpy(dst, from, bytes); },
+        {reads(from), writes(dst)}, bytes);
+  }
   const double t = transfer_completion(bytes, src.rank, src.kind, dst_kind);
   advance(runtime_->model().rma_issue_s);
   ++stats_.gets;
@@ -352,7 +356,10 @@ double Rank::copy(const GlobalPtr& src, const GlobalPtr& dst,
                         " B)");
   }
   if (!src.is_null() && !dst.is_null()) {
-    std::memcpy(dst.addr, src.addr, bytes);
+    const std::byte* from = src.addr;
+    std::byte* to = dst.addr;
+    act([to, from, bytes] { std::memcpy(to, from, bytes); },
+        {reads(from), writes(to)}, bytes);
   }
   const int peer = (src.rank == id_) ? dst.rank : src.rank;
   const double t = transfer_completion(bytes, peer, src.kind, dst.kind);
@@ -365,12 +372,6 @@ double Rank::copy(const GlobalPtr& src, const GlobalPtr& dst,
   }
   if (dst.kind == MemKind::kDevice) stats_.bytes_to_device += bytes;
   return t;
-}
-
-void Rank::hd_copy(const std::byte* src, std::byte* dst, std::size_t bytes) {
-  std::memcpy(dst, src, bytes);
-  advance(runtime_->model().hd_copy_time(bytes));
-  ++stats_.hd_copies;
 }
 
 // ------------------------------------------------------------- Runtime

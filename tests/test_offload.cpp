@@ -1,8 +1,8 @@
 // Kernel execution through core::Offload (paper §4.2). With every
 // threshold at 0 each call takes the device path, which must compute
-// exactly what the host kernel computes, return POTRF's info, launch one
-// kernel per call, make the rank wait behind a busy device, and stage and
-// reserve every operand it reads. A protocol-only Offload runs the same
+// exactly what the host kernel computes, name POTRF's failing column,
+// launch one kernel per call, make the rank wait behind a busy device,
+// and stage and reserve every operand it reads. A protocol-only Offload runs the same
 // skeleton with the math left out, so it charges the same clock and
 // counts the same calls.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "blas/blas.hpp"
+#include "core/errors.hpp"
 #include "core/offload.hpp"
 #include "gpu/device.hpp"
 #include "support/random.hpp"
@@ -82,12 +83,18 @@ TEST(OffloadGpu, PotrfReportsInfo) {
   Offload offload(always_offload(), rt, /*numeric=*/true);
   auto& rank = rt.rank(0);
   std::vector<double> spd = {4.0, 2.0, 2.0, 5.0};
-  EXPECT_EQ(offload.run_potrf(rank, 2, spd.data(), 2), 0);
+  offload.run_potrf(rank, 2, spd.data(), 2, /*first_column=*/10);
   EXPECT_DOUBLE_EQ(spd[0], 2.0);
   EXPECT_DOUBLE_EQ(spd[1], 1.0);
   EXPECT_DOUBLE_EQ(spd[3], 2.0);
+  // The second pivot fails: info 2 names the block's second column.
   std::vector<double> indef = {1.0, 0.0, 0.0, -1.0};
-  EXPECT_EQ(offload.run_potrf(rank, 2, indef.data(), 2), 2);
+  try {
+    offload.run_potrf(rank, 2, indef.data(), 2, /*first_column=*/10);
+    ADD_FAILURE() << "a failed pivot must throw";
+  } catch (const NotPositiveDefiniteError& e) {
+    EXPECT_EQ(e.column(), 11);
+  }
   EXPECT_EQ(offload.counts(0).gpu[kPotrf], 2u);
 }
 
@@ -190,7 +197,7 @@ TEST(OffloadGpu, ProtocolOnlyChargesLikeNumeric) {
     std::vector<double> out(n * n);
 
     auto& r = rt_num.rank(0);
-    num.run_potrf(r, n, spd.data(), n);
+    num.run_potrf(r, n, spd.data(), n, 0);
     num.run_trsm(r, k, n, spd.data(), n, other.data(), k, true);
     num.run_syrk(r, n, k, panel.data(), n, out.data(), n, false);
     num.run_gemm(r, n, n, k, panel.data(), n, panel.data(), n, out.data(), n,
@@ -200,7 +207,7 @@ TEST(OffloadGpu, ProtocolOnlyChargesLikeNumeric) {
                      panel.data(), n, 0.0, out.data(), k);
 
     auto& d = rt_dry.rank(0);
-    EXPECT_EQ(dry.run_potrf(d, n, nullptr, n), 0);
+    dry.run_potrf(d, n, nullptr, n, 0);
     dry.run_trsm(d, k, n, nullptr, n, nullptr, k, true);
     dry.run_syrk(d, n, k, nullptr, n, nullptr, n, false);
     dry.run_gemm(d, n, n, k, nullptr, n, nullptr, n, nullptr, n, false,

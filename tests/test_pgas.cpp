@@ -280,18 +280,6 @@ TEST(Rma, CopyBetweenRemoteKindsWorks) {
   rt.rank(3).deallocate(dst);
 }
 
-TEST(Rma, HdCopyChargesPcieAndBlocks) {
-  Runtime rt(small_config(2));
-  auto& r0 = rt.rank(0);
-  std::vector<std::byte> host(1 << 20);
-  auto dev = r0.allocate_device(1 << 20);
-  const double t0 = r0.now();
-  r0.hd_copy(host.data(), dev.addr, 1 << 20);
-  const double dt = r0.now() - t0;
-  EXPECT_GT(dt, rt.model().pcie_latency_s);
-  r0.deallocate(dev);
-}
-
 TEST(Clock, MergeAndAdvance) {
   Runtime rt(small_config(2));
   auto& r0 = rt.rank(0);

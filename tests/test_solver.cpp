@@ -6,21 +6,36 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "blas/blas.hpp"
 #include "core/solver.hpp"
+#include "core/taskrt/executor.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/densevec.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permute.hpp"
 #include "support/random.hpp"
 
 namespace sympack::core {
+
+/// Pins the solver's executor: its worker count and an action hook.
+struct SolverTestPeer {
+  static void set_executor(SymPackSolver& solver, int workers,
+                           taskrt::Executor::BeforeAction before) {
+    solver.exec_ = std::make_unique<taskrt::Executor>(
+        workers, taskrt::Executor::kCapacity, std::move(before));
+  }
+};
+
 namespace {
 
 using sparse::CscMatrix;
@@ -360,6 +375,51 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<NotPdCase>& info) {
       return std::string(info.param.name);
     });
+
+// Two failing pivots in different subtrees: four independent dense
+// blocks, the second and third with one negative diagonal entry. A
+// zero-worker run stops at the failing POTRF submitted first. Four
+// workers run the four POTRFs side by side, and a hook delays each of the
+// first actions less the later it was submitted, so the later failure
+// completes first; the executor must still name the earlier one.
+TEST(NotPositiveDefiniteSubtrees, ExecutorNamesTheZeroWorkerColumn) {
+  constexpr idx_t kBlocks = 4;
+  constexpr idx_t kSize = 48;  // a POTRF big enough to leave the caller
+  const idx_t bad[2] = {1 * kSize + 17, 2 * kSize + 30};
+  sparse::CooBuilder coo(kBlocks * kSize);
+  for (idx_t blk = 0; blk < kBlocks; ++blk) {
+    for (idx_t j = 0; j < kSize; ++j) {
+      for (idx_t i = j; i < kSize; ++i) {
+        coo.add(blk * kSize + i, blk * kSize + j,
+                i == j ? 2.0 * kSize : 1.0);
+      }
+    }
+  }
+  for (const idx_t c : bad) coo.add(c, c, -2.0 * kSize - 1.0);
+  const CscMatrix a = coo.build();
+
+  const auto failing_column = [&](int workers,
+                                  taskrt::Executor::BeforeAction before) {
+    pgas::Runtime rt(cluster(4));
+    SymPackSolver solver(rt, SolverOptions{});
+    SolverTestPeer::set_executor(solver, workers, std::move(before));
+    solver.symbolic_factorize(a);
+    try {
+      solver.factorize();
+    } catch (const NotPositiveDefiniteError& e) {
+      return e.column();
+    }
+    return idx_t{-1};
+  };
+  const idx_t first = failing_column(0, {});
+  ASSERT_TRUE(first == bad[0] || first == bad[1]) << first;
+  const idx_t stf = failing_column(4, [](std::uint64_t seq) {
+    if (seq < 16) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5 * (16 - seq)));
+    }
+  });
+  EXPECT_EQ(stf, first);
+}
 
 // ------------------------------------------------------------------
 // Option ranges: a numeric SolverOptions field out of range makes the
