@@ -8,6 +8,8 @@
 // construction. Block *data* is written only by the owner's thread; a
 // consumer rgets it only after the owner's signal RPC, and the inbox
 // mutex release/acquire on that RPC orders the write before the read.
+// When the executor runs the bytes (DESIGN.md §4n), the write and the
+// read are actions on the block, ordered by submission.
 #pragma once
 
 #include <vector>
