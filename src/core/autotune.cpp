@@ -121,8 +121,10 @@ AutoTuneChoice autotune_schedule(pgas::Runtime::Config cluster,
   // coordinate only, so adopting the candidate adopts that coordinate,
   // exactly as a serial search would.
   auto stage = [&](std::vector<Pilot>& pilots) {
+    const double stage_t0 = WallClock::now();
     choice.workers =
         std::max(choice.workers, run_stage(pilots, cluster, a_perm, base));
+    choice.stage_wall_s.push_back(WallClock::now() - stage_t0);
     for (const Pilot& p : pilots) {
       choice.candidates.push_back(p.cand);
       if (p.cand.sim_s < choice.pilot_sim_s) {

@@ -67,6 +67,9 @@ struct AutoTuneChoice {
   double default_sim_s = 0.0;    // FIFO at the configured width
   std::vector<AutoTuneCandidate> candidates;  // every pilot, in stage order
   double wall_s = 0.0;  // the tuner's host wall seconds, all stages
+  /// Host wall seconds of each stage that ran, in stage order: at least
+  /// its slowest pilot's host_s, and together at most wall_s.
+  std::vector<double> stage_wall_s;
   int workers = 0;      // most pilots any stage ran at once
 };
 

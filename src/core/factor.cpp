@@ -91,21 +91,35 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
       }
     }
   }
-  if (rec_ == nullptr && !fan_in_) return;
-  // Sweep the update tasks. Those folding into a complete block never
-  // re-run, so their ranks' termination goals shrink; in fan-in, each one
-  // that runs is owed to its rank's aggregate for the target block.
-  for (idx_t k = 0; k < sym.num_snodes(); ++k) {
+
+  // Number the update tasks panel by panel and record the rank that runs
+  // each. Those folding into a complete block never re-run, so their
+  // ranks' termination goals shrink; in fan-in, each one that runs is
+  // owed to its rank's aggregate for the target block.
+  uoff_.resize(ns);
+  idx_t nupdates = 0;
+  for (idx_t k = 0; k < ns; ++k) {
+    const auto nbk = static_cast<idx_t>(sym.snode(k).blocks.size());
+    uoff_[k] = nupdates;
+    nupdates += nbk * (nbk + 1) / 2;
+  }
+  update_deps_.init(static_cast<std::size_t>(nupdates));
+  update_rank_.resize(static_cast<std::size_t>(nupdates));
+  for (idx_t k = 0; k < ns; ++k) {
     const auto& sn = sym.snode(k);
     const idx_t nbk = static_cast<idx_t>(sn.blocks.size());
     for (idx_t si = 1; si <= nbk; ++si) {
       for (idx_t ti = 1; ti <= si; ++ti) {
         const int r = tg.update_rank(sn.blocks[si - 1].target, k,
                                      sn.blocks[ti - 1].target);
+        update_rank_[update_id(k, si, ti)] = r;
+        // The SYRK task (si == ti) reads one block, a GEMM task two.
+        update_deps_.set_count(update_id(k, si, ti), si == ti ? 1 : 2);
         if (!update_needed(k, si, ti)) {
           --goal_update_[r];
         } else if (fan_in_) {
-          ++per_rank_[r].aggs[update_target_bid(k, si, ti)].pending;
+          ++per_rank_[r].aggs.try_emplace(update_target_bid(k, si, ti))
+                .first->pending;
         }
       }
     }
@@ -203,14 +217,13 @@ pgas::Step FactorEngine::step(pgas::Rank& rank) {
 }
 
 int FactorEngine::local_uses(int rank, idx_t k, BlockSlot slot) const {
-  const auto& sn = sym_->snode(k);
-  const auto& map = tg_->mapping();
-  const idx_t nb = static_cast<idx_t>(sn.blocks.size());
+  const idx_t nb = static_cast<idx_t>(sym_->snode(k).blocks.size());
   int uses = 0;
   if (slot == 0) {
     for (idx_t fs = 1; fs <= nb; ++fs) {
-      if (map(sn.blocks[fs - 1].target, k) != rank) continue;
-      if (rec_ != nullptr && rec_->complete[store_->block_id(k, fs)] != 0) {
+      const idx_t bid = store_->block_id(k, fs);
+      if (store_->owner(bid) != rank) continue;
+      if (rec_ != nullptr && rec_->complete[bid] != 0) {
         continue;  // that F task already ran in a previous attempt
       }
       ++uses;
@@ -218,15 +231,14 @@ int FactorEngine::local_uses(int rank, idx_t k, BlockSlot slot) const {
     return uses;
   }
   const idx_t si = slot;
-  const idx_t s = sn.blocks[si - 1].target;
   for (idx_t ti = 1; ti <= si; ++ti) {
-    if (tg_->update_rank(s, k, sn.blocks[ti - 1].target) == rank &&
+    if (update_rank_[update_id(k, si, ti)] == rank &&
         update_needed(k, si, ti)) {
       ++uses;
     }
   }
   for (idx_t si2 = si + 1; si2 <= nb; ++si2) {
-    if (tg_->update_rank(sn.blocks[si2 - 1].target, k, s) == rank &&
+    if (update_rank_[update_id(k, si2, si)] == rank &&
         update_needed(k, si2, si)) {
       ++uses;
     }
@@ -343,16 +355,14 @@ void FactorEngine::deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
                            const FactorRef& ref) {
   const int me = rank.id();
   PerRank& pr = per_rank_[me];
-  const auto& sn = sym_->snode(k);
-  const auto& map = tg_->mapping();
-  const idx_t nb = static_cast<idx_t>(sn.blocks.size());
+  const idx_t nb = static_cast<idx_t>(sym_->snode(k).blocks.size());
 
   if (slot == 0) {
     // Diagonal factor L_{k,k}: enables the panel's F tasks owned here.
-    pr.diag_ref[k] = ref;
+    *pr.diag_ref.try_emplace(k).first = ref;
     for (idx_t fs = 1; fs <= nb; ++fs) {
-      if (map(sn.blocks[fs - 1].target, k) != me) continue;
       const idx_t bid = store_->block_id(k, fs);
+      if (store_->owner(bid) != me) continue;
       if (rec_ != nullptr && rec_->complete[bid] != 0) continue;
       if (deps_.satisfy(bid, ref.ready)) {
         enqueue(pr, Task{TaskType::kFactor, k, fs, 0, 0, deps_.ready(bid)});
@@ -362,43 +372,43 @@ void FactorEngine::deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
   }
 
   const idx_t si = slot;
-  const idx_t s = sn.blocks[si - 1].target;
   // As the source operand of U_{s,k,t}, t <= s (includes the SYRK task
   // at ti == si, which has a single operand).
   for (idx_t ti = 1; ti <= si; ++ti) {
-    if (tg_->update_rank(s, k, sn.blocks[ti - 1].target) == me &&
+    if (update_rank_[update_id(k, si, ti)] == me &&
         update_needed(k, si, ti)) {
-      satisfy_update(rank, k, si, ti, ref, /*as_source=*/true);
+      satisfy_update(rank, k, si, ti, ref.ready);
     }
   }
   // As the pivot operand of U_{s',k,s}, s' > s (strictly, so the SYRK
   // task is not double-counted).
   for (idx_t si2 = si + 1; si2 <= nb; ++si2) {
-    if (tg_->update_rank(sn.blocks[si2 - 1].target, k, s) == me &&
+    if (update_rank_[update_id(k, si2, si)] == me &&
         update_needed(k, si2, si)) {
-      satisfy_update(rank, k, si2, si, ref, /*as_source=*/false);
+      satisfy_update(rank, k, si2, si, ref.ready);
     }
   }
 }
 
 void FactorEngine::satisfy_update(pgas::Rank& rank, idx_t j, idx_t si,
-                                  idx_t ti, const FactorRef& ref,
-                                  bool as_source) {
-  PerRank& pr = per_rank_[rank.id()];
-  const std::uint64_t key = ukey(j, si, ti);
-  auto [it, inserted] = pr.pending_updates.try_emplace(key);
-  UpdateState& st = it->second;
-  if (inserted) st.remaining = (si == ti) ? 1 : 2;
-  if (as_source) {
-    st.src = ref;
-    if (si == ti) st.piv = ref;  // SYRK: one block plays both roles
-  } else {
-    st.piv = ref;
+                                  idx_t ti, double ready) {
+  const std::size_t u = update_id(j, si, ti);
+  if (update_deps_.satisfy(u, ready)) {
+    enqueue(per_rank_[rank.id()],
+            Task{TaskType::kUpdate, j, 0, si, ti, update_deps_.ready(u)});
   }
-  if (--st.remaining == 0) {
-    const double ready = std::max(st.src.ready, st.piv.ready);
-    enqueue(pr, Task{TaskType::kUpdate, j, 0, si, ti, ready});
+}
+
+FactorEngine::FactorRef FactorEngine::held(PerRank& pr, int me,
+                                           idx_t bid) const {
+  if (store_->owner(bid) == me) {
+    return FactorRef{store_->data(bid), 0.0, false, -1};
   }
+  const RemoteFactor* rf = pr.cache.find(bid);
+  if (rf == nullptr) {
+    throw std::logic_error("FactorEngine: operand block not held");
+  }
+  return rf->ref;
 }
 
 void FactorEngine::publish(pgas::Rank& rank, idx_t k, BlockSlot slot) {
@@ -511,11 +521,11 @@ void FactorEngine::execute_factor(pgas::Rank& rank, const Task& task) {
   const idx_t bid = store_->block_id(task.k, task.slot);
   const int m = static_cast<int>(store_->nrows(bid));
 
-  const auto diag_it = pr.diag_ref.find(task.k);
-  if (diag_it == pr.diag_ref.end()) {
+  const FactorRef* diag_ref = pr.diag_ref.find(task.k);
+  if (diag_ref == nullptr) {
     throw std::logic_error("FactorEngine: F task ran before its diagonal");
   }
-  const FactorRef diag = diag_it->second;  // copy: publish may rehash
+  const FactorRef diag = *diag_ref;  // copy: publish may rehash
   offload_->run_trsm(rank, m, w, diag.data, w, store_->data(bid), m,
                      diag.on_device);
   publish(rank, task.k, task.slot);
@@ -526,17 +536,21 @@ void FactorEngine::execute_factor(pgas::Rank& rank, const Task& task) {
 }
 
 void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
-  PerRank& pr = per_rank_[rank.id()];
+  const int me = rank.id();
+  PerRank& pr = per_rank_[me];
   const idx_t j = task.k;
   const auto& sn = sym_->snode(j);
   const int w = static_cast<int>(sn.width());
 
-  const auto it = pr.pending_updates.find(ukey(j, task.si, task.ti));
-  if (it == pr.pending_updates.end()) {
+  const std::size_t u = update_id(j, task.si, task.ti);
+  if (update_deps_.count(u) != 0) {
     throw std::logic_error("FactorEngine: update task without state");
   }
-  const UpdateState st = it->second;
-  pr.pending_updates.erase(it);
+  update_deps_.set_count(u, kRan);
+  const FactorRef src_ref = held(pr, me, store_->block_id(j, task.si));
+  const FactorRef piv_ref = task.si == task.ti
+                                ? src_ref
+                                : held(pr, me, store_->block_id(j, task.ti));
 
   const auto& sblk = sn.blocks[task.si - 1];
   const auto& tblk = sn.blocks[task.ti - 1];
@@ -553,7 +567,10 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
   Aggregate* agg = nullptr;
   double* target = numeric ? store_->data(tbid) : nullptr;
   if (fan_in_) {
-    agg = &pr.aggs.at(tbid);
+    agg = pr.aggs.find(tbid);
+    if (agg == nullptr) {
+      throw std::logic_error("FactorEngine: update without an aggregate");
+    }
     if (numeric && !agg->buf) {
       const std::size_t elems = store_->bytes(tbid) / sizeof(double);
       agg->buf = pgas::shared_host_buffer(rank, elems);
@@ -570,11 +587,11 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
   // the thread that runs it.
   const int cols = (s == t) ? m : np;
   const Offload::Call call =
-      (s == t) ? Offload::Call::syrk(m, w, st.src.on_device)
-               : Offload::Call::gemm(m, np, w, st.src.on_device,
-                                     st.piv.on_device);
-  const double* src = st.src.data;
-  const double* piv = st.piv.data;
+      (s == t) ? Offload::Call::syrk(m, w, src_ref.on_device)
+               : Offload::Call::gemm(m, np, w, src_ref.on_device,
+                                     piv_ref.on_device);
+  const double* src = src_ref.data;
+  const double* piv = piv_ref.data;
   offload_->run(
       rank, call,
       [store = store_, j, si = task.si, ti = task.ti, tslot, m, np, w, src,
@@ -602,8 +619,8 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
     flush_aggregate(rank, t, tslot);
   }
   ++pr.done_update;
-  release_ref(rank, st.src);
-  if (task.si != task.ti) release_ref(rank, st.piv);
+  release_ref(rank, src_ref);
+  if (task.si != task.ti) release_ref(rank, piv_ref);
 }
 
 void FactorEngine::flush_aggregate(pgas::Rank& rank, idx_t t,
@@ -611,10 +628,10 @@ void FactorEngine::flush_aggregate(pgas::Rank& rank, idx_t t,
   const int me = rank.id();
   PerRank& pr = per_rank_[me];
   const idx_t bid = store_->block_id(t, slot);
-  const auto it = pr.aggs.find(bid);
+  Aggregate* agg = pr.aggs.find(bid);
   const int owner = store_->owner(bid);
   if (owner == me) {
-    apply_aggregate(rank, t, slot, it->second.buf.get(), rank.now(),
+    apply_aggregate(rank, t, slot, agg->buf.get(), rank.now(),
                     /*pulled=*/false);
   } else {
     // Send the aggregate (one message carrying the whole block
@@ -625,10 +642,10 @@ void FactorEngine::flush_aggregate(pgas::Rank& rank, idx_t t,
     Signal sig{t, slot};
     sig.from = me;
     if (net_.eager(bytes)) sig.eager_bytes = static_cast<std::uint32_t>(bytes);
-    sig.payload = std::move(it->second.buf);
+    sig.payload = std::move(agg->buf);
     net_.send(rank, owner, sig);
   }
-  pr.aggs.erase(it);
+  pr.aggs.erase(agg);
 }
 
 void FactorEngine::apply_aggregate(pgas::Rank& rank, idx_t t, BlockSlot slot,

@@ -48,8 +48,10 @@
 // is touched only by the thread driving owner(bid): deliver() and
 // complete_target_update() run on the consuming rank, the consumer of a
 // block's D/F dependencies is its owner in fan-out, and fan-in applies
-// aggregates at the owner. Reads of published factor-block data, and of
-// a sent aggregate, after a signal are ordered by the inbox-mutex
+// aggregates at the owner. update_deps_[u] is touched only by the thread
+// driving the rank that runs update u: deliver() satisfies it there, and
+// that rank executes it. Reads of published factor-block data, and of a
+// sent aggregate, after a signal are ordered by the inbox-mutex
 // release/acquire pair in Rank::rpc/progress. An aggregate's last
 // reference may drop on either rank's thread; its deleter locks the
 // runtime's allocation registry.
@@ -57,7 +59,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/block_store.hpp"
@@ -67,6 +68,7 @@
 #include "core/options.hpp"
 #include "core/taskrt/dep_tracker.hpp"
 #include "core/taskrt/endpoint.hpp"
+#include "core/taskrt/flat_map.hpp"
 #include "core/taskrt/ready_queue.hpp"
 #include "core/taskrt/scratch.hpp"
 #include "core/taskrt/stats.hpp"
@@ -145,12 +147,6 @@ class FactorEngine {
     FactorRef ref;
   };
 
-  struct UpdateState {
-    int remaining = 0;
-    FactorRef src;  // L_{s,j}
-    FactorRef piv;  // L_{t,j} (same as src for SYRK tasks)
-  };
-
   /// Fan-in: one rank's running sum of the updates it owes one block.
   /// The buffer is a pgas::shared_host_buffer, so the peak counts it,
   /// and it is the message: the flush hands it to the signal.
@@ -187,19 +183,22 @@ class FactorEngine {
 
   struct PerRank {
     taskrt::ReadyQueue<Task> rtq;
-    std::unordered_map<std::uint64_t, UpdateState> pending_updates;
-    taskrt::UseCache<RemoteFactor> cache;           // key: block id
-    std::unordered_map<idx_t, FactorRef> diag_ref;  // key: supernode
-    std::unordered_map<idx_t, Aggregate> aggs;      // fan-in; key: block id
+    taskrt::UseCache<RemoteFactor> cache;     // key: block id
+    taskrt::FlatMap<FactorRef> diag_ref;      // key: supernode
+    taskrt::FlatMap<Aggregate> aggs;          // fan-in; key: block id
     idx_t done_factor = 0;
     idx_t done_update = 0;
   };
 
-  static std::uint64_t ukey(idx_t j, idx_t si, idx_t ti) {
-    return (static_cast<std::uint64_t>(j) << 42) |
-           (static_cast<std::uint64_t>(si) << 21) |
-           static_cast<std::uint64_t>(ti);
+  /// Index of U_{k, si, ti} (1 <= ti <= si <= blocks of panel k) in
+  /// update_deps_ and update_rank_: panel k's updates follow those of
+  /// panels 0..k-1, row by row.
+  [[nodiscard]] std::size_t update_id(idx_t k, idx_t si, idx_t ti) const {
+    return static_cast<std::size_t>(uoff_[k] + si * (si - 1) / 2 + ti - 1);
   }
+  /// The reference rank `me` holds to factor block `bid`: the block itself
+  /// at its owner, the fetched copy in the use cache elsewhere.
+  FactorRef held(PerRank& pr, int me, idx_t bid) const;
 
   pgas::Step step(pgas::Rank& rank);
   void handle_signal(pgas::Rank& rank, const Signal& sig);
@@ -219,8 +218,9 @@ class FactorEngine {
   /// Make factor block (k, slot) available at `rank` via `ref`.
   void deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
                const FactorRef& ref);
+  /// One operand of U_{j, si, ti}, available from `ready`, has arrived.
   void satisfy_update(pgas::Rank& rank, idx_t j, idx_t si, idx_t ti,
-                      const FactorRef& ref, bool as_source);
+                      double ready);
   void publish(pgas::Rank& rank, idx_t k, BlockSlot slot);
   /// Hand factor block (k, slot), held by its owner `rank`, to the local
   /// tasks that use it and signal the remote consumers (on a recovery
@@ -280,6 +280,19 @@ class FactorEngine {
   // Supernode depth in the supernodal elimination tree (root = 0).
   // Immutable after construction.
   std::vector<idx_t> snode_depth_;
+  /// update_id() of each panel's first update. Immutable.
+  std::vector<idx_t> uoff_;
+  /// The rank that runs each update (TaskGraph::update_rank), by
+  /// update_id(). Immutable.
+  std::vector<int> update_rank_;
+  /// Per-update dependency state, by update_id(): the operand blocks
+  /// still to arrive (one for the SYRK task, two for a GEMM task; kRan
+  /// once it has run) and the latest arrival. The operands themselves
+  /// are looked up again when it runs (held()). Entry u is touched only
+  /// by the thread driving update_rank_[u], which receives the operands
+  /// and runs the task, so the threaded driver needs no atomics.
+  taskrt::DepTracker update_deps_;
+  static constexpr int kRan = -1;
   double join_wall_s_ = 0.0;
 
   /// White-box access for regression tests (duplicate-signal leak,

@@ -1,11 +1,12 @@
 // Generic dependency tracking for the engines' task graphs.
 //
-// Every engine keeps the same two parallel arrays over its dependency
-// nodes (factor blocks for the factorization engine, supernode segments
-// for the solve engine): an outstanding-dependency counter and the
-// simulated time at which the last-arriving input became available. A
-// node becomes ready when its counter hits zero; the max of the input
-// ready times is the earliest simulated start of the task it unlocks.
+// Every engine keeps the same state per dependency node (factor blocks
+// and update tasks for the factorization engine, supernode segments for
+// the solve engine): an outstanding-dependency counter and the simulated
+// time at which the last-arriving input became available, side by side
+// in one 16-byte entry so a satisfy() touches one cache line. A node
+// becomes ready when its counter hits zero; the max of the input ready
+// times is the earliest simulated start of the task it unlocks.
 //
 // Ownership (DESIGN.md §4d): each node id is touched only by the thread
 // driving the rank that consumes it — in the factorization engine the
@@ -25,33 +26,34 @@ namespace sympack::core::taskrt {
 class DepTracker {
  public:
   /// Size the tracker: `n` nodes, all counters 0, all ready times 0.
-  void init(std::size_t n) {
-    remaining_.assign(n, 0);
-    ready_.assign(n, 0.0);
-  }
+  void init(std::size_t n) { nodes_.assign(n, Node{}); }
 
-  [[nodiscard]] std::size_t size() const { return remaining_.size(); }
+  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
   /// Set a node's outstanding-dependency count (construction, or per
   /// solve sweep). Does not touch the ready time: the solve engine
   /// deliberately carries segment ready times from the forward sweep
   /// into the backward sweep of the same panel.
-  void set_count(std::size_t id, int count) { remaining_[id] = count; }
+  void set_count(std::size_t id, int count) { nodes_[id].remaining = count; }
 
   /// Zero every ready time. A new RHS panel is a fresh dataflow epoch:
   /// the solve-serving layer resets the simulated clocks between
   /// drains, so times from a previous panel must not leak into the
   /// seeds of the next one.
-  void clear_ready() { std::fill(ready_.begin(), ready_.end(), 0.0); }
-  [[nodiscard]] int count(std::size_t id) const { return remaining_[id]; }
+  void clear_ready() {
+    for (Node& node : nodes_) node.ready = 0.0;
+  }
+  [[nodiscard]] int count(std::size_t id) const {
+    return nodes_[id].remaining;
+  }
 
-  [[nodiscard]] double ready(std::size_t id) const { return ready_[id]; }
+  [[nodiscard]] double ready(std::size_t id) const { return nodes_[id].ready; }
   /// ready[id] = max(ready[id], t): fold in one input's availability.
   void raise_ready(std::size_t id, double t) {
-    ready_[id] = std::max(ready_[id], t);
+    nodes_[id].ready = std::max(nodes_[id].ready, t);
   }
   /// ready[id] = t, unconditionally (solve: a re-solved segment's time).
-  void set_ready(std::size_t id, double t) { ready_[id] = t; }
+  void set_ready(std::size_t id, double t) { nodes_[id].ready = t; }
 
   /// Fold in one input (raise the ready time, consume one dependency).
   /// Returns true exactly when the node became ready — the caller then
@@ -67,15 +69,18 @@ class DepTracker {
   /// path unreachable.
   bool satisfy(std::size_t id, double t) {
     raise_ready(id, t);
-    assert(remaining_[id] > 0 &&
+    assert(nodes_[id].remaining > 0 &&
            "DepTracker::satisfy: no outstanding dependency "
            "(duplicate or stray satisfy)");
-    return --remaining_[id] == 0;
+    return --nodes_[id].remaining == 0;
   }
 
  private:
-  std::vector<int> remaining_;
-  std::vector<double> ready_;
+  struct Node {
+    double ready = 0.0;
+    int remaining = 0;
+  };
+  std::vector<Node> nodes_;
 };
 
 }  // namespace sympack::core::taskrt

@@ -10,14 +10,17 @@
 // just fetched, keep the original" (the caller owns that cleanup because
 // only it knows how the rejected copy's resources were allocated).
 //
+// Entries live in a FlatMap (flat_map.hpp): no heap node per entry, and a
+// payload pointer stays valid until the next insert or release.
+//
 // Single-writer like the rest of the per-rank state (DESIGN.md §4d):
 // one instance per rank, touched only by that rank's driving thread.
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <utility>
 
+#include "core/taskrt/flat_map.hpp"
 #include "sparse/types.hpp"
 
 namespace sympack::core::taskrt {
@@ -31,9 +34,15 @@ class UseCache {
   /// and the caller must dispose of the rejected copy's resources.
   std::pair<Payload*, bool> insert(sparse::idx_t key, Payload payload,
                                    int uses) {
-    auto [it, inserted] =
-        map_.try_emplace(key, Entry{std::move(payload), uses});
-    return {&it->second.payload, inserted};
+    auto [entry, inserted] = map_.try_emplace(key);
+    if (inserted) *entry = Entry{std::move(payload), uses};
+    return {&entry->payload, inserted};
+  }
+
+  /// The payload cached under `key`, or null.
+  Payload* find(sparse::idx_t key) {
+    Entry* entry = map_.find(key);
+    return entry != nullptr ? &entry->payload : nullptr;
   }
 
   /// Consume one use of `key`; no-op when absent (local refs). When the
@@ -41,11 +50,11 @@ class UseCache {
   /// erased.
   template <typename Dispose>
   void release(sparse::idx_t key, Dispose&& dispose) {
-    const auto it = map_.find(key);
-    if (it == map_.end()) return;
-    if (--it->second.uses == 0) {
-      dispose(it->second.payload);
-      map_.erase(it);
+    Entry* entry = map_.find(key);
+    if (entry == nullptr) return;
+    if (--entry->uses == 0) {
+      dispose(entry->payload);
+      map_.erase(entry);
     }
   }
 
@@ -55,16 +64,16 @@ class UseCache {
   /// Visit every cached payload (tests / teardown).
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (auto& [key, entry] : map_) fn(key, entry.payload);
+    map_.for_each([&fn](sparse::idx_t key, Entry& e) { fn(key, e.payload); });
   }
   void clear() { map_.clear(); }
 
  private:
   struct Entry {
-    Payload payload;
-    int uses;
+    Payload payload{};
+    int uses = 0;
   };
-  std::unordered_map<sparse::idx_t, Entry> map_;
+  FlatMap<Entry> map_;
 };
 
 }  // namespace sympack::core::taskrt

@@ -366,6 +366,29 @@ TEST(AutotuneDrive, AdoptionIsStrictlyBetterInCandidateOrder) {
             gpu.device_resident_threshold);
 }
 
+TEST(AutotuneDrive, StageWallsBoundTheirPilotsAndSumToAtMostTheTuner) {
+  // One wall per stage that ran (policy, width, mapping, offload): each
+  // stage lasts at least as long as its slowest pilot, and the stages
+  // run one after another inside the tuner's own wall time.
+  const core::AutoTuneChoice choice =
+      tune(sparse::bones_proxy(0.05), pilot_cluster());
+  ASSERT_EQ(choice.candidates.size(), 11u);
+  ASSERT_EQ(choice.stage_wall_s.size(), 4u);
+  const std::size_t stage_end[] = {4, 6, 8, 11};
+  std::size_t i = 0;
+  double sum = 0.0;
+  for (std::size_t stage = 0; stage < 4; ++stage) {
+    double slowest = 0.0;
+    for (; i < stage_end[stage]; ++i) {
+      slowest = std::max(slowest, choice.candidates[i].host_s);
+    }
+    EXPECT_GT(slowest, 0.0) << "stage " << stage;
+    EXPECT_GE(choice.stage_wall_s[stage], slowest) << "stage " << stage;
+    sum += choice.stage_wall_s[stage];
+  }
+  EXPECT_LE(sum, choice.wall_s);
+}
+
 TEST(AutotuneDrive, RepeatedRunsChooseIdentically) {
   const auto a = sparse::flan_proxy(0.05);
   expect_same_choice(tune(a, pilot_cluster()), tune(a, pilot_cluster()));

@@ -17,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -51,6 +53,12 @@ struct FactorEngineTestPeer {
   }
   static std::size_t aggregates(const FactorEngine& e, int rank) {
     return e.per_rank_[rank].aggs.size();
+  }
+  /// Run update task U_{k, si, ti} on `rank` as the RTQ would.
+  static void run_update(FactorEngine& e, pgas::Rank& rank, sparse::idx_t k,
+                         sparse::idx_t si, sparse::idx_t ti) {
+    e.execute(rank, FactorEngine::Task{FactorEngine::TaskType::kUpdate, k, 0,
+                                       si, ti, 0.0});
   }
   static void drain_cache(FactorEngine& e, pgas::Rank& rank) {
     auto& cache = e.per_rank_[rank.id()].cache;
@@ -313,6 +321,80 @@ INSTANTIATE_TEST_SUITE_P(Drivers, FanInAggregates, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Threaded" : "Sequential";
                          });
+
+// The dense update table: an update task runs only once both its
+// operands have arrived, and only once. Running one by hand before its
+// operands arrive (or again after it ran) throws the engine's
+// std::logic_error; a full run, under every policy, both variants and
+// both drivers, executes every update exactly once.
+TEST(UpdateTable, UpdateWithoutStateThrowsAndRunsOnce) {
+  pgas::Runtime rt(cluster(8, /*threaded=*/false));
+  const core::SolverOptions opts;
+  EngineParts parts(proxy_matrix("flan"), rt, opts);
+  core::FactorEngine engine(rt, parts.tg, parts.view, parts.store,
+                            parts.offload, opts);
+  using Peer = core::FactorEngineTestPeer;
+  // The first panel with two blocks has a GEMM task (2, 1) and a SYRK
+  // task (1, 1).
+  idx_t k = 0;
+  while (parts.sym.snode(k).blocks.size() < 2) ++k;
+  const auto& sn = parts.sym.snode(k);
+  const auto rank_of = [&](idx_t si, idx_t ti) {
+    return parts.tg.update_rank(sn.blocks[si - 1].target, k,
+                                sn.blocks[ti - 1].target);
+  };
+  EXPECT_THROW(Peer::run_update(engine, rt.rank(rank_of(2, 1)), k, 2, 1),
+               std::logic_error);
+  EXPECT_THROW(Peer::run_update(engine, rt.rank(rank_of(1, 1)), k, 1, 1),
+               std::logic_error);
+  // The refused calls changed nothing: the run completes and factors.
+  engine.run();
+  EXPECT_THROW(Peer::run_update(engine, rt.rank(rank_of(2, 1)), k, 2, 1),
+               std::logic_error);
+  EXPECT_THROW(Peer::run_update(engine, rt.rank(rank_of(1, 1)), k, 1, 1),
+               std::logic_error);
+}
+
+using UpdateOnceParam = std::tuple<core::Policy, core::Variant, bool>;
+
+class UpdateTableOnce : public ::testing::TestWithParam<UpdateOnceParam> {};
+
+TEST_P(UpdateTableOnce, EveryUpdateRunsExactlyOnce) {
+  const auto& [policy, variant, threaded] = GetParam();
+  pgas::Runtime rt(cluster(8, threaded));
+  core::SolverOptions opts;
+  opts.policy = policy;
+  opts.variant = variant;
+  EngineParts parts(proxy_matrix("bones"), rt, opts);
+  ASSERT_GT(parts.tg.total_updates(), 100);
+  core::Tracer tracer;
+  core::FactorEngine engine(rt, parts.tg, parts.view, parts.store,
+                            parts.offload, opts, &tracer);
+  engine.run();
+  std::map<std::string, int> runs;
+  for (const core::Tracer::Event& ev : tracer.events()) {
+    if (ev.name.rfind("U ", 0) == 0) ++runs[ev.name];
+  }
+  EXPECT_EQ(static_cast<idx_t>(runs.size()), parts.tg.total_updates());
+  for (const auto& [name, n] : runs) EXPECT_EQ(n, 1) << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesVariantsDrivers, UpdateTableOnce,
+    ::testing::Combine(::testing::Values(core::Policy::kFifo,
+                                         core::Policy::kLifo,
+                                         core::Policy::kPriority,
+                                         core::Policy::kCriticalPath),
+                       ::testing::Values(core::Variant::kFanOut,
+                                         core::Variant::kFanIn),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<UpdateOnceParam>& info) {
+      std::string name = core::policy_name(std::get<0>(info.param));
+      std::erase(name, '-');
+      name += std::get<1>(info.param) == core::Variant::kFanIn ? "_fanin"
+                                                               : "_fanout";
+      return name + (std::get<2>(info.param) ? "_Threaded" : "_Sequential");
+    });
 
 // ------------------------------------------------------------------
 // Fused solves under both drivers. With default options solve(b, 8) and

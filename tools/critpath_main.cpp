@@ -103,12 +103,18 @@ std::string autotune_json(const core::AutoTuneChoice& c) {
                 ",\"max_width\":%lld,\"mapping\":\"%s\","
                 "\"offload_scale\":%.9g,\"gemm_threshold\":%lld,"
                 "\"pilot_sim_s\":%.9g,\"default_sim_s\":%.9g,"
-                "\"wall_s\":%.9g,\"workers\":%d,\"candidates\":[",
+                "\"wall_s\":%.9g,\"workers\":%d,\"stage_wall_s\":[",
                 static_cast<long long>(c.max_width),
                 Mapping::kind_name(c.mapping), c.offload_scale,
                 static_cast<long long>(c.gpu.gemm_threshold), c.pilot_sim_s,
                 c.default_sim_s, c.wall_s, c.workers);
   out += buf;
+  for (std::size_t i = 0; i < c.stage_wall_s.size(); ++i) {
+    std::snprintf(buf, sizeof buf, "%s%.9g", i > 0 ? "," : "",
+                  c.stage_wall_s[i]);
+    out += buf;
+  }
+  out += "],\"candidates\":[";
   for (std::size_t i = 0; i < c.candidates.size(); ++i) {
     const auto& cand = c.candidates[i];
     std::snprintf(buf, sizeof buf,
@@ -181,6 +187,11 @@ int main(int argc, char** argv) {
                 choice->candidates.size());
     std::printf("   auto: tuner host time %.3f s on up to %d thread(s)\n",
                 choice->wall_s, choice->workers);
+    std::printf("   auto: stage host times");
+    for (std::size_t i = 0; i < choice->stage_wall_s.size(); ++i) {
+      std::printf("%s %.3f", i > 0 ? " /" : "", choice->stage_wall_s[i]);
+    }
+    std::printf(" s\n");
     if (choice->offload_scale > 0.0) {
       std::printf("   auto: offload thresholds from analytic model x %.2g "
                   "(potrf %lld, trsm %lld, syrk %lld, gemm %lld elems)\n",
