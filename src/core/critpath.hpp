@@ -4,10 +4,10 @@
 // the task spans every engine records ("D k" / "F k:slot" / "U k:si:ti"
 // / "S k" for the factorization phases, "Y k" / "X k" / "C k:slot" /
 // "Z k:slot" for the solve sweeps) plus, on metadata-enabled traces
-// (SolverOptions::trace.metadata / SYMPACK_TRACE_META), the structured
-// per-event fields (task kind, supernode, slot indices, dependency-edge
-// hints) and the zero-width block-fetch marks ("g k:slot") left on the
-// consumer rank when a remote block or segment finished arriving.
+// (SolverOptions::trace.metadata), the structured per-event fields (task
+// kind, supernode, slot indices, dependency-edge hints) and the
+// zero-width block-fetch marks ("g k:slot") left on the consumer rank
+// when a remote block or segment finished arriving.
 //
 // From the DAG it walks the critical path backwards from the event that
 // ends at the makespan: at each span the critical predecessor is the

@@ -177,16 +177,6 @@ void Offload::run_trsm(pgas::Rank& rank, int m, int w, const double* diag,
       {pgas::reads(diag), pgas::writes(b)});
 }
 
-void Offload::run_syrk(pgas::Rank& rank, int n, int k, const double* a,
-                       int lda, double* c, int ldc, bool a_resident) {
-  run(rank, Call::syrk(n, k, a_resident),
-      [n, k, a, lda, c, ldc] {
-        blas::syrk(blas::UpLo::kLower, blas::Trans::kNo, n, k, -1.0, a, lda,
-                   0.0, c, ldc);
-      },
-      {pgas::reads(a), pgas::writes(c)});
-}
-
 void Offload::run_gemm(pgas::Rank& rank, int m, int n, int k, const double* a,
                        int lda, const double* b, int ldb, double* c, int ldc,
                        bool a_resident, bool b_resident) {
@@ -208,18 +198,6 @@ void Offload::run_trsm_left(pgas::Rank& rank, bool transposed, int n,
                    blas::Diag::kNonUnit, n, nrhs, 1.0, diag, ldd, x, ldx);
       },
       {pgas::reads(diag), pgas::writes(x)});
-}
-
-void Offload::run_gemm_any(pgas::Rank& rank, blas::Trans trans_a, int m,
-                           int n, int k, double alpha, const double* a,
-                           int lda, const double* b, int ldb, double beta,
-                           double* c, int ldc) {
-  run(rank, Call::gemm_any(m, n, k),
-      [trans_a, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc] {
-        blas::gemm(trans_a, blas::Trans::kNo, m, n, k, alpha, a, lda, b, ldb,
-                   beta, c, ldc);
-      },
-      {pgas::reads(a), pgas::reads(b), pgas::writes(c)});
 }
 
 OpCounts Offload::total_counts() const {

@@ -8,11 +8,13 @@
 // options), and results are copied back to the host. All calls are
 // counted per rank to reproduce the paper's Fig. 6.
 //
-// Every entry point describes its call (op, offload key, flops, scratch,
-// staged operands, result bytes) and hands it with its host math to one
-// skeleton, run(). The device computes on host-addressable buffers, so
-// an offloaded call runs the same blas:: routine as the CPU path and
-// then charges simulated device time. The charges happen at the call;
+// Every kernel call is a Call (op, offload key, flops, scratch, staged
+// operands, result bytes) handed with its host math to one skeleton,
+// run(): directly from the engines, which fuse SYRK and GEMM with the
+// work around them, or through the four entry points below. The device
+// computes on host-addressable buffers, so an offloaded call runs the
+// same blas:: routine as the CPU path and then charges simulated device
+// time. The charges happen at the call;
 // the math is an action on the buffers it reads and writes
 // (pgas::Rank::act, DESIGN.md §4n), so it may run later on an executor
 // worker. A protocol-only run (numeric = false) builds no action and
@@ -66,7 +68,7 @@ class Offload {
     std::size_t staged[2];      // host -> device copies, in order (0 = none)
     std::size_t result_bytes;   // device -> host copy of the result
 
-    // The calls the entry points below make, by the same arguments.
+    // The calls the entry points below and the engines make.
     static Call potrf(int w);
     static Call trsm(int m, int w, bool diag_resident);
     static Call syrk(int n, int k, bool a_resident);
@@ -113,10 +115,6 @@ class Offload {
                  sparse::idx_t first_column);
   void run_trsm(pgas::Rank& rank, int m, int w, const double* diag, int ldd,
                 double* b, int ldb, bool diag_resident);
-  /// c := -a a^T on the lower triangle of the n-by-n c; the upper
-  /// triangle is neither read nor written, so c may be uninitialised.
-  void run_syrk(pgas::Rank& rank, int n, int k, const double* a, int lda,
-                double* c, int ldc, bool a_resident);
   /// c := a b^T (m-by-n); c may be uninitialised.
   void run_gemm(pgas::Rank& rank, int m, int n, int k, const double* a,
                 int lda, const double* b, int ldb, double* c, int ldc,
@@ -130,12 +128,6 @@ class Offload {
   /// reserves both L (n*n) and x (n*nrhs).
   void run_trsm_left(pgas::Rank& rank, bool transposed, int n, int nrhs,
                      const double* diag, int ldd, double* x, int ldx);
-  /// c := alpha * op(a) * b + beta * c (general GEMM used by the solve's
-  /// block contributions).
-  void run_gemm_any(pgas::Rank& rank, blas::Trans trans_a, int m, int n,
-                    int k, double alpha, const double* a, int lda,
-                    const double* b, int ldb, double beta, double* c,
-                    int ldc);
 
   /// Charge the memory traffic of scattering `bytes` of update results
   /// into a target block (assembly is memory-bound CPU work).

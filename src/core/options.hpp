@@ -108,11 +108,6 @@ struct ResilienceOptions {
   int max_recoveries = 3;
 };
 
-/// Overlay SYMPACK_BUDDY_REPLICAS / SYMPACK_DETECT_IDLE /
-/// SYMPACK_RESTART_DELAY_S / SYMPACK_MAX_RECOVERIES onto `base` (applied
-/// at solver construction).
-ResilienceOptions env_resilience_options(ResilienceOptions base);
-
 /// Eager/coalesced signal-transport tuning (DESIGN.md §4e). Both knobs
 /// default OFF so the wire protocol — and with it every golden schedule
 /// hash — is unchanged unless a run opts in.
@@ -129,10 +124,6 @@ struct CommOptions {
   /// by age or when the sender runs out of work).
   bool coalesce = false;
 };
-
-/// Overlay SYMPACK_EAGER_BYTES / SYMPACK_COALESCE onto `base` (same
-/// pattern as pgas::env_fault_config; applied at solver construction).
-CommOptions env_comm_options(CommOptions base);
 
 /// Blocked multi-RHS solve tuning (DESIGN.md §4f). A solve with nrhs
 /// right-hand sides sweeps ceil(nrhs / rhs_panel) RHS *panels*: each
@@ -166,10 +157,6 @@ struct SolveOptions {
 /// same rule.
 int rhs_panel_width(const SolveOptions& solve, int nrhs);
 
-/// Overlay SYMPACK_RHS_PANEL / SYMPACK_SOLVE_MAX_QUEUE onto `base`
-/// (applied at solver construction).
-SolveOptions env_solve_options(SolveOptions base);
-
 /// Tracing detail (DESIGN.md §4g). With `metadata` off (the default) an
 /// attached Tracer records exactly the historical event stream — same
 /// events, same names — so the golden schedule hashes, which fold every
@@ -181,16 +168,6 @@ SolveOptions env_solve_options(SolveOptions base);
 struct TraceOptions {
   bool metadata = false;
 };
-
-/// Overlay SYMPACK_TRACE_META onto `base` (applied at solver
-/// construction).
-TraceOptions env_trace_options(TraceOptions base);
-
-/// Overlay SYMPACK_SYMBOLIC_SHARD onto `base` (applied at solver
-/// construction). Sharding changes only where symbolic metadata lives —
-/// the factor, schedule, CommStats protocol counters and simulated
-/// factor and solve times are unchanged, for fan-out and fan-in alike.
-symbolic::SymbolicOptions env_symbolic_options(symbolic::SymbolicOptions base);
 
 struct SolverOptions {
   ordering::Method ordering = ordering::Method::kNestedDissection;
@@ -233,9 +210,9 @@ struct SolverOptions {
 
 /// Check every numeric field against its documented range and throw
 /// std::invalid_argument naming the first field out of range and its
-/// value. The SymPackSolver constructor calls this after the SYMPACK_*
-/// overlays, so a bad environment value fails the same way. One field is
-/// exempt: interleave_seed (any value is a seed). The dense-kernel tile
+/// value. The SymPackSolver constructor calls this on the options it is
+/// given, which no environment variable changes. One field is exempt:
+/// interleave_seed (any value is a seed). The dense-kernel tile
 /// configuration is process-wide, not a solver option; its setters clamp
 /// instead (blas/kernels/tiling.hpp).
 void validate_options(const SolverOptions& opts);

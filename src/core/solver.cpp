@@ -13,50 +13,12 @@
 #include "core/taskrt/reliable.hpp"
 #include "ordering/etree.hpp"
 #include "sparse/permute.hpp"
-#include "support/env.hpp"
 #include "support/timer.hpp"
 
 namespace sympack::core {
 
-CommOptions env_comm_options(CommOptions base) {
-  base.eager_bytes =
-      support::env_int("SYMPACK_EAGER_BYTES", base.eager_bytes);
-  base.coalesce = support::env_bool("SYMPACK_COALESCE", base.coalesce);
-  return base;
-}
-
-ResilienceOptions env_resilience_options(ResilienceOptions base) {
-  base.buddy_replicas = static_cast<int>(
-      support::env_int("SYMPACK_BUDDY_REPLICAS", base.buddy_replicas));
-  base.detect_idle = static_cast<int>(
-      support::env_int("SYMPACK_DETECT_IDLE", base.detect_idle));
-  base.restart_delay_s =
-      support::env_double("SYMPACK_RESTART_DELAY_S", base.restart_delay_s);
-  base.max_recoveries = static_cast<int>(
-      support::env_int("SYMPACK_MAX_RECOVERIES", base.max_recoveries));
-  return base;
-}
-
 int rhs_panel_width(const SolveOptions& solve, int nrhs) {
   return solve.rhs_panel <= 0 ? nrhs : std::min(solve.rhs_panel, nrhs);
-}
-
-SolveOptions env_solve_options(SolveOptions base) {
-  base.rhs_panel = static_cast<int>(
-      support::env_int("SYMPACK_RHS_PANEL", base.rhs_panel));
-  base.server_max_queue = static_cast<int>(
-      support::env_int("SYMPACK_SOLVE_MAX_QUEUE", base.server_max_queue));
-  return base;
-}
-
-TraceOptions env_trace_options(TraceOptions base) {
-  base.metadata = support::env_bool("SYMPACK_TRACE_META", base.metadata);
-  return base;
-}
-
-symbolic::SymbolicOptions env_symbolic_options(symbolic::SymbolicOptions base) {
-  base.shard = support::env_bool("SYMPACK_SYMBOLIC_SHARD", base.shard);
-  return base;
 }
 
 void validate_options(const SolverOptions& opts) {
@@ -175,11 +137,6 @@ class ActionScope {
 
 SymPackSolver::SymPackSolver(pgas::Runtime& rt, SolverOptions opts)
     : rt_(&rt), opts_(opts) {
-  opts_.comm = env_comm_options(opts_.comm);
-  opts_.resilience = env_resilience_options(opts_.resilience);
-  opts_.solve = env_solve_options(opts_.solve);
-  opts_.trace = env_trace_options(opts_.trace);
-  opts_.symbolic = env_symbolic_options(opts_.symbolic);
   validate_options(opts_);
   if (opts_.numeric) {
     exec_ = std::make_unique<taskrt::Executor>(

@@ -92,7 +92,7 @@ class SymPackSolver {
   /// counts). Valid after symbolic_factorize().
   [[nodiscard]] const symbolic::TaskGraph& taskgraph() const { return *tg_; }
   /// Per-rank residency of the symbolic metadata: replicated by default,
-  /// sharded with SolverOptions::symbolic.shard / SYMPACK_SYMBOLIC_SHARD.
+  /// sharded with SolverOptions::symbolic.shard.
   /// Valid after symbolic_factorize().
   [[nodiscard]] const symbolic::SymbolicView& symbolic_view() const {
     return *view_;

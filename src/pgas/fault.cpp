@@ -1,8 +1,26 @@
 #include "pgas/fault.hpp"
 
+#include <charconv>
+#include <cstdlib>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+
 #include "support/env.hpp"
 
 namespace sympack::pgas {
+namespace {
+
+/// All of `text` as an unsigned decimal: no sign, no space, no trailing
+/// characters, no overflow.
+bool parse_unsigned(std::string_view text, std::uint64_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 FaultConfig env_fault_config(FaultConfig base) {
   base.enabled = support::env_bool("SYMPACK_FAULT_ENABLED", base.enabled);
@@ -21,21 +39,32 @@ FaultConfig env_fault_config(FaultConfig base) {
       support::env_double("SYMPACK_FAULT_DEVICE", base.device_deny_rate);
   // SYMPACK_FAULT_KILL = "<rank>@<event>" | "random@<seed>". A kill
   // schedule implies enabled: a victim needs an attached injector.
-  const std::string kill = support::env_string("SYMPACK_FAULT_KILL", "");
-  if (!kill.empty()) {
-    const std::size_t at = kill.find('@');
-    const std::string who = at == std::string::npos ? kill : kill.substr(0, at);
-    const std::string when =
-        at == std::string::npos ? std::string() : kill.substr(at + 1);
-    if (who == "random") {
-      base.kill_rank = -2;
-      if (!when.empty()) base.kill_seed = std::stoull(when);
-    } else {
-      base.kill_rank = std::stoi(who);
-      if (!when.empty()) base.kill_event = std::stoull(when);
-    }
-    base.enabled = true;
+  const char* kill = std::getenv("SYMPACK_FAULT_KILL");
+  if (kill == nullptr) return base;
+  const std::string_view spec = kill;
+  const std::size_t at = spec.find('@');
+  const std::string_view who = spec.substr(0, at);
+  const std::string_view when =
+      at == std::string_view::npos ? std::string_view() : spec.substr(at + 1);
+  const bool random = who == "random";
+  constexpr auto kMaxRank =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  std::uint64_t rank = 0;
+  std::uint64_t number = 0;
+  if (!parse_unsigned(when, number) ||
+      (!random && (!parse_unsigned(who, rank) || rank > kMaxRank))) {
+    throw std::invalid_argument(
+        std::string("SYMPACK_FAULT_KILL=\"") + kill +
+        "\" is not \"<rank>@<event>\" or \"random@<seed>\"");
   }
+  if (random) {
+    base.kill_rank = -2;
+    base.kill_seed = number;
+  } else {
+    base.kill_rank = static_cast<int>(rank);
+    base.kill_event = number;
+  }
+  base.enabled = true;
   return base;
 }
 

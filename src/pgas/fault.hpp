@@ -81,11 +81,14 @@ struct FaultConfig {
 ///   SYMPACK_FAULT_DUP, SYMPACK_FAULT_DELAY, SYMPACK_FAULT_DELAY_S,
 ///   SYMPACK_FAULT_REORDER, SYMPACK_FAULT_TRANSFER, SYMPACK_FAULT_DEVICE,
 ///   SYMPACK_FAULT_KILL.
-/// SYMPACK_FAULT_KILL accepts "<rank>@<event>" (deterministic kill) or
-/// "random@<seed>" (seeded random victim/event) and implies
-/// enabled = true. Unset variables leave the corresponding field
-/// untouched. Applied by the Runtime constructor, so any binary can be
-/// chaos-tested without a rebuild.
+/// SYMPACK_FAULT_KILL accepts exactly "<rank>@<event>" (deterministic
+/// kill) or "random@<seed>" (seeded random victim/event), each number an
+/// unsigned decimal parsed in full, and implies enabled = true; any other
+/// value throws std::invalid_argument naming the variable and its value.
+/// Unset variables leave the corresponding field untouched. Applied by
+/// the Runtime constructor, which then checks the enabled config's
+/// ranges (rates in [0, 1], delay_s finite and >= 0, kill_rank -2, -1 or
+/// a rank), so any binary can be chaos-tested without a rebuild.
 FaultConfig env_fault_config(FaultConfig base);
 
 class FaultInjector {

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "support/logging.hpp"
@@ -376,11 +379,47 @@ double Rank::copy(const GlobalPtr& src, const GlobalPtr& dst,
 
 // ------------------------------------------------------------- Runtime
 
+namespace {
+
+/// Throw std::invalid_argument naming the first field of `cfg` out of
+/// range and its value. The fault fields are checked only when enabled:
+/// a disabled config attaches no injector, so nothing reads them.
+void check_config(const Runtime::Config& cfg) {
+  auto check = [](bool ok, const char* field, auto value,
+                  const std::string& range) {
+    if (ok) return;
+    std::ostringstream msg;
+    msg << "Runtime::Config: " << field << " = " << value
+        << " is out of range (" << range << ")";
+    throw std::invalid_argument(msg.str());
+  };
+  check(cfg.nranks >= 1, "nranks", cfg.nranks, ">= 1");
+  check(cfg.ranks_per_node >= 1, "ranks_per_node", cfg.ranks_per_node,
+        ">= 1");
+  check(cfg.gpus_per_node >= 1, "gpus_per_node", cfg.gpus_per_node, ">= 1");
+  check(cfg.nics_per_node >= 1, "nics_per_node", cfg.nics_per_node, ">= 1");
+  const FaultConfig& f = cfg.faults;
+  if (!f.enabled) return;
+  const auto rate = [&](double value, const char* field) {
+    check(value >= 0.0 && value <= 1.0, field, value, "[0, 1]");  // NaN fails
+  };
+  rate(f.drop_rate, "faults.drop_rate");
+  rate(f.duplicate_rate, "faults.duplicate_rate");
+  rate(f.delay_rate, "faults.delay_rate");
+  rate(f.reorder_rate, "faults.reorder_rate");
+  rate(f.transfer_fail_rate, "faults.transfer_fail_rate");
+  rate(f.device_deny_rate, "faults.device_deny_rate");
+  check(std::isfinite(f.delay_s) && f.delay_s >= 0.0, "faults.delay_s",
+        f.delay_s, "finite, >= 0");
+  check(f.kill_rank >= -2 && f.kill_rank < cfg.nranks, "faults.kill_rank",
+        f.kill_rank,
+        "-2 = random, -1 = none, or a rank in [0, " +
+            std::to_string(cfg.nranks) + ")");
+}
+
+}  // namespace
+
 Runtime::Runtime(Config config, EnvOverlay env) : config_(config) {
-  if (config_.nranks < 1 || config_.ranks_per_node < 1 ||
-      config_.gpus_per_node < 1) {
-    throw std::invalid_argument("Runtime: invalid configuration");
-  }
   // SYMPACK_FAULT_* environment knobs overlay the programmatic fault
   // config; the injector is only attached when enabled, so a disabled
   // config leaves every code path bitwise identical to the fault-free
@@ -388,6 +427,7 @@ Runtime::Runtime(Config config, EnvOverlay env) : config_(config) {
   if (env == EnvOverlay::kApply) {
     config_.faults = env_fault_config(config_.faults);
   }
+  check_config(config_);
   if (config_.faults.enabled) {
     injector_ = std::make_unique<FaultInjector>(config_.faults,
                                                 config_.nranks);

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 namespace sympack::support {
 namespace {
@@ -15,11 +16,6 @@ namespace {
 }
 
 }  // namespace
-
-std::string env_string(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v ? std::string(v) : fallback;
-}
 
 std::int64_t env_int(const char* name, std::int64_t fallback) {
   const char* v = std::getenv(name);

@@ -33,10 +33,9 @@ struct SymbolicOptions {
   /// mean more blocks and better 2D load balance.
   idx_t max_width = 128;
   /// Shard the symbolic metadata over the ranks instead of replicating
-  /// it (SYMPACK_SYMBOLIC_SHARD): analyze() runs as per-rank slices, and
-  /// the solver's SymbolicView keeps on each rank only the panels its
-  /// tasks touch plus their ancestors, pulling anything else on demand
-  /// (symbolic/view.hpp). Off by default. Either way the factor, the
+  /// it: analyze() runs as per-rank slices, and the solver's SymbolicView
+  /// keeps on each rank only the panels its tasks touch plus their
+  /// ancestors, pulling anything else on demand (symbolic/view.hpp). Off by default. Either way the factor, the
   /// schedule, the CommStats protocol counters and the simulated times
   /// of factorization and solve are the same.
   bool shard = false;

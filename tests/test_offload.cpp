@@ -65,10 +65,17 @@ TEST(OffloadGpu, GemmMatchesHostKernel) {
              b.data(), n, 0.0, c_host.data(), n);
   for (int i = 0; i < n * n; ++i) EXPECT_DOUBLE_EQ(c_dev[i], c_host[i]);
 
-  // The solve's general GEMM: c := alpha a b + beta c.
+  // The solve's general GEMM, run through the skeleton as the solve
+  // engine does: d := d - a b.
   std::vector<double> d_dev(n * n, 0.5), d_host(n * n, 0.5);
-  offload.run_gemm_any(rank, blas::Trans::kNo, n, n, n, -1.0, a.data(), n,
-                       b.data(), n, 1.0, d_dev.data(), n);
+  offload.run(
+      rank, Offload::Call::gemm_any(n, n, n),
+      [a = a.data(), b = b.data(), d = d_dev.data()] {
+        blas::gemm(blas::Trans::kNo, blas::Trans::kNo, n, n, n, -1.0, a, n,
+                   b, n, 1.0, d, n);
+      },
+      {pgas::reads(a.data()), pgas::reads(b.data()),
+       pgas::writes(d_dev.data())});
   blas::gemm(blas::Trans::kNo, blas::Trans::kNo, n, n, n, -1.0, a.data(), n,
              b.data(), n, 1.0, d_host.data(), n);
   for (int i = 0; i < n * n; ++i) EXPECT_DOUBLE_EQ(d_dev[i], d_host[i]);
@@ -108,10 +115,17 @@ TEST(OffloadGpu, EachCallLaunchesOneKernel) {
   std::vector<double> tri = {2.0, 1.0, 0.0, 3.0};
   std::vector<double> rhs = {4.0, 6.0};
   offload.run_trsm(rank, 1, 2, tri.data(), 2, rhs.data(), 1, false);
-  // c := -a a^T on the lower triangle.
+  // c := -a a^T on the lower triangle, run through the skeleton as the
+  // factorization's update does.
   std::vector<double> c = {0.0, 0.0, 0.0, 0.0};
   std::vector<double> a = {1.0, 2.0};
-  offload.run_syrk(rank, 2, 1, a.data(), 2, c.data(), 2, false);
+  offload.run(
+      rank, Offload::Call::syrk(2, 1, false),
+      [a = a.data(), c = c.data()] {
+        blas::syrk(blas::UpLo::kLower, blas::Trans::kNo, 2, 1, -1.0, a, 2,
+                   0.0, c, 2);
+      },
+      {pgas::reads(a.data()), pgas::writes(c.data())});
   EXPECT_EQ(dev.kernels_launched(), kernels_before + 2);
   EXPECT_DOUBLE_EQ(rhs[0], 2.0);
   EXPECT_NEAR(rhs[1], 4.0 / 3.0, 1e-15);
@@ -188,8 +202,30 @@ TEST(OffloadGpu, ProtocolOnlyChargesLikeNumeric) {
     pgas::Runtime rt_dry(cluster());
     Offload num(opts, rt_num, /*numeric=*/true);
     Offload dry(opts, rt_dry, /*numeric=*/false);
-    const int n = 24;
-    const int k = 8;
+    constexpr int n = 24;
+    constexpr int k = 8;
+    // The engines run SYRK and the solve's GEMM through run(), with the
+    // math as the action; so do these two.
+    const auto syrk = [](Offload& o, pgas::Rank& rank, const double* a,
+                         double* c) {
+      o.run(
+          rank, Offload::Call::syrk(n, k, false),
+          [a, c] {
+            blas::syrk(blas::UpLo::kLower, blas::Trans::kNo, n, k, -1.0, a,
+                       n, 0.0, c, n);
+          },
+          {pgas::reads(a), pgas::writes(c)});
+    };
+    const auto gemm_any = [](Offload& o, pgas::Rank& rank, const double* a,
+                             double* c) {
+      o.run(
+          rank, Offload::Call::gemm_any(k, k, n),
+          [a, c] {
+            blas::gemm(blas::Trans::kYes, blas::Trans::kNo, k, k, n, 1.0, a,
+                       n, a, n, 0.0, c, k);
+          },
+          {pgas::reads(a), pgas::writes(c)});
+    };
     std::vector<double> spd(n * n, 0.0);
     for (int i = 0; i < n; ++i) spd[i + i * n] = 4.0;
     auto panel = random_vector(n * k, 5);
@@ -199,22 +235,20 @@ TEST(OffloadGpu, ProtocolOnlyChargesLikeNumeric) {
     auto& r = rt_num.rank(0);
     num.run_potrf(r, n, spd.data(), n, 0);
     num.run_trsm(r, k, n, spd.data(), n, other.data(), k, true);
-    num.run_syrk(r, n, k, panel.data(), n, out.data(), n, false);
+    syrk(num, r, panel.data(), out.data());
     num.run_gemm(r, n, n, k, panel.data(), n, panel.data(), n, out.data(), n,
                  false, true);
     num.run_trsm_left(r, false, n, k, spd.data(), n, panel.data(), n);
-    num.run_gemm_any(r, blas::Trans::kYes, k, k, n, 1.0, panel.data(), n,
-                     panel.data(), n, 0.0, out.data(), k);
+    gemm_any(num, r, panel.data(), out.data());
 
     auto& d = rt_dry.rank(0);
     dry.run_potrf(d, n, nullptr, n, 0);
     dry.run_trsm(d, k, n, nullptr, n, nullptr, k, true);
-    dry.run_syrk(d, n, k, nullptr, n, nullptr, n, false);
+    syrk(dry, d, nullptr, nullptr);
     dry.run_gemm(d, n, n, k, nullptr, n, nullptr, n, nullptr, n, false,
                  true);
     dry.run_trsm_left(d, false, n, k, nullptr, n, nullptr, n);
-    dry.run_gemm_any(d, blas::Trans::kYes, k, k, n, 1.0, nullptr, n, nullptr,
-                     n, 0.0, nullptr, k);
+    gemm_any(dry, d, nullptr, nullptr);
 
     EXPECT_EQ(r.now(), d.now()) << "offloaded=" << offloaded;
     EXPECT_EQ(r.stats().hd_copies, d.stats().hd_copies);

@@ -7,6 +7,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "pgas/fault.hpp"
@@ -775,6 +778,96 @@ TEST(Fault, EnvKnobsAttachInjectorWithoutRebuild) {
   // And a fresh runtime without the env vars attaches nothing.
   Runtime clean(small_config(2));
   EXPECT_FALSE(clean.fault_injection_enabled());
+}
+
+// ------------------------------------------------------------------
+// Config ranges: the constructor throws std::invalid_argument naming the
+// first field out of range and its value. The fault fields are checked
+// only when injection is enabled.
+
+struct BadConfig {
+  const char* name;
+  const char* expect;  // "field = value" as the message must show it
+  void (*set)(Runtime::Config&);
+};
+
+class InvalidConfig : public ::testing::TestWithParam<BadConfig> {};
+
+TEST_P(InvalidConfig, ConstructorThrowsNamingField) {
+  const BadConfig& c = GetParam();
+  Runtime::Config cfg = small_config(8, 4);
+  cfg.faults.enabled = true;
+  c.set(cfg);
+  std::string message = "no throw";
+  try {
+    Runtime rt(cfg, Runtime::EnvOverlay::kSkip);
+  } catch (const std::invalid_argument& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find(c.expect), std::string::npos)
+      << "message: \"" << message << "\"";
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+INSTANTIATE_TEST_SUITE_P(
+    ConfigRanges, InvalidConfig,
+    ::testing::Values(
+        BadConfig{"Nranks", "nranks = 0",
+                  [](Runtime::Config& c) { c.nranks = 0; }},
+        BadConfig{"RanksPerNode", "ranks_per_node = 0",
+                  [](Runtime::Config& c) { c.ranks_per_node = 0; }},
+        BadConfig{"GpusPerNode", "gpus_per_node = 0",
+                  [](Runtime::Config& c) { c.gpus_per_node = 0; }},
+        // 0 used to divide by zero at the first cross-node transfer.
+        BadConfig{"NicsPerNode", "nics_per_node = 0",
+                  [](Runtime::Config& c) { c.nics_per_node = 0; }},
+        BadConfig{"NegativeNicsPerNode", "nics_per_node = -1",
+                  [](Runtime::Config& c) { c.nics_per_node = -1; }},
+        BadConfig{"DropRate", "faults.drop_rate = 1.5",
+                  [](Runtime::Config& c) { c.faults.drop_rate = 1.5; }},
+        BadConfig{"DuplicateRate", "faults.duplicate_rate = -0.5",
+                  [](Runtime::Config& c) { c.faults.duplicate_rate = -0.5; }},
+        BadConfig{"DelayRateNaN", "faults.delay_rate = nan",
+                  [](Runtime::Config& c) { c.faults.delay_rate = kNaN; }},
+        BadConfig{"ReorderRate", "faults.reorder_rate = 2",
+                  [](Runtime::Config& c) { c.faults.reorder_rate = 2.0; }},
+        BadConfig{"TransferFailRate", "faults.transfer_fail_rate = -1",
+                  [](Runtime::Config& c) {
+                    c.faults.transfer_fail_rate = -1.0;
+                  }},
+        BadConfig{"DeviceDenyRateNaN", "faults.device_deny_rate = nan",
+                  [](Runtime::Config& c) { c.faults.device_deny_rate = kNaN; }},
+        BadConfig{"NegativeDelay", "faults.delay_s = -1",
+                  [](Runtime::Config& c) { c.faults.delay_s = -1.0; }},
+        BadConfig{"InfiniteDelay", "faults.delay_s = inf",
+                  [](Runtime::Config& c) {
+                    c.faults.delay_s = std::numeric_limits<double>::infinity();
+                  }},
+        BadConfig{"KillRankBelowRandom", "faults.kill_rank = -3",
+                  [](Runtime::Config& c) { c.faults.kill_rank = -3; }},
+        BadConfig{"KillRankBeyondNranks", "faults.kill_rank = 8",
+                  [](Runtime::Config& c) { c.faults.kill_rank = 8; }}),
+    [](const ::testing::TestParamInfo<BadConfig>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(ConfigRanges, EdgesAndDisabledFaultsAreAccepted) {
+  Runtime::Config cfg = small_config(8, 4);
+  cfg.nics_per_node = 1;
+  cfg.faults.enabled = true;
+  cfg.faults.drop_rate = 1.0;
+  cfg.faults.duplicate_rate = 0.0;
+  cfg.faults.delay_s = 0.0;
+  for (const int kill_rank : {-2, -1, 0, 7}) {
+    cfg.faults.kill_rank = kill_rank;
+    EXPECT_NO_THROW(Runtime(cfg, Runtime::EnvOverlay::kSkip)) << kill_rank;
+  }
+  // A disabled config attaches no injector, so nothing reads its fields.
+  cfg.faults.enabled = false;
+  cfg.faults.drop_rate = 1.5;
+  cfg.faults.kill_rank = 12;
+  EXPECT_NO_THROW(Runtime(cfg, Runtime::EnvOverlay::kSkip));
 }
 
 TEST(Fault, DriveSurvivesDropsWithRerequestingStep) {

@@ -561,6 +561,50 @@ TEST(ResilienceEnv, FaultKillKnobParsesBothForms) {
   ::unsetenv("SYMPACK_FAULT_KILL");
 }
 
+// Any other kill spec, or a victim that is not one of the runtime's
+// ranks, fails at runtime construction with std::invalid_argument naming
+// the cause, instead of killing at a truncated epoch or seed, never
+// killing, or throwing a bare std::stoi error.
+struct BadKill {
+  const char* name;
+  const char* value;   // of SYMPACK_FAULT_KILL
+  const char* expect;  // the message must contain this
+};
+
+class FaultKillSpec : public ::testing::TestWithParam<BadKill> {};
+
+TEST_P(FaultKillSpec, RuntimeThrowsNamingTheCause) {
+  const BadKill& c = GetParam();
+  ASSERT_EQ(::setenv("SYMPACK_FAULT_KILL", c.value, 1), 0);
+  std::string message = "no throw";
+  try {
+    pgas::Runtime rt(cluster(8, /*threaded=*/false));
+  } catch (const std::invalid_argument& e) {
+    message = e.what();
+  } catch (...) {  // any other type fails below, after the unsetenv
+    message = "another exception type";
+  }
+  ::unsetenv("SYMPACK_FAULT_KILL");
+  EXPECT_NE(message.find(c.expect), std::string::npos)
+      << "message: \"" << message << "\"";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ResilienceEnv, FaultKillSpec,
+    ::testing::Values(
+        BadKill{"EventTrailingChars", "3@7x", "SYMPACK_FAULT_KILL=\"3@7x\""},
+        BadKill{"SeedTrailingChars", "random@4x2",
+                "SYMPACK_FAULT_KILL=\"random@4x2\""},
+        BadKill{"NegativeRank", "-5@3", "SYMPACK_FAULT_KILL=\"-5@3\""},
+        BadKill{"NegativeEvent", "3@-1", "SYMPACK_FAULT_KILL=\"3@-1\""},
+        BadKill{"RankNotANumber", "abc@1", "SYMPACK_FAULT_KILL=\"abc@1\""},
+        BadKill{"RankBeyondInt", "99999999999@1",
+                "SYMPACK_FAULT_KILL=\"99999999999@1\""},
+        BadKill{"RankBeyondNranks", "12@5", "faults.kill_rank = 12"}),
+    [](const ::testing::TestParamInfo<BadKill>& info) {
+      return std::string(info.param.name);
+    });
+
 // ------------------------------------------------------------------
 // Threaded driver under a kill (name matches the TSan CI job's
 // -R 'Threaded|Drive' regex): the watchdog/death-scan path and the

@@ -45,21 +45,12 @@ bool fault_env_overridden() {
       "SYMPACK_FAULT_ENABLED", "SYMPACK_FAULT_SEED",    "SYMPACK_FAULT_DROP",
       "SYMPACK_FAULT_DUP",     "SYMPACK_FAULT_DELAY",   "SYMPACK_FAULT_DELAY_S",
       "SYMPACK_FAULT_REORDER", "SYMPACK_FAULT_TRANSFER", "SYMPACK_FAULT_DEVICE",
-      "SYMPACK_FAULT_KILL",    "SYMPACK_BUDDY_REPLICAS",
-      "SYMPACK_DETECT_IDLE",   "SYMPACK_RESTART_DELAY_S",
-      "SYMPACK_MAX_RECOVERIES",
+      "SYMPACK_FAULT_KILL",
   };
   for (const char* v : kVars) {
     if (std::getenv(v) != nullptr) return true;
   }
   return false;
-}
-
-/// Same idea for the eager/coalesce transport knobs: the solver overlays
-/// them onto SolverOptions::comm, which changes the schedule by design.
-bool comm_env_overridden() {
-  return std::getenv("SYMPACK_EAGER_BYTES") != nullptr ||
-         std::getenv("SYMPACK_COALESCE") != nullptr;
 }
 
 /// Sharded symbolic metadata changes only where the metadata lives, so
@@ -185,9 +176,6 @@ TEST_P(GoldenSchedule, HashMatchesPreRefactorCapture) {
   if (g.faults && fault_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
   }
-  if (comm_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
-  }
   for (const bool shard : kShardModes) {
     const std::uint64_t h = run_golden(g.proxy, g.policy, g.faults, {},
                                        nullptr, core::Variant::kFanOut, shard);
@@ -259,9 +247,6 @@ TEST_P(GoldenEagerSchedule, HashMatchesCapture) {
   const Golden& g = GetParam();
   if (g.faults && fault_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
-  }
-  if (comm_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
   }
   for (const bool shard : kShardModes) {
     pgas::CommStats stats;
@@ -338,9 +323,6 @@ TEST_P(GoldenFanInSchedule, HashMatchesCapture) {
   if (g.faults && fault_env_overridden()) {
     GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
   }
-  if (comm_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
-  }
   for (const bool shard : kShardModes) {
     const std::uint64_t h = run_fanin_golden(g, shard);
     EXPECT_EQ(h, g.hash) << "fan-in schedule drifted: proxy=" << g.proxy
@@ -365,9 +347,6 @@ INSTANTIATE_TEST_SUITE_P(FanIn, GoldenFanInSchedule,
 // Fan-in runs the scheduling policy too: priority and critical-path each
 // reorder its tasks on at least one golden proxy.
 TEST(FanInSchedule, PolicyReordersTasks) {
-  if (comm_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_EAGER_BYTES/SYMPACK_COALESCE override active";
-  }
   auto fan_in = [](const char* proxy, core::Policy policy) {
     return run_golden(proxy, policy, /*faults=*/false, {}, nullptr,
                       core::Variant::kFanIn);
@@ -398,11 +377,6 @@ TEST(GoldenScheduleTable, DISABLED_PrintFanInTable) {
 // hashed after the sweeps. rhs_panel=1 rows pin the historical
 // per-vector protocol; rhs_panel>1 rows pin the blocked panel protocol
 // (fewer, larger messages — any accounting drift flips the hash).
-
-bool solve_env_overridden() {
-  return std::getenv("SYMPACK_RHS_PANEL") != nullptr ||
-         std::getenv("SYMPACK_SOLVE_MAX_QUEUE") != nullptr;
-}
 
 std::uint64_t comm_stats_hash(const pgas::CommStats& stats) {
   std::uint64_t h = 14695981039346656037ull;
@@ -464,9 +438,6 @@ class GoldenSolveSchedule : public ::testing::TestWithParam<SolveGolden> {};
 
 TEST_P(GoldenSolveSchedule, CommStatsMatchCapture) {
   const SolveGolden& g = GetParam();
-  if (comm_env_overridden() || solve_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
-  }
   for (const bool shard : kShardModes) {
     const std::uint64_t h =
         run_solve_golden(g.proxy, g.rhs_panel, g.nrhs, nullptr, shard);
@@ -503,9 +474,6 @@ TEST(GoldenScheduleTable, DISABLED_PrintSolveTable) {
 // sweep moves the same payload bytes as per-vector sweeps but in
 // proportionally fewer protocol messages. The default options fuse too.
 TEST(SolveSchedule, PanelSweepAmortizesMessages) {
-  if (comm_env_overridden() || solve_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_* comm/solve environment override active";
-  }
   pgas::CommStats per_vector, blocked, by_default;
   run_solve_golden("flan", 1, 8, &per_vector);
   run_solve_golden("flan", 8, 8, &blocked);
@@ -665,9 +633,8 @@ class SolveMemory : public ::testing::TestWithParam<SolveMemoryGolden> {};
 
 TEST_P(SolveMemory, TransientPeakMatchesCapture) {
   const SolveMemoryGolden& g = GetParam();
-  if (fault_env_overridden() || comm_env_overridden() ||
-      solve_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_* environment override active";
+  if (fault_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
   }
   for (const bool shard : kShardModes) {
     EXPECT_EQ(run_solve_memory(g.proxy, g.rhs_panel, shard), g.bytes)
@@ -702,9 +669,8 @@ class SolveBuffers : public ::testing::TestWithParam<LeakParam> {};
 
 TEST_P(SolveBuffers, AllReturnedAfterSolveAndDrain) {
   const auto& [proxy, faults] = GetParam();
-  if (fault_env_overridden() || comm_env_overridden() ||
-      solve_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_* environment override active";
+  if (fault_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
   }
   pgas::Runtime::Config cfg = golden_cluster();
   if (faults) cfg.faults = golden_faults();

@@ -1,6 +1,6 @@
 // Sharded-vs-replicated symbolic parity suite (DESIGN.md §4i).
 //
-// SYMPACK_SYMBOLIC_SHARD changes where symbolic metadata lives — each
+// SymbolicOptions::shard changes where symbolic metadata lives — each
 // rank retains only its locally relevant supernodes plus ancestor
 // closure, pulling the rest on demand — but it must change NOTHING the
 // numerics, the wire protocol or the simulated clocks can observe:
@@ -47,20 +47,13 @@ CscMatrix proxy_matrix(const std::string& name) {
   return sparse::thermal_proxy(0.005);
 }
 
-/// The solver ctor overlays SYMPACK_SYMBOLIC_SHARD onto the options; an
-/// active override would force both halves of a comparison to the same
-/// mode. SYMPACK_FAULT_* / resilience overrides perturb the faulted legs.
-bool shard_env_overridden() {
-  return std::getenv("SYMPACK_SYMBOLIC_SHARD") != nullptr;
-}
-
+/// The Runtime constructor overlays SYMPACK_FAULT_* onto its fault
+/// config, which perturbs the faulted legs.
 bool fault_env_overridden() {
   static const char* kVars[] = {
       "SYMPACK_FAULT_ENABLED", "SYMPACK_FAULT_SEED",    "SYMPACK_FAULT_DROP",
       "SYMPACK_FAULT_DUP",     "SYMPACK_FAULT_DELAY",   "SYMPACK_FAULT_DELAY_S",
       "SYMPACK_FAULT_REORDER", "SYMPACK_FAULT_TRANSFER", "SYMPACK_FAULT_DEVICE",
-      "SYMPACK_BUDDY_REPLICAS", "SYMPACK_DETECT_IDLE",
-      "SYMPACK_RESTART_DELAY_S", "SYMPACK_MAX_RECOVERIES",
   };
   for (const char* v : kVars) {
     if (std::getenv(v) != nullptr) return true;
@@ -113,9 +106,6 @@ using StructureParam = std::tuple<const char*, core::Policy, int>;
 class ShardStructure : public ::testing::TestWithParam<StructureParam> {};
 
 TEST_P(ShardStructure, OwnerRecipientsUpdateCountAgree) {
-  if (shard_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_SYMBOLIC_SHARD override active";
-  }
   const auto [proxy, policy, nranks] = GetParam();
   const CscMatrix a = proxy_matrix(proxy);
 
@@ -235,9 +225,6 @@ void expect_parity(const SolverRun& rep, const SolverRun& shd) {
 class ShardParity : public ::testing::TestWithParam<core::Variant> {};
 
 TEST_P(ShardParity, FactorSolveAndProtocolCountersAgreeAt8) {
-  if (shard_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_SYMBOLIC_SHARD override active";
-  }
   for (const char* proxy : {"flan", "bones", "thermal"}) {
     const CscMatrix a = proxy_matrix(proxy);
     SCOPED_TRACE(proxy);
@@ -247,17 +234,14 @@ TEST_P(ShardParity, FactorSolveAndProtocolCountersAgreeAt8) {
 }
 
 TEST_P(ShardParity, FactorSolveAndProtocolCountersAgreeAt64) {
-  if (shard_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_SYMBOLIC_SHARD override active";
-  }
   const CscMatrix a = proxy_matrix("flan");
   expect_parity(run_solver(a, 64, /*shard=*/false, GetParam()),
                 run_solver(a, 64, /*shard=*/true, GetParam()));
 }
 
 TEST_P(ShardParity, FaultInjectionRecoveryIsShardInvariant) {
-  if (shard_env_overridden() || fault_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_* shard/fault override active";
+  if (fault_env_overridden()) {
+    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
   }
   const CscMatrix a = proxy_matrix("bones");
   const SolverRun rep = run_solver(a, 8, /*shard=*/false, GetParam(), true);
@@ -337,9 +321,6 @@ using ReferenceParam = std::tuple<const char*, int, core::Variant>;
 class ShardReference : public ::testing::TestWithParam<ReferenceParam> {};
 
 TEST_P(ShardReference, ResidencyMatchesPlainRules) {
-  if (shard_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_SYMBOLIC_SHARD override active";
-  }
   const auto [proxy, nranks, variant] = GetParam();
   pgas::Runtime rt(cluster(nranks));
   core::SolverOptions opts;
@@ -377,9 +358,6 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ShardResidency, FootprintShrinksAndClosureHolds) {
-  if (shard_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_SYMBOLIC_SHARD override active";
-  }
   const CscMatrix a = proxy_matrix("flan");
   const int nranks = 64;
 
@@ -412,9 +390,6 @@ TEST(ShardResidency, FootprintShrinksAndClosureHolds) {
 }
 
 TEST(ShardResidency, CommStatsMirrorMatchesViewAfterFactorize) {
-  if (shard_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_SYMBOLIC_SHARD override active";
-  }
   const CscMatrix a = proxy_matrix("bones");
   pgas::Runtime rt(cluster(8));
   core::SolverOptions opts;
@@ -469,9 +444,6 @@ TEST(ShardResidency, OnDemandPullChargesAndCaches) {
   // non-resident panel must advance the touching rank's clock, charge
   // exactly one symbolic pull with the panel's metadata bytes, make the
   // panel resident, and be free on every later touch.
-  if (shard_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_SYMBOLIC_SHARD override active";
-  }
   PullTarget target;
   const auto& view = target.solver.symbolic_view();
   int r = 0;
@@ -508,9 +480,6 @@ TEST(ShardResidency, OnDemandPullChargesAndCaches) {
 // word share its bits, and each touches from its own thread.
 
 TEST(ShardThreaded, ConcurrentPullsIntoOneWordAreExact) {
-  if (shard_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_SYMBOLIC_SHARD override active";
-  }
   PullTarget target;
   const auto& view = target.solver.symbolic_view();
   const int nranks = target.rt.nranks();
@@ -546,9 +515,6 @@ TEST(ShardThreaded, ConcurrentPullsIntoOneWordAreExact) {
 }
 
 TEST(ShardThreaded, FanInFactorAndSolveMatchSequential) {
-  if (shard_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_SYMBOLIC_SHARD override active";
-  }
   const CscMatrix a = proxy_matrix("bones");
   const int nranks = 8;
   struct Result {

@@ -14,6 +14,8 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -423,15 +425,12 @@ TEST(NotPositiveDefiniteSubtrees, ExecutorNamesTheZeroWorkerColumn) {
 
 // ------------------------------------------------------------------
 // Option ranges: a numeric SolverOptions field out of range makes the
-// constructor throw std::invalid_argument naming the field and its value,
-// whether it was set in code or through a SYMPACK_* variable.
+// constructor throw std::invalid_argument naming the field and its value.
 
 struct BadOption {
   const char* name;
   const char* expect;  // "field = value" as the message must show it
   void (*set)(SolverOptions&);
-  const char* env_var = nullptr;  // set to env_value instead of calling set
-  const char* env_value = nullptr;
 };
 
 class InvalidOption : public ::testing::TestWithParam<BadOption> {};
@@ -439,10 +438,7 @@ class InvalidOption : public ::testing::TestWithParam<BadOption> {};
 TEST_P(InvalidOption, ConstructorThrowsNamingField) {
   const BadOption& c = GetParam();
   SolverOptions opts;
-  if (c.set != nullptr) c.set(opts);
-  if (c.env_var != nullptr) {
-    ASSERT_EQ(::setenv(c.env_var, c.env_value, 1), 0);
-  }
+  c.set(opts);
   pgas::Runtime rt(cluster(2));
   std::string message;
   try {
@@ -450,7 +446,6 @@ TEST_P(InvalidOption, ConstructorThrowsNamingField) {
   } catch (const std::invalid_argument& e) {
     message = e.what();
   }
-  if (c.env_var != nullptr) ::unsetenv(c.env_var);
   EXPECT_NE(message.find(c.expect), std::string::npos)
       << "message: \"" << message << "\"";
 }
@@ -510,9 +505,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadOption{"RhsPanel", "solve.rhs_panel = -1",
                   [](SolverOptions& o) { o.solve.rhs_panel = -1; }},
         BadOption{"ServerMaxQueue", "solve.server_max_queue = -1",
-                  [](SolverOptions& o) { o.solve.server_max_queue = -1; }},
-        BadOption{"EagerBytesFromEnv", "comm.eager_bytes = -1", nullptr,
-                  "SYMPACK_EAGER_BYTES", "-1"}),
+                  [](SolverOptions& o) { o.solve.server_max_queue = -1; }}),
     [](const ::testing::TestParamInfo<BadOption>& info) {
       return std::string(info.param.name);
     });
@@ -527,6 +520,81 @@ TEST(OptionRanges, DefaultsAndDocumentedEdgesAreAccepted) {
   edges.resilience.buddy_replicas = 1;
   edges.fault.rma_backoff.jitter = 0.0;
   EXPECT_NO_THROW(validate_options(edges));
+}
+
+// ------------------------------------------------------------------
+// A solver is its SolverOptions. The variables below once overlaid ten
+// of its fields in the constructor; set, malformed or not, they must
+// reach neither the options nor the run.
+
+/// Sets every variable for its lifetime, to a malformed or non-default
+/// value.
+class RetiredSolverEnv {
+ public:
+  RetiredSolverEnv() {
+    for (const auto& v : kVars) ::setenv(v.first, v.second, 1);
+  }
+  ~RetiredSolverEnv() {
+    for (const auto& v : kVars) ::unsetenv(v.first);
+  }
+  RetiredSolverEnv(const RetiredSolverEnv&) = delete;
+  RetiredSolverEnv& operator=(const RetiredSolverEnv&) = delete;
+
+ private:
+  static constexpr std::pair<const char*, const char*> kVars[] = {
+      {"SYMPACK_EAGER_BYTES", "4k"},     {"SYMPACK_COALESCE", "fasle"},
+      {"SYMPACK_BUDDY_REPLICAS", "1"},   {"SYMPACK_DETECT_IDLE", "-1"},
+      {"SYMPACK_RESTART_DELAY_S", "-1"}, {"SYMPACK_MAX_RECOVERIES", "-1"},
+      {"SYMPACK_RHS_PANEL", "-1"},       {"SYMPACK_SOLVE_MAX_QUEUE", "-1"},
+      {"SYMPACK_TRACE_META", "1"},       {"SYMPACK_SYMBOLIC_SHARD", "1"},
+  };
+};
+
+TEST(SolverEnv, RetiredVariablesReachNeitherOptionsNorRun) {
+  SolverOptions opts;
+  opts.numeric = false;
+  opts.comm.eager_bytes = 4096;
+  opts.comm.coalesce = true;
+  opts.resilience.detect_idle = 32;
+  opts.resilience.restart_delay_s = 2e-4;
+  opts.resilience.max_recoveries = 2;
+  opts.solve.rhs_panel = 2;
+  opts.solve.server_max_queue = 16;
+  const CscMatrix a = sparse::flan_proxy(0.02);
+  const auto factorize = [&] {
+    pgas::Runtime rt(cluster(8));
+    SymPackSolver solver(rt, opts);
+    const SolverOptions& got = solver.options();
+    EXPECT_EQ(got.comm.eager_bytes, opts.comm.eager_bytes);
+    EXPECT_EQ(got.comm.coalesce, opts.comm.coalesce);
+    EXPECT_EQ(got.resilience.buddy_replicas, opts.resilience.buddy_replicas);
+    EXPECT_EQ(got.resilience.detect_idle, opts.resilience.detect_idle);
+    EXPECT_EQ(got.resilience.restart_delay_s,
+              opts.resilience.restart_delay_s);
+    EXPECT_EQ(got.resilience.max_recoveries, opts.resilience.max_recoveries);
+    EXPECT_EQ(got.solve.rhs_panel, opts.solve.rhs_panel);
+    EXPECT_EQ(got.solve.server_max_queue, opts.solve.server_max_queue);
+    EXPECT_EQ(got.trace.metadata, opts.trace.metadata);
+    EXPECT_EQ(got.symbolic.shard, opts.symbolic.shard);
+    solver.symbolic_factorize(a);
+    solver.factorize();
+    return solver.report();
+  };
+  Report clean = factorize();
+  Report stray;
+  {
+    const RetiredSolverEnv env;
+    ASSERT_NO_THROW(stray = factorize());
+  }
+  EXPECT_EQ(stray.factor_sim_s, clean.factor_sim_s);
+  // CommStats is nothing but uint64_t counters, so memcmp compares them
+  // all; symbolic_build_us is host wall time, which varies run to run.
+  static_assert(
+      std::has_unique_object_representations_v<pgas::CommStats>);
+  clean.comm.symbolic_build_us = stray.comm.symbolic_build_us = 0;
+  EXPECT_EQ(std::memcmp(&stray.comm, &clean.comm, sizeof clean.comm), 0);
+  EXPECT_GT(clean.comm.eager_sends, 0u);
+  EXPECT_GT(clean.comm.coalesced_signals, 0u);
 }
 
 TEST(Solver, MultipleRhs) {

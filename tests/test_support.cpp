@@ -259,8 +259,8 @@ TEST(Env, ReadsTypedValues) {
 }
 
 // A value that does not parse in full is an error naming the variable and
-// its value, so SYMPACK_EAGER_BYTES=4k cannot silently turn eager sends
-// off.
+// its value, so SYMPACK_TILE_KC=4k cannot silently keep the default
+// tile.
 TEST(Env, MalformedThrows) {
   const auto message = [](auto read) {
     try {
@@ -284,8 +284,8 @@ TEST(Env, MalformedThrows) {
   ::unsetenv("SYMPACK_TEST_BAD");
 }
 
-// A misspelled boolean is an error, so SYMPACK_COALESCE=fasle cannot turn
-// coalescing on.
+// A misspelled boolean is an error, so SYMPACK_FAULT_ENABLED=fasle cannot
+// turn fault injection on.
 TEST(Env, MisspelledBoolThrows) {
   ::setenv("SYMPACK_TEST_BOOL", "fasle", 1);
   try {
@@ -363,7 +363,7 @@ TEST(EnvKnobs, ReadmeTablesListExactlyTheKnobsSrcReads) {
   EXPECT_EQ(missing_from(readme, src), "") << "read in src/, no README row";
   EXPECT_EQ(missing_from(src, readme), "") << "README row, not read in src/";
   // Pinned so that adding or removing a knob is a deliberate change.
-  EXPECT_EQ(src.size(), 28u);
+  EXPECT_EQ(src.size(), 18u);
 }
 
 TEST(Options, SingleDashFlagsLikeThePaperDriver) {
