@@ -17,9 +17,12 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <ios>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "baseline/rightlooking.hpp"
 #include "core/solve_server.hpp"
 #include "core/solver.hpp"
 #include "core/trace.hpp"
@@ -704,6 +707,94 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) +
              (std::get<1>(info.param) ? "_faults" : "_clean");
     });
+
+// ------------------------------------------------------------------
+// PaStiX-like baseline goldens. Figures 7-12 compare symPACK against
+// baseline::RightLookingSolver, so its schedule is pinned like the
+// engines': factor_sim_s and solve_sim_s exactly (the cost model is
+// plain + * / max, so the values are bitwise on any build that does not
+// contract to FMA), and the CommStats block of the factorization and of
+// the solve, each phase on its own. Rows cover the goldens' proxies and
+// cluster, protocol-only and numeric. Regenerate via
+// DISABLED_PrintBaselineTable.
+
+struct BaselineGolden {
+  const char* proxy;
+  bool numeric;
+  double factor_sim_s;
+  double solve_sim_s;
+  std::uint64_t factor_comm;  // comm_stats_hash after factorize()
+  std::uint64_t solve_comm;   // comm_stats_hash of solve() alone
+};
+
+BaselineGolden run_baseline_golden(const char* proxy, bool numeric) {
+  pgas::Runtime rt(golden_cluster());
+  baseline::BaselineOptions opts;
+  opts.numeric = numeric;
+  baseline::RightLookingSolver solver(rt, opts);
+  const CscMatrix a = proxy_matrix(proxy);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  BaselineGolden run{proxy, numeric, 0.0, 0.0, 0, 0};
+  run.factor_comm = comm_stats_hash(rt.total_stats());
+  rt.reset_stats();
+  (void)solver.solve(std::vector<double>(static_cast<std::size_t>(a.n()), 1.0));
+  run.solve_comm = comm_stats_hash(rt.total_stats());
+  run.factor_sim_s = solver.report().factor_sim_s;
+  run.solve_sim_s = solver.report().solve_sim_s;
+  return run;
+}
+
+// Captured at a265d93, before the baseline moved onto core/taskrt.
+const BaselineGolden kGoldenBaseline[] = {
+    {"flan", false, 0x1.efe27945281e2p-9, 0x1.426b0d3dcc635p-10,
+     0xa9402e014d011407ull, 0xfb1b4f9d02fc0dcfull},
+    {"flan", true, 0x1.f2acea28505d4p-9, 0x1.426b0d3dcc635p-10,
+     0xa9402e014d011407ull, 0xfb1b4f9d02fc0dcfull},
+    {"bones", false, 0x1.11f2335b8d2b5p-8, 0x1.d64264bab4f2fp-11,
+     0xe3277fc4bc581f5dull, 0xf5feffe2089e182aull},
+    {"bones", true, 0x1.126f83e667368p-8, 0x1.d64264bab4f2fp-11,
+     0xe3277fc4bc581f5dull, 0xf5feffe2089e182aull},
+    {"thermal", false, 0x1.c2faafe9a852ap-8, 0x1.97eeca38afd5cp-9,
+     0x6ca6a5a9d70f46aaull, 0x43fc3492ed3c4759ull},
+    {"thermal", true, 0x1.c362b4b5bfedbp-8, 0x1.97eeca38afd5cp-9,
+     0x6ca6a5a9d70f46aaull, 0x43fc3492ed3c4759ull},
+};
+
+class GoldenBaselineSchedule
+    : public ::testing::TestWithParam<BaselineGolden> {};
+
+TEST_P(GoldenBaselineSchedule, TimesAndCommStatsMatchCapture) {
+  const BaselineGolden& g = GetParam();
+  const BaselineGolden run = run_baseline_golden(g.proxy, g.numeric);
+  EXPECT_EQ(run.factor_sim_s, g.factor_sim_s)
+      << std::hexfloat << "actual " << run.factor_sim_s;
+  EXPECT_EQ(run.solve_sim_s, g.solve_sim_s)
+      << std::hexfloat << "actual " << run.solve_sim_s;
+  EXPECT_EQ(run.factor_comm, g.factor_comm)
+      << "actual 0x" << std::hex << run.factor_comm << "ull";
+  EXPECT_EQ(run.solve_comm, g.solve_comm)
+      << "actual 0x" << std::hex << run.solve_comm << "ull";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Baseline, GoldenBaselineSchedule, ::testing::ValuesIn(kGoldenBaseline),
+    [](const ::testing::TestParamInfo<BaselineGolden>& info) {
+      return std::string(info.param.proxy) +
+             (info.param.numeric ? "_numeric" : "_protocol_only");
+    });
+
+TEST(GoldenScheduleTable, DISABLED_PrintBaselineTable) {
+  for (const char* proxy : {"flan", "bones", "thermal"}) {
+    for (const bool numeric : {false, true}) {
+      const BaselineGolden g = run_baseline_golden(proxy, numeric);
+      printf("    {\"%s\", %s, %a, %a, 0x%llxull, 0x%llxull},\n", g.proxy,
+             g.numeric ? "true" : "false", g.factor_sim_s, g.solve_sim_s,
+             static_cast<unsigned long long>(g.factor_comm),
+             static_cast<unsigned long long>(g.solve_comm));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sympack
