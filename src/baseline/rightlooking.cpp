@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
 
+#include "core/taskrt/dep_tracker.hpp"
+#include "core/taskrt/endpoint.hpp"
+#include "core/taskrt/ready_queue.hpp"
 #include "ordering/etree.hpp"
 #include "sparse/permute.hpp"
 #include "support/timer.hpp"
@@ -15,6 +17,9 @@ namespace sympack::baseline {
 
 using core::BlockStore;
 using core::Offload;
+using core::taskrt::DepTracker;
+using core::taskrt::Endpoint;
+using core::taskrt::ReadyQueue;
 using symbolic::BlockSlot;
 
 namespace {
@@ -44,24 +49,32 @@ struct RightLookingSolver::Engine {
     idx_t j;              // factored source panel
     const double* data;   // packed below-panel (b x w, column-major)
     TwoSided wire;
+
+    /// A two-sided message carries no eager payload (Endpoint contract).
+    friend std::size_t inline_payload_bytes(const PanelMsg&) { return 0; }
   };
-  struct UpdateTask {
+  /// Factor panel `j` (update false), or fold source panel `j`'s packed
+  /// below-panel into target panel `t` (update true).
+  struct Task {
+    bool update;
     idx_t j, t;
-    const double* panel;  // packed below-panel of j
+    const double* panel;  // update: packed below-panel of j
     double ready;
   };
+  /// Right-looking discipline: update tasks pop before factor tasks,
+  /// FIFO within a kind.
+  static constexpr std::int64_t kUpdatePrio = 1;
+  static constexpr std::int64_t kFactorPrio = 0;
   struct PerRank {
-    std::deque<idx_t> factor_tasks;       // panels ready to factor
-    std::deque<UpdateTask> update_tasks;
-    std::vector<PanelMsg> msgs;
+    ReadyQueue<Task> tasks{core::Policy::kPriority};
     idx_t done_factor = 0;
     idx_t done_update = 0;
     std::vector<pgas::GlobalPtr> buffers;
   };
 
   std::vector<PerRank> per_rank;
-  std::vector<int> dep;            // outstanding updates per panel
-  std::vector<double> panel_ready; // sim time panel inputs are complete
+  DepTracker deps;  // per panel: outstanding updates, inputs complete
+  Endpoint<PanelMsg> net;
   std::vector<idx_t> owned_factor, owned_update;
 
   int owner(idx_t panel) const { return static_cast<int>(panel % rt->nranks()); }
@@ -72,15 +85,16 @@ struct RightLookingSolver::Engine {
         opts(solver->opts_) {
     const idx_t ns = sym->num_snodes();
     per_rank.resize(rt->nranks());
-    dep.resize(ns);
-    panel_ready.assign(ns, 0.0);
+    deps.init(ns);
+    net.init(*rt, core::FaultToleranceOptions{});
     owned_factor.assign(rt->nranks(), 0);
     owned_update.assign(rt->nranks(), 0);
     for (idx_t t = 0; t < ns; ++t) {
-      dep[t] = static_cast<int>(s->sources_of_[t].size());
+      const int sources = static_cast<int>(s->sources_of_[t].size());
+      deps.set_count(t, sources);
       ++owned_factor[owner(t)];
-      owned_update[owner(t)] += dep[t];
-      if (dep[t] == 0) per_rank[owner(t)].factor_tasks.push_back(t);
+      owned_update[owner(t)] += sources;
+      if (sources == 0) push_factor(owner(t), t);
     }
   }
 
@@ -89,38 +103,32 @@ struct RightLookingSolver::Engine {
   }
 
   pgas::Step step(pgas::Rank& rank) {
-    PerRank& pr = per_rank[rank.id()];
-    int worked = rank.progress();
-    if (!pr.msgs.empty()) {
-      std::vector<PanelMsg> msgs;
-      msgs.swap(pr.msgs);
-      for (const auto& m : msgs) receive_panel(rank, m);
-      worked += static_cast<int>(msgs.size());
-    }
-    // Right-looking discipline: drain updates before factoring.
-    if (!pr.update_tasks.empty()) {
-      const UpdateTask task = pr.update_tasks.front();
-      pr.update_tasks.pop_front();
-      execute_update(rank, task);
-      ++worked;
-    } else if (!pr.factor_tasks.empty()) {
-      const idx_t k = pr.factor_tasks.front();
-      pr.factor_tasks.pop_front();
-      execute_factor(rank, k);
-      ++worked;
-    }
-    if (worked > 0) return pgas::Step::kWorked;
     const int me = rank.id();
-    const bool done = pr.done_factor == owned_factor[me] &&
-                      pr.done_update == owned_update[me] &&
-                      pr.factor_tasks.empty() && pr.update_tasks.empty() &&
-                      pr.msgs.empty() && !rank.has_pending_rpcs();
-    return done ? pgas::Step::kDone : pgas::Step::kIdle;
+    PerRank& pr = per_rank[me];
+    return net.step(
+        rank, [&](const PanelMsg& m) { receive_panel(rank, m); },
+        [&pr] { return pr.tasks.try_pop(); },
+        [&](const Task& task) {
+          if (task.update) {
+            execute_update(rank, task);
+          } else {
+            execute_factor(rank, task.j);
+          }
+        },
+        [&] {
+          return pr.done_factor == owned_factor[me] &&
+                 pr.done_update == owned_update[me] && pr.tasks.empty();
+        });
+  }
+
+  /// Panel t's last update has landed: queue its factor task.
+  void push_factor(int me, idx_t t) {
+    per_rank[me].tasks.push(Task{false, t, -1, nullptr, deps.ready(t)},
+                            kFactorPrio);
   }
 
   void execute_factor(pgas::Rank& rank, idx_t k) {
     PerRank& pr = per_rank[rank.id()];
-    rank.merge_clock(panel_ready[k]);
     rank.advance(opts.task_overhead_s);  // StarPU task management
     const auto& sn = sym->snode(k);
     const int w = static_cast<int>(sn.width());
@@ -179,10 +187,7 @@ struct RightLookingSolver::Engine {
           bytes, r, pgas::MemKind::kHost, pgas::MemKind::kHost);
       ++rank.stats().puts;
       rank.stats().bytes_from_host += bytes;
-      rank.rpc(r, [this, k, packed, arrival, bytes](pgas::Rank& target) {
-        per_rank[target.id()].msgs.push_back(
-            PanelMsg{k, packed, TwoSided{arrival, bytes}});
-      });
+      net.send(rank, r, PanelMsg{k, packed, TwoSided{arrival, bytes}});
     }
   }
 
@@ -199,15 +204,14 @@ struct RightLookingSolver::Engine {
     const auto& sn = sym->snode(j);
     for (const auto& blk : sn.blocks) {
       if (owner(blk.target) == me) {
-        per_rank[me].update_tasks.push_back(
-            UpdateTask{j, blk.target, panel, ready});
+        per_rank[me].tasks.push(Task{true, j, blk.target, panel, ready},
+                                kUpdatePrio);
       }
     }
   }
 
-  void execute_update(pgas::Rank& rank, const UpdateTask& task) {
+  void execute_update(pgas::Rank& rank, const Task& task) {
     PerRank& pr = per_rank[rank.id()];
-    rank.merge_clock(task.ready);
     rank.advance(opts.task_overhead_s);
     const auto& sn = sym->snode(task.j);
     const auto& tgt = sym->snode(task.t);
@@ -252,10 +256,7 @@ struct RightLookingSolver::Engine {
     offload->charge_scatter(rank,
                             sizeof(double) * static_cast<std::size_t>(m) * np);
     ++pr.done_update;
-    panel_ready[task.t] = std::max(panel_ready[task.t], rank.now());
-    if (--dep[task.t] == 0) {
-      per_rank[rank.id()].factor_tasks.push_back(task.t);
-    }
+    if (deps.satisfy(task.t, rank.now())) push_factor(rank.id(), task.t);
   }
 
   void cleanup() {
@@ -278,31 +279,40 @@ struct RightLookingSolver::SolveState {
   BaselineOptions opts;
 
   struct Msg {
-    bool backward;
-    idx_t panel;    // forward: target panel receiving z; backward: the
-                    // panel whose x is broadcast
-    idx_t src;      // forward: contributing panel j
+    idx_t panel;  // forward: target panel receiving z; backward: the
+                  // panel whose x is broadcast
     const double* data;
     TwoSided wire;
+
+    /// A two-sided message carries no eager payload (Endpoint contract).
+    friend std::size_t inline_payload_bytes(const Msg&) { return 0; }
+  };
+  /// The triangular solve of panel k's segment.
+  struct Task {
+    idx_t k;
+    double ready;
+  };
+  /// Forward sweep fan-in aggregation (PaStiX-style): one buffer and one
+  /// message per (this rank, target panel) pair instead of one per
+  /// contributing panel. The number of messages therefore *grows* with
+  /// the process count as fewer contributions coalesce locally.
+  struct FanIn {
+    int pending = 0;          // local source panels still to contribute
+    std::vector<double> acc;  // their summed contributions (numeric)
   };
   struct PerRank {
-    std::deque<idx_t> tasks;  // panels ready for their triangular solve
-    std::vector<Msg> msgs;
+    ReadyQueue<Task> tasks;  // FIFO
     idx_t done = 0;
     std::vector<pgas::GlobalPtr> buffers;
-    // Forward sweep fan-in aggregation (PaStiX-style): one buffer and one
-    // message per (this rank, target panel) pair instead of one per
-    // contributing panel. The number of messages therefore *grows* with
-    // the process count as fewer contributions coalesce locally.
-    std::unordered_map<idx_t, int> fwd_expected;
-    std::unordered_map<idx_t, int> fwd_done;
-    std::unordered_map<idx_t, std::vector<double>> fwd_acc;
+    std::unordered_map<idx_t, FanIn> fwd;  // key: target panel
   };
 
   std::vector<PerRank> per_rank;
   std::vector<std::vector<double>> seg;
-  std::vector<int> remaining;
-  std::vector<double> seg_ready;
+  // Per panel: contributions still to land, and the segment's ready time
+  // (carried from the forward sweep into the backward one).
+  DepTracker deps;
+  Endpoint<Msg> net;
   std::vector<idx_t> owned_diag;
   bool backward = false;
 
@@ -314,8 +324,8 @@ struct RightLookingSolver::SolveState {
     per_rank.resize(rt->nranks());
     const idx_t ns = sym->num_snodes();
     seg.resize(ns);
-    remaining.assign(ns, 0);
-    seg_ready.assign(ns, 0.0);
+    deps.init(ns);
+    net.init(*rt, core::FaultToleranceOptions{});
     owned_diag.assign(rt->nranks(), 0);
     for (idx_t k = 0; k < ns; ++k) ++owned_diag[owner(k)];
   }
@@ -324,30 +334,28 @@ struct RightLookingSolver::SolveState {
     backward = bwd;
     for (auto& pr : per_rank) {
       pr.tasks.clear();
-      pr.msgs.clear();
       pr.done = 0;
-      pr.fwd_expected.clear();
-      pr.fwd_done.clear();
-      pr.fwd_acc.clear();
+      pr.fwd.clear();
     }
+    net.reset_phase();
     for (idx_t k = 0; k < sym->num_snodes(); ++k) {
       if (!bwd) {
         // Fan-in aggregation: the target waits for one aggregated
         // contribution per *rank* that owns at least one of its sources.
         for (idx_t j : s->sources_of_[k]) {
-          ++per_rank[owner(j)].fwd_expected[k];
+          ++per_rank[owner(j)].fwd[k].pending;
         }
         int distinct = 0;
         for (const auto& pr : per_rank) {
-          distinct += pr.fwd_expected.count(k) ? 1 : 0;
+          distinct += pr.fwd.count(k) ? 1 : 0;
         }
-        remaining[k] = distinct;
+        deps.set_count(k, distinct);
       } else {
-        remaining[k] = static_cast<int>(sym->snode(k).blocks.size());
+        deps.set_count(k, static_cast<int>(sym->snode(k).blocks.size()));
       }
     }
     for (idx_t k = 0; k < sym->num_snodes(); ++k) {
-      if (remaining[k] == 0) per_rank[owner(k)].tasks.push_back(k);
+      if (deps.count(k) == 0) push_diag(owner(k), k);
     }
   }
 
@@ -357,25 +365,18 @@ struct RightLookingSolver::SolveState {
   }
 
   pgas::Step step(pgas::Rank& rank) {
-    PerRank& pr = per_rank[rank.id()];
-    int worked = rank.progress();
-    if (!pr.msgs.empty()) {
-      std::vector<Msg> msgs;
-      msgs.swap(pr.msgs);
-      for (const auto& m : msgs) handle_msg(rank, m);
-      worked += static_cast<int>(msgs.size());
-    }
-    if (!pr.tasks.empty()) {
-      const idx_t k = pr.tasks.front();
-      pr.tasks.pop_front();
-      execute_diag(rank, k);
-      ++worked;
-    }
-    if (worked > 0) return pgas::Step::kWorked;
     const int me = rank.id();
-    const bool done = pr.done == owned_diag[me] && pr.tasks.empty() &&
-                      pr.msgs.empty() && !rank.has_pending_rpcs();
-    return done ? pgas::Step::kDone : pgas::Step::kIdle;
+    PerRank& pr = per_rank[me];
+    return net.step(
+        rank, [&](const Msg& m) { handle_msg(rank, m); },
+        [&pr] { return pr.tasks.try_pop(); },
+        [&](const Task& task) { execute_diag(rank, task.k); },
+        [&] { return pr.done == owned_diag[me] && pr.tasks.empty(); });
+  }
+
+  /// Segment k's last contribution has landed: queue its solve.
+  void push_diag(int me, idx_t k) {
+    per_rank[me].tasks.push(Task{k, deps.ready(k)});
   }
 
   void send(pgas::Rank& rank, int dest, Msg msg, std::size_t bytes) {
@@ -386,9 +387,7 @@ struct RightLookingSolver::SolveState {
                         bytes};
     ++rank.stats().puts;
     rank.stats().bytes_from_host += bytes;
-    rank.rpc(dest, [this, msg](pgas::Rank& target) {
-      per_rank[target.id()].msgs.push_back(msg);
-    });
+    net.send(rank, dest, msg);
   }
 
   void handle_msg(pgas::Rank& rank, const Msg& msg) {
@@ -396,7 +395,7 @@ struct RightLookingSolver::SolveState {
     rank.advance(opts.message_overhead_s +
                  static_cast<double>(msg.wire.bytes) /
                      rt->model().cpu_mem_bandwidth_Bps);
-    if (!msg.backward) {
+    if (!backward) {
       // An aggregated fan-in contribution for segment msg.panel.
       apply_forward(rank, msg.panel, msg.data);
     } else {
@@ -411,17 +410,14 @@ struct RightLookingSolver::SolveState {
   }
 
   void apply_forward(pgas::Rank& rank, idx_t t, const double* acc) {
-    const int me = rank.id();
     if (store->numeric() && acc != nullptr) {
       const idx_t w = sym->snode(t).width();
       for (idx_t r = 0; r < w; ++r) seg[t][r] -= acc[r];
     }
-    seg_ready[t] = std::max(seg_ready[t], rank.now());
-    if (--remaining[t] == 0) per_rank[me].tasks.push_back(t);
+    if (deps.satisfy(t, rank.now())) push_diag(rank.id(), t);
   }
 
   void apply_backward(pgas::Rank& rank, idx_t j, idx_t t, const double* xt) {
-    const int me = rank.id();
     const auto& sn = sym->snode(j);
     const auto& tgt = sym->snode(t);
     const idx_t pslot = sym->find_block(j, t) + 1;
@@ -443,13 +439,11 @@ struct RightLookingSolver::SolveState {
     }
     rank.advance(gpu::cpu_kernel_time(rt->model(), gpu::Op::kGemm,
                                       2.0 * static_cast<double>(m) * w));
-    seg_ready[j] = std::max(seg_ready[j], rank.now());
-    if (--remaining[j] == 0) per_rank[me].tasks.push_back(j);
+    if (deps.satisfy(j, rank.now())) push_diag(rank.id(), j);
   }
 
   void execute_diag(pgas::Rank& rank, idx_t k) {
     PerRank& pr = per_rank[rank.id()];
-    rank.merge_clock(seg_ready[k]);
     rank.advance(opts.task_overhead_s);
     const auto& sn = sym->snode(k);
     const int w = static_cast<int>(sn.width());
@@ -463,7 +457,7 @@ struct RightLookingSolver::SolveState {
     rank.advance(gpu::cpu_kernel_time(rt->model(), gpu::Op::kTrsm,
                                       static_cast<double>(w) * w));
     ++pr.done;
-    seg_ready[k] = rank.now();
+    deps.set_ready(k, rank.now());
 
     if (!backward) {
       // Fold this panel's contribution into the per-target fan-in
@@ -475,19 +469,19 @@ struct RightLookingSolver::SolveState {
         const idx_t bslot = sym->find_block(k, t) + 1;
         const idx_t bid = store->block_id(k, bslot);
         const int m = static_cast<int>(blk.nrows);
+        FanIn& agg = pr.fwd.at(t);
         if (store->numeric()) {
           std::vector<double> z(m);
           blas::gemv(blas::Trans::kNo, m, w, 1.0, store->data(bid), m,
                      seg[k].data(), 1, 0.0, z.data(), 1);
-          auto& acc = pr.fwd_acc[t];
-          if (acc.empty()) acc.assign(tgt.width(), 0.0);
+          if (agg.acc.empty()) agg.acc.assign(tgt.width(), 0.0);
           for (int r = 0; r < m; ++r) {
-            acc[sn.below[blk.row_off + r] - tgt.first] += z[r];
+            agg.acc[sn.below[blk.row_off + r] - tgt.first] += z[r];
           }
         }
         rank.advance(gpu::cpu_kernel_time(rt->model(), gpu::Op::kGemm,
                                           2.0 * m * w));
-        if (++pr.fwd_done[t] == pr.fwd_expected.at(t)) {
+        if (--agg.pending == 0) {
           const int dest = owner(t);
           const double* acc_data = nullptr;
           const std::size_t bytes =
@@ -495,13 +489,13 @@ struct RightLookingSolver::SolveState {
           if (store->numeric()) {
             auto buf = rank.allocate_host(bytes);
             pr.buffers.push_back(buf);
-            std::memcpy(buf.addr, pr.fwd_acc[t].data(), bytes);
+            std::memcpy(buf.addr, agg.acc.data(), bytes);
             acc_data = buf.local<double>();
           }
           if (dest == rank.id()) {
             apply_forward(rank, t, acc_data);
           } else {
-            send(rank, dest, Msg{false, t, 0, acc_data, {}}, bytes);
+            send(rank, dest, Msg{t, acc_data, {}}, bytes);
           }
         }
       }
@@ -525,7 +519,7 @@ struct RightLookingSolver::SolveState {
             if (owner(j) == rank.id()) apply_backward(rank, j, k, xk);
           }
         } else {
-          send(rank, dest, Msg{true, k, 0, xk, {}}, bytes);
+          send(rank, dest, Msg{k, xk, {}}, bytes);
         }
       }
     }

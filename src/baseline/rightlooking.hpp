@@ -17,6 +17,9 @@
 //     kernels); POTRF/TRSM stay on the CPU, and transfers use the
 //     host-staged path rather than GPUDirect memory kinds.
 // The numerics are exact; the same residual tests pass for both solvers.
+// Its ranks run the same task runtime as symPACK's engines (core/taskrt:
+// the rank loop and message transport of Endpoint, ReadyQueue,
+// DepTracker), so the two differ only in what is listed above.
 #pragma once
 
 #include <memory>

@@ -177,43 +177,16 @@ void FactorEngine::publish_restored() {
 }
 
 pgas::Step FactorEngine::step(pgas::Rank& rank) {
-  PerRank& pr = per_rank_[rank.id()];
-  int worked = rank.progress();
-  // A killed rank stops participating: it holds no runnable state (die()
-  // dropped its inbox) and must not touch the protocol again until the
-  // recovery loop resurrects it.
-  if (net_.recovery() && !rank.alive()) return pgas::Step::kIdle;
-
-  const std::vector<Signal> sigs = net_.drain(rank.id());
-  for (const Signal& sig : sigs) handle_signal(rank, sig);
-  worked += static_cast<int>(sigs.size());
-
-  if (!pr.rtq.empty()) {
-    execute(rank, pr.rtq.pop());
-    ++worked;
-  }
-
-  if (worked > 0) {
-    net_.on_worked(rank.id());
-    return pgas::Step::kWorked;
-  }
-
-  // Out of local work: push any coalescing outbox onto the wire now
-  // rather than waiting out the age window (latency bound; also
-  // guarantees nothing is parked when this rank declares itself done).
-  if (rank.flush_signals() > 0) {
-    net_.on_worked(rank.id());
-    return pgas::Step::kWorked;
-  }
-
   const int me = rank.id();
-  const bool done = pr.done_factor == goal_factor_[me] &&
-                    pr.done_update == goal_update_[me] &&
-                    pr.rtq.empty() && !net_.has_pending(me) &&
-                    !rank.has_pending_rpcs();
-  if (done) return pgas::Step::kDone;
-  net_.on_idle(rank);
-  return pgas::Step::kIdle;
+  PerRank& pr = per_rank_[me];
+  return net_.step(
+      rank, [&](const Signal& sig) { handle_signal(rank, sig); },
+      [&pr] { return pr.rtq.try_pop(); },
+      [&](const Task& task) { execute(rank, task); },
+      [&] {
+        return pr.done_factor == goal_factor_[me] &&
+               pr.done_update == goal_update_[me] && pr.rtq.empty();
+      });
 }
 
 int FactorEngine::local_uses(int rank, idx_t k, BlockSlot slot) const {
@@ -468,7 +441,6 @@ void FactorEngine::share(pgas::Rank& rank, idx_t k, BlockSlot slot) {
 }
 
 void FactorEngine::execute(pgas::Rank& rank, const Task& task) {
-  rank.merge_clock(task.ready);
   const double begin = rank.now();
   switch (task.type) {
     case TaskType::kDiag: execute_diag(rank, task); break;

@@ -1,7 +1,9 @@
 // The numeric factorization engine (paper §3.2-§3.4, Figures 3-4), for
 // both members of Ashcraft's taxonomy the solver runs (paper §2.3).
 //
-// Every rank runs the same loop (one call = one "step"):
+// Every rank runs the same loop (one call = one "step", written once as
+// taskrt::Endpoint::step and shared with the solve engine and the
+// baseline):
 //   1. progress(): execute incoming signal RPCs, which append to the
 //      local notification list (Fig. 4 steps 1/3/4);
 //   2. poll: for each notification, issue a one-sided rget of the factor

@@ -179,43 +179,22 @@ void SolveEngine::drive_phase(bool backward) {
 pgas::Step SolveEngine::step(pgas::Rank& rank, bool backward) {
   const int me = rank.id();
   PerRank& pr = per_rank_[me];
-  int worked = rank.progress();
-  // A killed rank stops participating; the solve recovery path restores
-  // its factor panels from the buddy checkpoints and re-runs the sweep.
-  if (net_.recovery() && !rank.alive()) return pgas::Step::kIdle;
-  const std::vector<Msg> msgs = net_.drain(me);
-  for (const Msg& m : msgs) handle_msg(rank, m, backward);
-  worked += static_cast<int>(msgs.size());
-  if (!pr.tasks.empty()) {
-    const Task task = pr.tasks.pop();
-    rank.merge_clock(task.ready);
-    if (task.type == Task::Type::kDiag) {
-      execute_diag(rank, task.k, backward);
-    } else {
-      execute_contrib(rank, task, backward);
-    }
-    ++worked;
-  }
-  if (worked > 0) {
-    net_.on_worked(me);
-    return pgas::Step::kWorked;
-  }
-  // Nothing else to do: flush any coalesced signals still parked in the
-  // outboxes so consumers are not starved (and termination can be
-  // reached — a rank never reports done with signals still queued).
-  if (rank.flush_signals() > 0) {
-    net_.on_worked(me);
-    return pgas::Step::kWorked;
-  }
-
   const idx_t owned_contrib =
       backward ? owned_contrib_bwd_[me] : owned_contrib_fwd_[me];
-  const bool done = pr.done_diag == owned_diag_[me] &&
-                    pr.done_contrib == owned_contrib && pr.tasks.empty() &&
-                    !net_.has_pending(me) && !rank.has_pending_rpcs();
-  if (done) return pgas::Step::kDone;
-  net_.on_idle(rank);
-  return pgas::Step::kIdle;
+  return net_.step(
+      rank, [&](const Msg& m) { handle_msg(rank, m, backward); },
+      [&pr] { return pr.tasks.try_pop(); },
+      [&](const Task& task) {
+        if (task.type == Task::Type::kDiag) {
+          execute_diag(rank, task.k, backward);
+        } else {
+          execute_contrib(rank, task, backward);
+        }
+      },
+      [&] {
+        return pr.done_diag == owned_diag_[me] &&
+               pr.done_contrib == owned_contrib && pr.tasks.empty();
+      });
 }
 
 void SolveEngine::execute_diag(pgas::Rank& rank, idx_t k, bool backward) {

@@ -1,9 +1,10 @@
-// The signal/pull protocol endpoint shared by every engine.
+// The signal/pull protocol endpoint and rank loop shared by every engine.
 //
 // One Endpoint instance per engine holds the per-rank message plumbing
 // of the paper's one-sided protocol (Fig. 4): the notification inbox a
-// signal RPC appends to, and — under fault injection — the whole
-// self-healing machinery that PRs 1–3 grew per-engine:
+// signal RPC appends to, the rank loop (step()) that polls it and runs
+// the ready tasks, and — under fault injection — the whole self-healing
+// machinery:
 //
 //   * ReliableLink sequencing: send() records outgoing messages in a
 //     per-peer ledger and delivers them through admit(), which dedups,
@@ -145,55 +146,49 @@ class Endpoint {
     post(rank, to, seq, m);
   }
 
-  /// Take this rank's pending messages (in delivery order), leaving the
-  /// inbox empty. The caller handles each and counts them as work.
-  std::vector<Msg> drain(int rank_id) {
-    std::vector<Msg> msgs;
-    msgs.swap(slots_[rank_id].inbox);
-    return msgs;
-  }
-
-  /// Undrained messages (part of the engines' termination check).
-  [[nodiscard]] bool has_pending(int rank_id) const {
-    return !slots_[rank_id].inbox.empty();
-  }
-
-  /// Call after a step that made progress: resets the idle streak and
-  /// the re-request backoff threshold.
-  void on_worked(int rank_id) {
-    if (!recovery_) return;
-    Slot& s = slots_[rank_id];
-    s.idle_streak = 0;
-    s.death_scan_streak = 0;
-    s.rerequest_threshold = fault_.rerequest_idle_limit;
-  }
-
-  /// Call after a step that made no progress (and is not done). Past the
-  /// idle threshold this suspects a lost signal and broadcasts a pull
-  /// re-request to every peer, then backs off geometrically so a merely
-  /// slow producer is not stormed. The round cap lets the driver's stall
-  /// guard fire on unrecoverable bugs (re-request RPCs would otherwise
-  /// count as work forever). No-op with faults off.
-  /// When resilience is on, a sustained idle streak also runs the
-  /// failure detector: scan every peer's liveness and convert a
-  /// confirmed death into pgas::RankDeathError (caught by the solver's
-  /// recovery loop) instead of re-requesting from a corpse forever.
-  void on_idle(pgas::Rank& rank) {
-    if (!recovery_) return;
-    Slot& s = slots_[rank.id()];
-    if (resilience_.buddy_replicas > 0 &&
-        ++s.death_scan_streak >= resilience_.detect_idle) {
-      s.death_scan_streak = 0;
-      scan_for_deaths(rank);
+  /// One step of the rank loop every engine runs (paper §3.4, Fig. 4;
+  /// DESIGN.md §4d). The engine supplies four pieces: `handle(msg)` for
+  /// one delivered message, `pop()` for at most one ready task (a
+  /// std::optional of a task with a `ready` time), `run(task)` to execute
+  /// it, and `finished()` for its own termination goal. In order:
+  ///   1. rank.progress() runs the RPCs that arrived;
+  ///   2. under recovery, a dead rank stops there;
+  ///   3. every delivered message goes to `handle`, in delivery order;
+  ///   4. at most one popped task runs, the clock merged to its ready
+  ///      time first;
+  ///   5. when nothing ran, flush_signals() pushes any coalescing outbox
+  ///      onto the wire (a rank never declares itself done with signals
+  ///      parked);
+  ///   6. the rank is done once `finished()` holds with no message or RPC
+  ///      pending, and idle otherwise. Worked and idle steps feed the
+  ///      recovery protocol's idle streak (on_worked / on_idle).
+  template <typename Handle, typename Pop, typename Run, typename Finished>
+  pgas::Step step(pgas::Rank& rank, Handle&& handle, Pop&& pop, Run&& run,
+                  Finished&& finished) {
+    int worked = rank.progress();
+    // A killed rank stops participating: die() dropped its inbox, and it
+    // must not touch the protocol again until the recovery loop
+    // resurrects it.
+    if (recovery_ && !rank.alive()) return pgas::Step::kIdle;
+    const int me = rank.id();
+    const std::vector<Msg> msgs = drain(me);
+    for (const Msg& m : msgs) handle(m);
+    worked += static_cast<int>(msgs.size());
+    if (auto task = pop()) {
+      rank.merge_clock(task->ready);
+      run(*task);
+      ++worked;
     }
-    if (++s.idle_streak < s.rerequest_threshold ||
-        s.rerequest_rounds >= fault_.max_rerequest_rounds) {
-      return;
+    if (worked == 0) worked = rank.flush_signals();
+    if (worked > 0) {
+      on_worked(me);
+      return pgas::Step::kWorked;
     }
-    s.idle_streak = 0;
-    if (s.rerequest_threshold < (1 << 20)) s.rerequest_threshold *= 2;
-    ++s.rerequest_rounds;
-    request_retransmits(rank);
+    if (finished() && !has_pending(me) && !rank.has_pending_rpcs()) {
+      return pgas::Step::kDone;
+    }
+    on_idle(rank);
+    return pgas::Step::kIdle;
   }
 
   /// Run `fn` (an rget/copy) under the endpoint's RMA backoff policy,
@@ -255,6 +250,57 @@ class Endpoint {
     int rerequest_threshold = 0;       // idle steps before re-request
     int rerequest_rounds = 0;          // rounds since the last new message
   };
+
+  /// Take this rank's pending messages (in delivery order), leaving the
+  /// inbox empty.
+  std::vector<Msg> drain(int rank_id) {
+    std::vector<Msg> msgs;
+    msgs.swap(slots_[rank_id].inbox);
+    return msgs;
+  }
+
+  /// Undrained messages (part of the termination check).
+  [[nodiscard]] bool has_pending(int rank_id) const {
+    return !slots_[rank_id].inbox.empty();
+  }
+
+  /// After a step that made progress: resets the idle streak and the
+  /// re-request backoff threshold.
+  void on_worked(int rank_id) {
+    if (!recovery_) return;
+    Slot& s = slots_[rank_id];
+    s.idle_streak = 0;
+    s.death_scan_streak = 0;
+    s.rerequest_threshold = fault_.rerequest_idle_limit;
+  }
+
+  /// After a step that made no progress (and is not done). Past the idle
+  /// threshold this suspects a lost signal and broadcasts a pull
+  /// re-request to every peer, then backs off geometrically so a merely
+  /// slow producer is not stormed. The round cap lets the driver's stall
+  /// guard fire on unrecoverable bugs (re-request RPCs would otherwise
+  /// count as work forever). No-op with faults off.
+  /// When resilience is on, a sustained idle streak also runs the
+  /// failure detector: scan every peer's liveness and convert a
+  /// confirmed death into pgas::RankDeathError (caught by the solver's
+  /// recovery loop) instead of re-requesting from a corpse forever.
+  void on_idle(pgas::Rank& rank) {
+    if (!recovery_) return;
+    Slot& s = slots_[rank.id()];
+    if (resilience_.buddy_replicas > 0 &&
+        ++s.death_scan_streak >= resilience_.detect_idle) {
+      s.death_scan_streak = 0;
+      scan_for_deaths(rank);
+    }
+    if (++s.idle_streak < s.rerequest_threshold ||
+        s.rerequest_rounds >= fault_.max_rerequest_rounds) {
+      return;
+    }
+    s.idle_streak = 0;
+    if (s.rerequest_threshold < (1 << 20)) s.rerequest_threshold *= 2;
+    ++s.rerequest_rounds;
+    request_retransmits(rank);
+  }
 
   void unregister_dumper() {
     if (rt_ != nullptr && dumper_token_ >= 0) {

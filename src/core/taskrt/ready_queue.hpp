@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -45,7 +46,6 @@ class ReadyQueue {
   /// Set the policy before any push (construction-time configuration;
   /// the engines size their per-rank arrays first, then set the policy).
   void set_policy(Policy policy) { policy_ = policy; }
-  [[nodiscard]] Policy policy() const { return policy_; }
 
   [[nodiscard]] bool empty() const { return q_.empty() && heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return q_.size() + heap_.size(); }
@@ -97,6 +97,13 @@ class ReadyQueue {
     Task t = std::move(q_.front());
     q_.pop_front();
     return t;
+  }
+
+  /// The next task per the policy, or nothing when the queue is empty
+  /// (the rank loop's pop, Endpoint::step).
+  std::optional<Task> try_pop() {
+    if (empty()) return std::nullopt;
+    return pop();
   }
 
   /// Drop everything (solve phases reuse one queue across sweeps).
