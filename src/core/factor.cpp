@@ -128,19 +128,11 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
 
 FactorEngine::~FactorEngine() {
   // Let every action this engine submitted run before its state goes.
+  // Fetched blocks an abnormal unwind (rank death mid-phase) left in the
+  // use caches, unsent aggregates, and sent ones still held by the
+  // signal ledgers free themselves with the members that hold them, so
+  // the next attempt starts with the full segments.
   rt_->wait_actions();
-  // An abnormal unwind (rank death mid-phase) can leave fetched blocks
-  // parked in the use caches; free their device allocations so the next
-  // attempt starts with the full segments. Unsent aggregates, and sent
-  // ones still held by the signal ledgers, free themselves with the
-  // members that hold them.
-  for (int r = 0; r < static_cast<int>(per_rank_.size()); ++r) {
-    pgas::Rank& rank = rt_->rank(r);
-    per_rank_[r].cache.for_each([&rank](sparse::idx_t, RemoteFactor& rf) {
-      if (!rf.device.is_null()) rank.deallocate(rf.device);
-    });
-    per_rank_[r].cache.clear();
-  }
 }
 
 idx_t FactorEngine::update_target_bid(idx_t k, idx_t si, idx_t ti) const {
@@ -242,29 +234,26 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
     // Rank layer already charged the wire bytes and arrival time), so
     // there is no pull rget and no device residency — eager targets the
     // latency-bound small blocks below the rendezvous threshold.
-    RemoteFactor rf;
-    rf.eager = sig.payload;
-    rf.ref = FactorRef{sig.payload ? sig.payload.get() : nullptr, rank.now(),
-                       false, bid};
-    auto [entry, inserted] =
-        per_rank_[me].cache.insert(bid, std::move(rf), uses);
+    auto [entry, inserted] = per_rank_[me].cache.insert(
+        bid, RemoteFactor{sig.payload, rank.now(), false}, uses);
     if (!inserted) return;  // duplicate signal: keep the original
-    stats_.fetch_mark(me, sig.k, sig.slot, entry->ref.ready);
-    deliver(rank, sig.k, sig.slot, entry->ref);
+    stats_.fetch_mark(me, sig.k, sig.slot, entry->ready);
+    deliver(rank, sig.k, sig.slot, entry->ready);
     return;
   }
 
-  RemoteFactor rf;
   // Pull mode keeps fetched blocks on the host (DESIGN.md §4l).
   bool on_device = !fan_in_ && offload_->device_resident(elems);
   // Protocol-only runs allocate no landing buffer: rget gets a null dst.
+  std::shared_ptr<double> copy;
   if (store_->numeric()) {
     if (on_device) {
       // "GPU block": fetch straight into device memory, skipping the
       // host staging hop (paper §4.2). Falls back to a host buffer when
       // the device segment is full.
-      rf.device = rank.allocate_device(bytes, /*nothrow=*/true);
-      if (rf.device.is_null()) {
+      const pgas::GlobalPtr device =
+          rank.allocate_device(bytes, /*nothrow=*/true);
+      if (device.is_null()) {
         on_device = false;
         // Device share exhausted (or denied by the injector): take the
         // host staging path instead. Counted either way; traced only
@@ -273,34 +262,34 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
         if (net_.recovery()) {
           stats_.mark(me, taskrt::kTrace_oom_fallbacks, rank.now());
         }
+      } else {
+        copy = std::shared_ptr<double>(
+            device.local<double>(),
+            [&rank, device](double*) { rank.deallocate(device); });
       }
     }
     if (!on_device) {
-      rf.host = HostCopy(new double[static_cast<std::size_t>(elems)],
-                         HostCopyFree{&rank});
+      // Uninitialised until the rget fills it.
+      copy = std::shared_ptr<double>(
+          new double[static_cast<std::size_t>(elems)],
+          [&rank](double* p) { rank.free_after(p); });
     }
   }
-  double* dst = on_device ? rf.device.local<double>() : rf.host.get();
   const double ready = net_.with_retry(rank, [&] {
-    return rank.rget(store_->gptr(bid), reinterpret_cast<std::byte*>(dst),
+    return rank.rget(store_->gptr(bid), reinterpret_cast<std::byte*>(copy.get()),
                      bytes,
                      on_device ? pgas::MemKind::kDevice : pgas::MemKind::kHost);
   });
-  rf.ref = FactorRef{dst, ready, on_device, bid};
 
   // Duplicate signals are deduplicated at the sender (recipients() is
   // sorted/unique), but a protocol bug must not silently shrink the
-  // shared device segment: UseCache::insert keeps the original entry, so
-  // free the copy we just fetched instead of leaking the device
-  // allocation and re-delivering.
-  const pgas::GlobalPtr fetched_device = rf.device;
-  auto [entry, inserted] = per_rank_[me].cache.insert(bid, std::move(rf), uses);
-  if (!inserted) {
-    if (!fetched_device.is_null()) rank.deallocate(fetched_device);
-    return;
-  }
+  // shared device segment: UseCache::insert keeps the original entry,
+  // and the copy just fetched frees itself instead of re-delivering.
+  auto [entry, inserted] = per_rank_[me].cache.insert(
+      bid, RemoteFactor{std::move(copy), ready, on_device}, uses);
+  if (!inserted) return;
   stats_.fetch_mark(me, sig.k, sig.slot, ready);
-  deliver(rank, sig.k, sig.slot, entry->ref);
+  deliver(rank, sig.k, sig.slot, ready);
 }
 
 void FactorEngine::receive_aggregate(pgas::Rank& rank, const Signal& sig) {
@@ -325,19 +314,18 @@ void FactorEngine::receive_aggregate(pgas::Rank& rank, const Signal& sig) {
 }
 
 void FactorEngine::deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
-                           const FactorRef& ref) {
+                           double ready) {
   const int me = rank.id();
   PerRank& pr = per_rank_[me];
   const idx_t nb = static_cast<idx_t>(sym_->snode(k).blocks.size());
 
   if (slot == 0) {
     // Diagonal factor L_{k,k}: enables the panel's F tasks owned here.
-    *pr.diag_ref.try_emplace(k).first = ref;
     for (idx_t fs = 1; fs <= nb; ++fs) {
       const idx_t bid = store_->block_id(k, fs);
       if (store_->owner(bid) != me) continue;
       if (rec_ != nullptr && rec_->complete[bid] != 0) continue;
-      if (deps_.satisfy(bid, ref.ready)) {
+      if (deps_.satisfy(bid, ready)) {
         enqueue(pr, Task{TaskType::kFactor, k, fs, 0, 0, deps_.ready(bid)});
       }
     }
@@ -350,7 +338,7 @@ void FactorEngine::deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
   for (idx_t ti = 1; ti <= si; ++ti) {
     if (update_rank_[update_id(k, si, ti)] == me &&
         update_needed(k, si, ti)) {
-      satisfy_update(rank, k, si, ti, ref.ready);
+      satisfy_update(rank, k, si, ti, ready);
     }
   }
   // As the pivot operand of U_{s',k,s}, s' > s (strictly, so the SYRK
@@ -358,7 +346,7 @@ void FactorEngine::deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
   for (idx_t si2 = si + 1; si2 <= nb; ++si2) {
     if (update_rank_[update_id(k, si2, si)] == me &&
         update_needed(k, si2, si)) {
-      satisfy_update(rank, k, si2, si, ref.ready);
+      satisfy_update(rank, k, si2, si, ready);
     }
   }
 }
@@ -374,14 +362,12 @@ void FactorEngine::satisfy_update(pgas::Rank& rank, idx_t j, idx_t si,
 
 FactorEngine::FactorRef FactorEngine::held(PerRank& pr, int me,
                                            idx_t bid) const {
-  if (store_->owner(bid) == me) {
-    return FactorRef{store_->data(bid), 0.0, false, -1};
-  }
+  if (store_->owner(bid) == me) return FactorRef{store_->data(bid)};
   const RemoteFactor* rf = pr.cache.find(bid);
   if (rf == nullptr) {
     throw std::logic_error("FactorEngine: operand block not held");
   }
-  return rf->ref;
+  return FactorRef{rf->buf.get(), rf->ready, rf->on_device};
 }
 
 void FactorEngine::publish(pgas::Rank& rank, idx_t k, BlockSlot slot) {
@@ -405,10 +391,7 @@ void FactorEngine::publish(pgas::Rank& rank, idx_t k, BlockSlot slot) {
 void FactorEngine::share(pgas::Rank& rank, idx_t k, BlockSlot slot) {
   const idx_t bid = store_->block_id(k, slot);
   // Local consumers are satisfied directly (no message, data in place).
-  if (local_uses(rank.id(), k, slot) > 0) {
-    deliver(rank, k, slot,
-            FactorRef{store_->data(bid), rank.now(), false, -1});
-  }
+  if (local_uses(rank.id(), k, slot) > 0) deliver(rank, k, slot, rank.now());
   // Remote consumers get a signal RPC (Fig. 4 step 1); they will pull
   // the block with a one-sided get when they next poll — unless the
   // block is small enough for the eager protocol, in which case the
@@ -487,24 +470,21 @@ void FactorEngine::execute_diag(pgas::Rank& rank, const Task& task) {
 }
 
 void FactorEngine::execute_factor(pgas::Rank& rank, const Task& task) {
-  PerRank& pr = per_rank_[rank.id()];
+  const int me = rank.id();
   const auto& sn = sym_->snode(task.k);
   const int w = static_cast<int>(sn.width());
   const idx_t bid = store_->block_id(task.k, task.slot);
   const int m = static_cast<int>(store_->nrows(bid));
 
-  const FactorRef* diag_ref = pr.diag_ref.find(task.k);
-  if (diag_ref == nullptr) {
-    throw std::logic_error("FactorEngine: F task ran before its diagonal");
-  }
-  const FactorRef diag = *diag_ref;  // copy: publish may rehash
+  const idx_t diag_bid = store_->block_id(task.k, 0);
+  const FactorRef diag = held(per_rank_[me], me, diag_bid);
   offload_->run_trsm(rank, m, w, diag.data, w, store_->data(bid), m,
                      diag.on_device);
   publish(rank, task.k, task.slot);
   // Each F task accounts for one use of the (possibly remote, possibly
   // device-resident) diagonal factor; the cache entry is freed with the
   // last one.
-  release_ref(rank, diag);
+  release(rank, diag_bid);
 }
 
 void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
@@ -519,10 +499,11 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
     throw std::logic_error("FactorEngine: update task without state");
   }
   update_deps_.set_count(u, kRan);
-  const FactorRef src_ref = held(pr, me, store_->block_id(j, task.si));
-  const FactorRef piv_ref = task.si == task.ti
-                                ? src_ref
-                                : held(pr, me, store_->block_id(j, task.ti));
+  const idx_t src_bid = store_->block_id(j, task.si);
+  const idx_t piv_bid = store_->block_id(j, task.ti);
+  const FactorRef src_ref = held(pr, me, src_bid);
+  const FactorRef piv_ref =
+      task.si == task.ti ? src_ref : held(pr, me, piv_bid);
 
   const auto& sblk = sn.blocks[task.si - 1];
   const auto& tblk = sn.blocks[task.ti - 1];
@@ -591,8 +572,8 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
     flush_aggregate(rank, t, tslot);
   }
   ++pr.done_update;
-  release_ref(rank, src_ref);
-  if (task.si != task.ti) release_ref(rank, piv_ref);
+  release(rank, src_bid);
+  if (task.si != task.ti) release(rank, piv_bid);
 }
 
 void FactorEngine::flush_aggregate(pgas::Rank& rank, idx_t t,
@@ -647,11 +628,8 @@ void FactorEngine::complete_target_update(pgas::Rank& rank, idx_t t,
   }
 }
 
-void FactorEngine::release_ref(pgas::Rank& rank, const FactorRef& ref) {
-  if (ref.cache_bid < 0) return;
-  per_rank_[rank.id()].cache.release(ref.cache_bid, [&rank](RemoteFactor& rf) {
-    if (!rf.device.is_null()) rank.deallocate(rf.device);
-  });
+void FactorEngine::release(pgas::Rank& rank, idx_t bid) {
+  per_rank_[rank.id()].cache.release(bid);
 }
 
 idx_t FactorEngine::task_depth(const Task& task) const {

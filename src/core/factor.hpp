@@ -126,27 +126,18 @@ class FactorEngine {
     const double* data = nullptr;  // null in protocol-only mode
     double ready = 0.0;
     bool on_device = false;
-    idx_t cache_bid = -1;  // block id of the cache entry, -1 if local
   };
 
-  /// Frees a fetched block's host copy as an action on it, so the free
-  /// runs after the rget that fills it and the tasks that read it.
-  struct HostCopyFree {
-    pgas::Rank* rank;
-    void operator()(double* p) const { rank->free_after(p); }
-  };
-  using HostCopy = std::unique_ptr<double[], HostCopyFree>;
-
+  /// A fetched remote block: one owned pointer to its copy, null in
+  /// protocol-only runs. Its deleter frees a host copy as an action on it
+  /// (Rank::free_after: after the rget that fills it and the tasks that
+  /// read it) and returns a device copy to the segment
+  /// (Rank::deallocate); an eager block is the signal's payload, shared
+  /// with the producer's other recipients.
   struct RemoteFactor {
-    // Host copy (when not device resident), uninitialised until the rget
-    // fills it.
-    HostCopy host{nullptr, HostCopyFree{nullptr}};
-    pgas::GlobalPtr device;  // device copy (when resident)
-    /// Eager-inlined payload (shared with the producer's other
-    /// recipients); keeps the shared buffer alive for this consumer's
-    /// uses when the signal carried the data inline.
-    std::shared_ptr<const double> eager;
-    FactorRef ref;
+    std::shared_ptr<const double> buf;
+    double ready = 0.0;
+    bool on_device = false;
   };
 
   /// Fan-in: one rank's running sum of the updates it owes one block.
@@ -186,7 +177,6 @@ class FactorEngine {
   struct PerRank {
     taskrt::ReadyQueue<Task> rtq;
     taskrt::UseCache<RemoteFactor> cache;     // key: block id
-    taskrt::FlatMap<FactorRef> diag_ref;      // key: supernode
     taskrt::FlatMap<Aggregate> aggs;          // fan-in; key: block id
     idx_t done_factor = 0;
     idx_t done_update = 0;
@@ -217,9 +207,9 @@ class FactorEngine {
   /// Recovery prologue: re-publish every already-complete block (data
   /// restored by the solver) to the consumers that still need it.
   void publish_restored();
-  /// Make factor block (k, slot) available at `rank` via `ref`.
-  void deliver(pgas::Rank& rank, idx_t k, BlockSlot slot,
-               const FactorRef& ref);
+  /// Factor block (k, slot) is held at `rank` from `ready` on: satisfy
+  /// the local tasks that use it.
+  void deliver(pgas::Rank& rank, idx_t k, BlockSlot slot, double ready);
   /// One operand of U_{j, si, ti}, available from `ready`, has arrived.
   void satisfy_update(pgas::Rank& rank, idx_t j, idx_t si, idx_t ti,
                       double ready);
@@ -242,7 +232,9 @@ class FactorEngine {
   /// One update contribution to block (t, slot) has landed at `ready`.
   void complete_target_update(pgas::Rank& rank, idx_t t, BlockSlot slot,
                               double ready);
-  void release_ref(pgas::Rank& rank, const FactorRef& ref);
+  /// One use of block `bid` is done: the last use of a fetched copy
+  /// frees it (a block the rank owns is not cached: no-op).
+  void release(pgas::Rank& rank, idx_t bid);
   /// Push a task with its policy priority (kPriority: -supernode;
   /// kCriticalPath: elimination-tree depth; queue order otherwise).
   void enqueue(PerRank& pr, const Task& task);

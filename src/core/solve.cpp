@@ -429,8 +429,7 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
       {pgas::reads(block), pgas::reads(operand), pgas::writes(out)});
   // This task is done with its operand: a remote segment's last use
   // frees it (a local segment is not cached: no-op).
-  pr.segments.release(backward ? s : panel,
-                      [](std::shared_ptr<const double>& seg) { seg.reset(); });
+  pr.segments.release(backward ? s : panel);
   ++pr.done_contrib;
 
   // Fan the partial sum in to the segment owner.

@@ -2,13 +2,13 @@
 //
 // When a signal arrives, the consumer rget-pulls the producer's block
 // into a local copy that several local tasks will read; the copy must be
-// freed exactly when the last consumer releases it. The engines keyed
-// this by block id in per-rank maps — and PR 2 fixed a leak where a
-// duplicate signal's freshly fetched copy shadowed the cached one.
-// This container makes that fix structural: insert() never overwrites an
+// freed exactly when the last consumer releases it. A duplicate signal's
+// freshly fetched copy once shadowed the cached one and leaked. This
+// container makes that fix structural: insert() never overwrites an
 // existing entry, so the duplicate path is always "free the copy you
-// just fetched, keep the original" (the caller owns that cleanup because
-// only it knows how the rejected copy's resources were allocated).
+// just fetched, keep the original". Payloads own their buffers (the
+// engines' payloads are shared_ptrs whose deleters know how each copy
+// was allocated), so a rejected copy, like a released one, frees itself.
 //
 // Entries live in a FlatMap (flat_map.hpp): no heap node per entry, and a
 // payload pointer stays valid until the next insert or release.
@@ -31,7 +31,7 @@ class UseCache {
   /// Insert a fetched copy under `key` with `uses` outstanding
   /// consumers. Returns (entry payload, inserted). When `key` is already
   /// cached the existing entry is returned untouched (inserted == false)
-  /// and the caller must dispose of the rejected copy's resources.
+  /// and the rejected copy is destroyed here.
   std::pair<Payload*, bool> insert(sparse::idx_t key, Payload payload,
                                    int uses) {
     auto [entry, inserted] = map_.try_emplace(key);
@@ -46,16 +46,11 @@ class UseCache {
   }
 
   /// Consume one use of `key`; no-op when absent (local refs). When the
-  /// last use is released, `dispose(payload)` runs and the entry is
-  /// erased.
-  template <typename Dispose>
-  void release(sparse::idx_t key, Dispose&& dispose) {
+  /// last use is released, the entry is erased and its payload destroyed
+  /// at once (an owning payload frees its buffer there).
+  void release(sparse::idx_t key) {
     Entry* entry = map_.find(key);
-    if (entry == nullptr) return;
-    if (--entry->uses == 0) {
-      dispose(entry->payload);
-      map_.erase(entry);
-    }
+    if (entry != nullptr && --entry->uses == 0) map_.erase(entry);
   }
 
   [[nodiscard]] std::size_t size() const { return map_.size(); }

@@ -61,11 +61,7 @@ struct FactorEngineTestPeer {
                                        si, ti, 0.0});
   }
   static void drain_cache(FactorEngine& e, pgas::Rank& rank) {
-    auto& cache = e.per_rank_[rank.id()].cache;
-    cache.for_each([&](sparse::idx_t, FactorEngine::RemoteFactor& rf) {
-      if (!rf.device.is_null()) rank.deallocate(rf.device);
-    });
-    cache.clear();
+    e.per_rank_[rank.id()].cache.clear();  // each copy frees itself
   }
 };
 
