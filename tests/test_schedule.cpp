@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <ios>
 #include <string>
 #include <tuple>
@@ -40,21 +39,10 @@ CscMatrix proxy_matrix(const std::string& name) {
   return sparse::thermal_proxy(0.005);
 }
 
-/// True when a SYMPACK_FAULT_* environment override is present: the
-/// Runtime constructor would overlay it onto our pinned fault config and
-/// the golden hashes would (correctly) not reproduce.
-bool fault_env_overridden() {
-  static const char* kVars[] = {
-      "SYMPACK_FAULT_ENABLED", "SYMPACK_FAULT_SEED",    "SYMPACK_FAULT_DROP",
-      "SYMPACK_FAULT_DUP",     "SYMPACK_FAULT_DELAY",   "SYMPACK_FAULT_DELAY_S",
-      "SYMPACK_FAULT_REORDER", "SYMPACK_FAULT_TRANSFER", "SYMPACK_FAULT_DEVICE",
-      "SYMPACK_FAULT_KILL",
-  };
-  for (const char* v : kVars) {
-    if (std::getenv(v) != nullptr) return true;
-  }
-  return false;
-}
+/// Every Runtime here takes its config as written: each row pins its
+/// own FaultConfig, so a stray SYMPACK_FAULT_* in the environment must
+/// not reach it.
+constexpr auto kNoEnv = pgas::Runtime::EnvOverlay::kSkip;
 
 /// Sharded symbolic metadata changes only where the metadata lives, so
 /// every golden row must reproduce with sharding off and on.
@@ -119,7 +107,7 @@ std::uint64_t run_golden(const std::string& proxy, core::Policy policy,
                          bool shard = false) {
   pgas::Runtime::Config cfg = golden_cluster();
   if (faults) cfg.faults = golden_faults();
-  pgas::Runtime rt(cfg);
+  pgas::Runtime rt(cfg, kNoEnv);
   core::SolverOptions opts;
   opts.policy = policy;
   opts.comm = comm;
@@ -176,9 +164,6 @@ class GoldenSchedule : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenSchedule, HashMatchesPreRefactorCapture) {
   const Golden& g = GetParam();
-  if (g.faults && fault_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
-  }
   for (const bool shard : kShardModes) {
     const std::uint64_t h = run_golden(g.proxy, g.policy, g.faults, {},
                                        nullptr, core::Variant::kFanOut, shard);
@@ -248,9 +233,6 @@ class GoldenEagerSchedule : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenEagerSchedule, HashMatchesCapture) {
   const Golden& g = GetParam();
-  if (g.faults && fault_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
-  }
   for (const bool shard : kShardModes) {
     pgas::CommStats stats;
     const std::uint64_t h =
@@ -323,9 +305,6 @@ class GoldenFanInSchedule : public ::testing::TestWithParam<FanInGolden> {};
 
 TEST_P(GoldenFanInSchedule, HashMatchesCapture) {
   const FanInGolden& g = GetParam();
-  if (g.faults && fault_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
-  }
   for (const bool shard : kShardModes) {
     const std::uint64_t h = run_fanin_golden(g, shard);
     EXPECT_EQ(h, g.hash) << "fan-in schedule drifted: proxy=" << g.proxy
@@ -401,7 +380,7 @@ std::uint64_t run_solve_golden(const std::string& proxy, int rhs_panel,
                                int nrhs,
                                pgas::CommStats* stats_out = nullptr,
                                bool shard = false) {
-  pgas::Runtime rt(golden_cluster());
+  pgas::Runtime rt(golden_cluster(), kNoEnv);
   core::SolverOptions opts;
   if (rhs_panel != kDefaultPanel) opts.solve.rhs_panel = rhs_panel;
   opts.symbolic.shard = shard;
@@ -506,10 +485,7 @@ std::size_t block_bytes(const core::SymPackSolver& solver) {
 }
 
 TEST(HostMemory, FactorizeHoldsExactlyTheBlockBytes) {
-  if (fault_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
-  }
-  pgas::Runtime rt(golden_cluster());
+  pgas::Runtime rt(golden_cluster(), kNoEnv);
   core::SymPackSolver solver(rt, core::SolverOptions{});
   solver.symbolic_factorize(proxy_matrix("flan"));
   solver.factorize();
@@ -524,9 +500,6 @@ TEST(HostMemory, FactorizeHoldsExactlyTheBlockBytes) {
 // rank with GPU offload off nothing is sent and no device scratch is
 // reserved, so the peak counts blocks and aggregates alone.
 TEST(HostMemory, FanInCountsAndFreesEveryAggregate) {
-  if (fault_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
-  }
   struct Row {
     int nranks;
     bool gpu;
@@ -534,7 +507,7 @@ TEST(HostMemory, FanInCountsAndFreesEveryAggregate) {
   for (const Row row : {Row{8, true}, Row{1, false}}) {
     pgas::Runtime::Config cfg = golden_cluster();
     cfg.nranks = row.nranks;
-    pgas::Runtime rt(cfg);
+    pgas::Runtime rt(cfg, kNoEnv);
     core::SolverOptions opts;
     opts.variant = core::Variant::kFanIn;
     opts.gpu.enabled = row.gpu;
@@ -553,10 +526,7 @@ TEST(HostMemory, FanInCountsAndFreesEveryAggregate) {
 // buddy's segment, allocated at the panel's own size: with faults off
 // every block completes once, so the runtime holds each block twice.
 TEST(HostMemory, BuddyReplicasDoubleTheBlockBytes) {
-  if (fault_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
-  }
-  pgas::Runtime rt(golden_cluster());
+  pgas::Runtime rt(golden_cluster(), kNoEnv);
   core::SolverOptions opts;
   opts.resilience.buddy_replicas = 1;
   core::SymPackSolver solver(rt, opts);
@@ -572,12 +542,9 @@ TEST(HostMemory, BuddyReplicasDoubleTheBlockBytes) {
 // share-OOM fallbacks are a numeric run's), and peak_bytes() counts
 // device bytes too.
 TEST(HostMemory, ProtocolOnlyAllocatesNoHostBuffers) {
-  if (fault_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
-  }
   for (const core::Variant variant :
        {core::Variant::kFanOut, core::Variant::kFanIn}) {
-    pgas::Runtime rt(golden_cluster());
+    pgas::Runtime rt(golden_cluster(), kNoEnv);
     core::SolverOptions opts;
     opts.numeric = false;
     opts.variant = variant;
@@ -603,7 +570,7 @@ TEST(HostMemory, ProtocolOnlyAllocatesNoHostBuffers) {
 
 std::size_t run_solve_memory(const std::string& proxy, int rhs_panel,
                              bool shard = false) {
-  pgas::Runtime rt(golden_cluster());
+  pgas::Runtime rt(golden_cluster(), kNoEnv);
   core::SolverOptions opts;
   opts.solve.rhs_panel = rhs_panel;
   opts.symbolic.shard = shard;
@@ -636,9 +603,6 @@ class SolveMemory : public ::testing::TestWithParam<SolveMemoryGolden> {};
 
 TEST_P(SolveMemory, TransientPeakMatchesCapture) {
   const SolveMemoryGolden& g = GetParam();
-  if (fault_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
-  }
   for (const bool shard : kShardModes) {
     EXPECT_EQ(run_solve_memory(g.proxy, g.rhs_panel, shard), g.bytes)
         << "solve memory drifted: proxy=" << g.proxy
@@ -672,12 +636,9 @@ class SolveBuffers : public ::testing::TestWithParam<LeakParam> {};
 
 TEST_P(SolveBuffers, AllReturnedAfterSolveAndDrain) {
   const auto& [proxy, faults] = GetParam();
-  if (fault_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
-  }
   pgas::Runtime::Config cfg = golden_cluster();
   if (faults) cfg.faults = golden_faults();
-  pgas::Runtime rt(cfg);
+  pgas::Runtime rt(cfg, kNoEnv);
   core::SymPackSolver solver(rt, core::SolverOptions{});
   const CscMatrix a = proxy_matrix(proxy);
   solver.symbolic_factorize(a);
@@ -728,7 +689,7 @@ struct BaselineGolden {
 };
 
 BaselineGolden run_baseline_golden(const char* proxy, bool numeric) {
-  pgas::Runtime rt(golden_cluster());
+  pgas::Runtime rt(golden_cluster(), kNoEnv);
   baseline::BaselineOptions opts;
   opts.numeric = numeric;
   baseline::RightLookingSolver solver(rt, opts);

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -47,19 +46,10 @@ CscMatrix proxy_matrix(const std::string& name) {
   return sparse::thermal_proxy(0.005);
 }
 
-/// The Runtime constructor overlays SYMPACK_FAULT_* onto its fault
-/// config, which perturbs the faulted legs.
-bool fault_env_overridden() {
-  static const char* kVars[] = {
-      "SYMPACK_FAULT_ENABLED", "SYMPACK_FAULT_SEED",    "SYMPACK_FAULT_DROP",
-      "SYMPACK_FAULT_DUP",     "SYMPACK_FAULT_DELAY",   "SYMPACK_FAULT_DELAY_S",
-      "SYMPACK_FAULT_REORDER", "SYMPACK_FAULT_TRANSFER", "SYMPACK_FAULT_DEVICE",
-  };
-  for (const char* v : kVars) {
-    if (std::getenv(v) != nullptr) return true;
-  }
-  return false;
-}
+/// Every Runtime here takes its config as written: each row pins its
+/// own FaultConfig, so a stray SYMPACK_FAULT_* in the environment must
+/// not reach it.
+constexpr auto kNoEnv = pgas::Runtime::EnvOverlay::kSkip;
 
 pgas::Runtime::Config cluster(int nranks, bool faults = false,
                               bool threaded = false) {
@@ -109,8 +99,8 @@ TEST_P(ShardStructure, OwnerRecipientsUpdateCountAgree) {
   const auto [proxy, policy, nranks] = GetParam();
   const CscMatrix a = proxy_matrix(proxy);
 
-  pgas::Runtime rt_rep(cluster(nranks));
-  pgas::Runtime rt_shd(cluster(nranks));
+  pgas::Runtime rt_rep(cluster(nranks), kNoEnv);
+  pgas::Runtime rt_shd(cluster(nranks), kNoEnv);
   core::SolverOptions opts;
   opts.policy = policy;
   opts.numeric = false;
@@ -177,7 +167,7 @@ struct SolverRun {
 
 SolverRun run_solver(const CscMatrix& a, int nranks, bool shard,
                core::Variant variant, bool faults = false) {
-  pgas::Runtime rt(cluster(nranks, faults));
+  pgas::Runtime rt(cluster(nranks, faults), kNoEnv);
   core::SolverOptions opts;
   opts.variant = variant;
   opts.symbolic.shard = shard;
@@ -240,9 +230,6 @@ TEST_P(ShardParity, FactorSolveAndProtocolCountersAgreeAt64) {
 }
 
 TEST_P(ShardParity, FaultInjectionRecoveryIsShardInvariant) {
-  if (fault_env_overridden()) {
-    GTEST_SKIP() << "SYMPACK_FAULT_* environment override active";
-  }
   const CscMatrix a = proxy_matrix("bones");
   const SolverRun rep = run_solver(a, 8, /*shard=*/false, GetParam(), true);
   const SolverRun shd = run_solver(a, 8, /*shard=*/true, GetParam(), true);
@@ -322,7 +309,7 @@ class ShardReference : public ::testing::TestWithParam<ReferenceParam> {};
 
 TEST_P(ShardReference, ResidencyMatchesPlainRules) {
   const auto [proxy, nranks, variant] = GetParam();
-  pgas::Runtime rt(cluster(nranks));
+  pgas::Runtime rt(cluster(nranks), kNoEnv);
   core::SolverOptions opts;
   opts.numeric = false;
   opts.variant = variant;
@@ -361,8 +348,8 @@ TEST(ShardResidency, FootprintShrinksAndClosureHolds) {
   const CscMatrix a = proxy_matrix("flan");
   const int nranks = 64;
 
-  pgas::Runtime rt_rep(cluster(nranks));
-  pgas::Runtime rt_shd(cluster(nranks));
+  pgas::Runtime rt_rep(cluster(nranks), kNoEnv);
+  pgas::Runtime rt_shd(cluster(nranks), kNoEnv);
   core::SolverOptions opts;
   opts.numeric = false;
   core::SymPackSolver rep(rt_rep, opts);
@@ -391,7 +378,7 @@ TEST(ShardResidency, FootprintShrinksAndClosureHolds) {
 
 TEST(ShardResidency, CommStatsMirrorMatchesViewAfterFactorize) {
   const CscMatrix a = proxy_matrix("bones");
-  pgas::Runtime rt(cluster(8));
+  pgas::Runtime rt(cluster(8), kNoEnv);
   core::SolverOptions opts;
   opts.symbolic.shard = true;
   core::SymPackSolver solver(rt, opts);
@@ -411,7 +398,7 @@ TEST(ShardResidency, CommStatsMirrorMatchesViewAfterFactorize) {
 /// word) and its least-resident panel, for driving pulls directly.
 struct PullTarget {
   PullTarget()
-      : rt(cluster(64)),
+      : rt(cluster(64), kNoEnv),
         solver(rt, [] {
           core::SolverOptions opts;
           opts.numeric = false;
@@ -524,7 +511,7 @@ TEST(ShardThreaded, FanInFactorAndSolveMatchSequential) {
     std::vector<double> x;
   };
   auto run = [&](bool threaded) {
-    pgas::Runtime rt(cluster(nranks, /*faults=*/false, threaded));
+    pgas::Runtime rt(cluster(nranks, /*faults=*/false, threaded), kNoEnv);
     core::SolverOptions opts;
     opts.variant = core::Variant::kFanIn;
     opts.symbolic.shard = true;
