@@ -49,8 +49,6 @@ class Offload {
  public:
   Offload(const GpuOptions& opts, pgas::Runtime& rt, bool numeric);
 
-  [[nodiscard]] bool gpu_enabled() const { return opts_.enabled; }
-
   /// The size heuristic: should an op touching a buffer of `elems`
   /// doubles run on the device?
   [[nodiscard]] bool should_offload(gpu::Op op, std::int64_t elems) const;

@@ -130,12 +130,6 @@ class FaultInjector {
   /// random-mode victim is resolved at construction), so configuring a
   /// kill perturbs none of the transient-fault decision streams.
   bool should_kill(int rank, std::uint64_t epoch);
-  /// The resolved kill schedule (-1 rank = no kill configured).
-  [[nodiscard]] int kill_rank() const { return kill_rank_; }
-  [[nodiscard]] std::uint64_t kill_event() const { return kill_event_; }
-  /// True after the kill has fired (the single-failure latch: a
-  /// recovered run proceeds with no further deaths).
-  [[nodiscard]] bool any_killed() const { return killed_; }
 
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }
   [[nodiscard]] const Counters& counters(int rank) const {
@@ -150,9 +144,11 @@ class FaultInjector {
   // streams_[r] / counters_[r].
   std::vector<support::Xoshiro256> streams_;
   std::vector<Counters> counters_;
-  // Kill schedule, resolved (random mode included) at construction.
-  // killed_ is written only by the victim's driving thread; other ranks
-  // compare against kill_rank_ first and never touch it.
+  // Kill schedule, resolved (random mode included) at construction
+  // (kill_rank_ -1 = no kill). killed_ latches once the kill fires (the
+  // single-failure model: a recovered run sees no further deaths); it is
+  // written only by the victim's driving thread, and other ranks compare
+  // against kill_rank_ first and never touch it.
   int kill_rank_ = -1;
   std::uint64_t kill_event_ = 0;
   bool killed_ = false;

@@ -104,17 +104,11 @@ void Rank::rpc(int target, std::function<void(Rank&)> fn,
   const double arrival = clock_ + runtime_->model().rpc_time(payload_bytes);
   advance(runtime_->model().rpc_overhead_s * 0.5);  // injection cost
   ++stats_.rpcs_sent;
+  // Without an injector every RPC takes the all-false plan: delivered
+  // once, on time, in order.
   FaultInjector* inj = runtime_->injector();
-  if (inj == nullptr) {
-    // Fault-free fast path: identical to the historical behavior (a
-    // rank can only be dead under an attached injector, so the alive
-    // check inside the lock never fires here).
-    std::lock_guard<std::mutex> lock(t.inbox_mutex_);
-    if (!t.alive_) return;
-    t.inbox_.push_back({arrival, 0.0, payload_bytes, std::move(fn)});
-    return;
-  }
-  const FaultInjector::RpcPlan plan = inj->plan_rpc(id_);
+  const FaultInjector::RpcPlan plan =
+      inj != nullptr ? inj->plan_rpc(id_) : FaultInjector::RpcPlan{};
   if (plan.drop) return;  // the signal vanishes on the wire
   InboxEntry entry{arrival, 0.0, payload_bytes, std::move(fn)};
   if (plan.delay) {

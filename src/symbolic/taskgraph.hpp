@@ -44,7 +44,7 @@ class TaskGraph {
  public:
   /// The mapping is shared, not copied: every consumer of the graph
   /// (engines, recovery, autotune pilots) reads the same immutable
-  /// Mapping instance through mapping()/mapping_ptr().
+  /// Mapping instance through mapping().
   TaskGraph(const Symbolic& sym, std::shared_ptr<const Mapping> map,
             Variant variant = Variant::kFanOut);
   TaskGraph(const Symbolic& sym, const Mapping& map,
@@ -52,9 +52,6 @@ class TaskGraph {
 
   [[nodiscard]] const Symbolic& symbolic() const { return *sym_; }
   [[nodiscard]] const Mapping& mapping() const { return *map_; }
-  [[nodiscard]] std::shared_ptr<const Mapping> mapping_ptr() const {
-    return map_;
-  }
 
   [[nodiscard]] Variant variant() const { return variant_; }
 
