@@ -168,10 +168,12 @@ struct RightLookingSolver::Engine {
         }
       }
       packed = dst;
-      // Packing cost: streaming copy of the panel.
-      rank.advance(2.0 * static_cast<double>(bytes) /
-                   rt->model().cpu_mem_bandwidth_Bps);
     }
+    // Packing cost: streaming copy of the panel, charged in protocol-only
+    // runs too (DESIGN.md §4m: they differ from numeric ones only by the
+    // bytes).
+    rank.advance(2.0 * static_cast<double>(bytes) /
+                 rt->model().cpu_mem_bandwidth_Bps);
 
     std::vector<int> dests;
     for (const auto& blk : sn.blocks) dests.push_back(owner(blk.target));

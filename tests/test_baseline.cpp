@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <string_view>
 
 #include "baseline/rightlooking.hpp"
 #include "baseline/simple_cholesky.hpp"
@@ -214,6 +216,72 @@ TEST(RightLooking, ProtocolOnlyModeRuns) {
   (void)solver.solve(b);
   EXPECT_GT(solver.report().solve_sim_s, 0.0);
 }
+
+// A protocol-only run moves no bytes but charges exactly what a numeric
+// run charges (DESIGN.md §4m), so the two agree bitwise: both phases'
+// simulated times, the kernel counts and every counter of factor + solve.
+struct ModeRun {
+  core::Report report;
+  pgas::CommStats comm;
+};
+
+ModeRun run_mode(const CscMatrix& a, bool numeric) {
+  pgas::Runtime rt(cluster(8));
+  BaselineOptions opts;
+  opts.numeric = numeric;
+  RightLookingSolver solver(rt, opts);
+  solver.symbolic_factorize(a);
+  solver.factorize();
+  (void)solver.solve(std::vector<double>(static_cast<std::size_t>(a.n()), 1.0));
+  return {solver.report(), rt.total_stats()};
+}
+
+class RightLookingModes : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RightLookingModes, ProtocolOnlyBitwiseEqualToNumeric) {
+  const std::string& proxy = GetParam();
+  const CscMatrix a = proxy == "flan"    ? sparse::flan_proxy(0.05)
+                      : proxy == "bones" ? sparse::bones_proxy(0.05)
+                                         : sparse::thermal_proxy(0.02);
+  const ModeRun num = run_mode(a, /*numeric=*/true);
+  const ModeRun dry = run_mode(a, /*numeric=*/false);
+  EXPECT_GT(dry.report.factor_sim_s, 0.0);
+  EXPECT_EQ(num.report.factor_sim_s, dry.report.factor_sim_s);
+  EXPECT_EQ(num.report.solve_sim_s, dry.report.solve_sim_s);
+  EXPECT_EQ(num.report.total_ops.cpu, dry.report.total_ops.cpu);
+  EXPECT_EQ(num.report.total_ops.gpu, dry.report.total_ops.gpu);
+  const pgas::CommStats& n = num.comm;
+  const pgas::CommStats& d = dry.comm;
+  EXPECT_EQ(n.rpcs_sent, d.rpcs_sent);
+  EXPECT_EQ(n.rpcs_executed, d.rpcs_executed);
+  EXPECT_EQ(n.gets, d.gets);
+  EXPECT_EQ(n.puts, d.puts);
+  EXPECT_EQ(n.bytes_from_host, d.bytes_from_host);
+  EXPECT_EQ(n.bytes_from_device, d.bytes_from_device);
+  EXPECT_EQ(n.bytes_to_device, d.bytes_to_device);
+  EXPECT_EQ(n.hd_copies, d.hd_copies);
+#define SYMPACK_PROTOCOL_COUNTER(field, label)          \
+  if (std::string_view(label) != "symbolic_build_us") { \
+    EXPECT_EQ(n.field, d.field) << label;               \
+  }
+#define SYMPACK_RECOVERY_COUNTER(field, label, trace_name) \
+  SYMPACK_PROTOCOL_COUNTER(field, label)
+#define SYMPACK_COMM_COUNTER(field, label, trace_name) \
+  SYMPACK_PROTOCOL_COUNTER(field, label)
+#define SYMPACK_SYMBOLIC_COUNTER(field, label, trace_name) \
+  SYMPACK_PROTOCOL_COUNTER(field, label)
+#include "core/taskrt/counters.def"
+#undef SYMPACK_PROTOCOL_COUNTER
+#undef SYMPACK_RECOVERY_COUNTER
+#undef SYMPACK_COMM_COUNTER
+#undef SYMPACK_SYMBOLIC_COUNTER
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Proxies, RightLookingModes, ::testing::Values("flan", "bones", "thermal"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 TEST(RightLooking, ApiMisuseThrows) {
   pgas::Runtime rt(cluster(2));

@@ -706,17 +706,20 @@ BaselineGolden run_baseline_golden(const char* proxy, bool numeric) {
   return run;
 }
 
-// Captured at a265d93, before the baseline moved onto core/taskrt.
+// Captured at a265d93, before the baseline moved onto core/taskrt. The
+// protocol-only rows' factor_sim_s were re-pinned once, when those runs
+// began charging the panel packing as numeric runs do; since then every
+// protocol-only row equals its numeric one.
 const BaselineGolden kGoldenBaseline[] = {
-    {"flan", false, 0x1.efe27945281e2p-9, 0x1.426b0d3dcc635p-10,
+    {"flan", false, 0x1.f2acea28505d4p-9, 0x1.426b0d3dcc635p-10,
      0xa9402e014d011407ull, 0xfb1b4f9d02fc0dcfull},
     {"flan", true, 0x1.f2acea28505d4p-9, 0x1.426b0d3dcc635p-10,
      0xa9402e014d011407ull, 0xfb1b4f9d02fc0dcfull},
-    {"bones", false, 0x1.11f2335b8d2b5p-8, 0x1.d64264bab4f2fp-11,
+    {"bones", false, 0x1.126f83e667368p-8, 0x1.d64264bab4f2fp-11,
      0xe3277fc4bc581f5dull, 0xf5feffe2089e182aull},
     {"bones", true, 0x1.126f83e667368p-8, 0x1.d64264bab4f2fp-11,
      0xe3277fc4bc581f5dull, 0xf5feffe2089e182aull},
-    {"thermal", false, 0x1.c2faafe9a852ap-8, 0x1.97eeca38afd5cp-9,
+    {"thermal", false, 0x1.c362b4b5bfedbp-8, 0x1.97eeca38afd5cp-9,
      0x6ca6a5a9d70f46aaull, 0x43fc3492ed3c4759ull},
     {"thermal", true, 0x1.c362b4b5bfedbp-8, 0x1.97eeca38afd5cp-9,
      0x6ca6a5a9d70f46aaull, 0x43fc3492ed3c4759ull},
