@@ -117,7 +117,7 @@ struct RightLookingSolver::Engine {
         },
         [&] {
           return pr.done_factor == owned_factor[me] &&
-                 pr.done_update == owned_update[me] && pr.tasks.empty();
+                 pr.done_update == owned_update[me];
         });
   }
 
@@ -373,7 +373,7 @@ struct RightLookingSolver::SolveState {
         rank, [&](const Msg& m) { handle_msg(rank, m); },
         [&pr] { return pr.tasks.try_pop(); },
         [&](const Task& task) { execute_diag(rank, task.k); },
-        [&] { return pr.done == owned_diag[me] && pr.tasks.empty(); });
+        [&] { return pr.done == owned_diag[me]; });
   }
 
   /// Segment k's last contribution has landed: queue its solve.

@@ -177,7 +177,7 @@ pgas::Step FactorEngine::step(pgas::Rank& rank) {
       [&](const Task& task) { execute(rank, task); },
       [&] {
         return pr.done_factor == goal_factor_[me] &&
-               pr.done_update == goal_update_[me] && pr.rtq.empty();
+               pr.done_update == goal_update_[me];
       });
 }
 
@@ -483,8 +483,8 @@ void FactorEngine::execute_factor(pgas::Rank& rank, const Task& task) {
   publish(rank, task.k, task.slot);
   // Each F task accounts for one use of the (possibly remote, possibly
   // device-resident) diagonal factor; the cache entry is freed with the
-  // last one.
-  release(rank, diag_bid);
+  // last one (a block the rank owns is not cached: no-op).
+  per_rank_[me].cache.release(diag_bid);
 }
 
 void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
@@ -572,8 +572,8 @@ void FactorEngine::execute_update(pgas::Rank& rank, const Task& task) {
     flush_aggregate(rank, t, tslot);
   }
   ++pr.done_update;
-  release(rank, src_bid);
-  if (task.si != task.ti) release(rank, piv_bid);
+  pr.cache.release(src_bid);
+  if (task.si != task.ti) pr.cache.release(piv_bid);
 }
 
 void FactorEngine::flush_aggregate(pgas::Rank& rank, idx_t t,
@@ -626,10 +626,6 @@ void FactorEngine::complete_target_update(pgas::Rank& rank, idx_t t,
             Task{slot == 0 ? TaskType::kDiag : TaskType::kFactor, t, slot,
                  0, 0, deps_.ready(bid)});
   }
-}
-
-void FactorEngine::release(pgas::Rank& rank, idx_t bid) {
-  per_rank_[rank.id()].cache.release(bid);
 }
 
 idx_t FactorEngine::task_depth(const Task& task) const {

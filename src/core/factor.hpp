@@ -232,9 +232,6 @@ class FactorEngine {
   /// One update contribution to block (t, slot) has landed at `ready`.
   void complete_target_update(pgas::Rank& rank, idx_t t, BlockSlot slot,
                               double ready);
-  /// One use of block `bid` is done: the last use of a fetched copy
-  /// frees it (a block the rank owns is not cached: no-op).
-  void release(pgas::Rank& rank, idx_t bid);
   /// Push a task with its policy priority (kPriority: -supernode;
   /// kCriticalPath: elimination-tree depth; queue order otherwise).
   void enqueue(PerRank& pr, const Task& task);

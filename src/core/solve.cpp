@@ -193,7 +193,7 @@ pgas::Step SolveEngine::step(pgas::Rank& rank, bool backward) {
       },
       [&] {
         return pr.done_diag == owned_diag_[me] &&
-               pr.done_contrib == owned_contrib && pr.tasks.empty();
+               pr.done_contrib == owned_contrib;
       });
 }
 

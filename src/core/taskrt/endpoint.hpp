@@ -150,7 +150,8 @@ class Endpoint {
   /// DESIGN.md §4d). The engine supplies four pieces: `handle(msg)` for
   /// one delivered message, `pop()` for at most one ready task (a
   /// std::optional of a task with a `ready` time), `run(task)` to execute
-  /// it, and `finished()` for its own termination goal. In order:
+  /// it, and `finished()` for its own termination goal (its tasks all
+  /// ran; the queue is empty whenever the loop asks). In order:
   ///   1. rank.progress() runs the RPCs that arrived;
   ///   2. under recovery, a dead rank stops there;
   ///   3. every delivered message goes to `handle`, in delivery order;
