@@ -29,11 +29,6 @@ class PackArena {
   /// every diagonal-block pack of the sweep.
   double* rhs_panel(std::size_t elems) { return grow(r_, elems); }
 
-  [[nodiscard]] std::size_t capacity_bytes() const {
-    return sizeof(double) * (a_.capacity() + b_.capacity() + t_.capacity() +
-                             r_.capacity());
-  }
-
  private:
   static double* grow(std::vector<double>& buf, std::size_t elems) {
     if (buf.size() < elems) buf.resize(elems);

@@ -127,32 +127,8 @@ void BlockStore::scatter_update(idx_t j, idx_t si, idx_t ti, BlockSlot tslot,
 }
 
 void BlockStore::assemble(const sparse::CscMatrix& a) {
-  if (!numeric_) return;
-  for (idx_t bid = 0; bid < num_blocks(); ++bid) {
-    std::memset(data_[bid], 0, bytes(bid));
-  }
-  const idx_t ns = sym_->num_snodes();
-  for (idx_t k = 0; k < ns; ++k) {
-    const auto& sn = sym_->snode(k);
-    for (idx_t j = sn.first; j <= sn.last; ++j) {
-      const idx_t col = j - sn.first;
-      for (idx_t p = a.colptr()[j]; p < a.colptr()[j + 1]; ++p) {
-        const idx_t i = a.rowind()[p];
-        const double v = a.values()[p];
-        if (i <= sn.last) {
-          // Diagonal block (lower triangle).
-          const idx_t bid = base_[k];
-          data_[bid][(i - sn.first) + col * nrows_[bid]] = v;
-        } else {
-          // Locate the below-block containing row i.
-          const idx_t slot = sym_->find_block(k, sym_->snode_of(i)) + 1;
-          const idx_t off = row_offset_in_block(k, slot, i);
-          const idx_t bid = base_[k] + slot;
-          data_[bid][off + col * nrows_[bid]] = v;
-        }
-      }
-    }
-  }
+  assemble_subset(
+      a, std::vector<char>(static_cast<std::size_t>(num_blocks()), 1));
 }
 
 void BlockStore::assemble_subset(const sparse::CscMatrix& a,
@@ -170,10 +146,12 @@ void BlockStore::assemble_subset(const sparse::CscMatrix& a,
         const idx_t i = a.rowind()[p];
         const double v = a.values()[p];
         if (i <= sn.last) {
+          // Diagonal block (lower triangle).
           const idx_t bid = base_[k];
           if (select[bid] == 0) continue;
           data_[bid][(i - sn.first) + col * nrows_[bid]] = v;
         } else {
+          // Locate the below-block containing row i.
           const idx_t slot = sym_->find_block(k, sym_->snode_of(i)) + 1;
           const idx_t bid = base_[k] + slot;
           if (select[bid] == 0) continue;

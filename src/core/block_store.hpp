@@ -55,16 +55,15 @@ class BlockStore {
 
   [[nodiscard]] bool numeric() const { return numeric_; }
 
-  /// (Re)initialize the owned blocks from the permuted matrix: zero the
-  /// panels, then scatter A's lower-triangle entries into place. No-op in
-  /// protocol-only mode.
+  /// (Re)initialize every block from the permuted matrix:
+  /// assemble_subset with all blocks selected.
   void assemble(const sparse::CscMatrix& a_permuted);
 
-  /// Re-assemble only the blocks with select[bid] != 0 (zero, then
-  /// scatter the A entries that land in them). Recovery uses this to
-  /// rebuild the still-incomplete panels after a rank death without
-  /// touching completed (checkpoint-restored) blocks. No-op in
-  /// protocol-only mode.
+  /// (Re)initialize the blocks with select[bid] != 0 from the permuted
+  /// matrix: zero them, then scatter A's lower-triangle entries that land
+  /// in them. Recovery uses this to rebuild the still-incomplete panels
+  /// after a rank death without touching completed (checkpoint-restored)
+  /// blocks. No-op in protocol-only mode.
   void assemble_subset(const sparse::CscMatrix& a_permuted,
                        const std::vector<char>& select);
 

@@ -2,18 +2,15 @@
 
 #include <cstddef>
 
-#include "core/taskrt/stats.hpp"
 #include "core/trace.hpp"
 
 namespace sympack::core {
 
 CheckpointStore::CheckpointStore(pgas::Runtime& rt, BlockStore& store,
-                                 int replicas, Tracer* tracer)
+                                 Tracer* tracer)
     : rt_(&rt),
       store_(&store),
-      replicas_(replicas),
       tracer_(tracer),
-      saved_(static_cast<std::size_t>(store.num_blocks()), 0),
       copies_(static_cast<std::size_t>(store.num_blocks())) {
   if (store.numeric()) return;
   // Protocol-only: no replica buffers, but copy/rget charge each replica
@@ -32,7 +29,6 @@ CheckpointStore::~CheckpointStore() {
 }
 
 void CheckpointStore::save(pgas::Rank& rank, idx_t bid) {
-  if (replicas_ <= 0) return;
   const std::size_t nbytes = store_->bytes(bid);
   if (store_->numeric() && copies_[bid].is_null()) {
     // Replica lives in the buddy's shared segment, like any other
@@ -40,11 +36,10 @@ void CheckpointStore::save(pgas::Rank& rank, idx_t bid) {
     copies_[bid] = rt_->rank(buddy(bid)).allocate_host(nbytes);
   }
   rank.copy(store_->gptr(bid), copies_[bid], nbytes);
-  saved_[bid] = 1;
   ++rank.stats().ckpt_saves;
   if (tracer_ != nullptr) {
-    tracer_->record(rank.id(), taskrt::kTrace_ckpt_saves, rank.now(),
-                    rank.now());
+    tracer_->record({.rank = rank.id(), .begin_s = rank.now(),
+                     .end_s = rank.now(), .mark = kTrace_ckpt_saves});
   }
 }
 
@@ -53,14 +48,9 @@ void CheckpointStore::restore(pgas::Rank& rank, idx_t bid) {
             store_->bytes(bid), pgas::MemKind::kHost);
   ++rank.stats().ckpt_restores;
   if (tracer_ != nullptr) {
-    tracer_->record(rank.id(), taskrt::kTrace_ckpt_restores, rank.now(),
-                    rank.now());
+    tracer_->record({.rank = rank.id(), .begin_s = rank.now(),
+                     .end_s = rank.now(), .mark = kTrace_ckpt_restores});
   }
-}
-
-void CheckpointStore::reset() {
-  saved_.assign(saved_.size(), 0);
-  // Replica buffers are kept: refactorize reuses them (same geometry).
 }
 
 }  // namespace sympack::core

@@ -40,9 +40,7 @@ class Tracer;
 /// factorization attempt (the replica set survives engine teardown).
 class CheckpointStore {
  public:
-  /// `replicas` is ResilienceOptions::buddy_replicas; only 0/1 are
-  /// meaningful under the single-failure model.
-  CheckpointStore(pgas::Runtime& rt, BlockStore& store, int replicas,
+  CheckpointStore(pgas::Runtime& rt, BlockStore& store,
                   Tracer* tracer = nullptr);
   ~CheckpointStore();
   CheckpointStore(const CheckpointStore&) = delete;
@@ -62,18 +60,10 @@ class CheckpointStore {
   /// block. `rank` is the rank driving recovery and takes the charge.
   void restore(pgas::Rank& rank, idx_t bid);
 
-  /// True once save(bid) has completed at least once.
-  [[nodiscard]] bool has(idx_t bid) const { return saved_[bid] != 0; }
-
-  /// Drop all replicas and saved marks (refactorize starts clean).
-  void reset();
-
  private:
   pgas::Runtime* rt_;
   BlockStore* store_;
-  int replicas_;
   Tracer* tracer_;
-  std::vector<char> saved_;               // per-bid: replica is valid
   std::vector<pgas::GlobalPtr> copies_;   // per-bid replica (null addr when
                                           // protocol-only)
 };

@@ -16,44 +16,8 @@ namespace {
 // identical arithmetic, but summing order can differ by ulps.
 constexpr double kEps = 1e-12;
 
-/// One analyzable task span (or zero-width mark) with its identity
-/// resolved from metadata when present, else parsed from the name.
-struct Span {
-  int id = -1;
-  int rank = 0;
-  char kind = 0;  // 'D','F','U','S','Y','X','C','Z','g', 0 = other
-  std::int64_t snode = -1;
-  std::int64_t a = -1;
-  std::int64_t b = -1;
-  std::int64_t tgt = -1;
-  std::int64_t tgt_slot = -1;
-  double begin = 0.0;
-  double end = 0.0;
-  const std::string* name = nullptr;
-};
-
-bool parse_span_name(const std::string& name, Span& s) {
-  if (name.size() < 3 || name[1] != ' ') return false;
-  const char c = name[0];
-  switch (c) {
-    case 'D': case 'F': case 'U': case 'S':
-    case 'Y': case 'X': case 'C': case 'Z': case 'g':
-      break;
-    default:
-      return false;
-  }
-  long long k = -1, a = -1, b = -1;
-  const int n = std::sscanf(name.c_str() + 2, "%lld:%lld:%lld", &k, &a, &b);
-  if (n < 1) return false;
-  s.kind = c;
-  s.snode = k;
-  if (n >= 2) s.a = a;
-  if (n >= 3) s.b = b;
-  return true;
-}
-
 /// Producer-index key: who produced (kind, snode, slot).
-std::uint64_t pkey(char kind, std::int64_t snode, std::int64_t slot) {
+std::uint64_t pkey(TaskTag kind, std::int64_t snode, std::int64_t slot) {
   return (static_cast<std::uint64_t>(static_cast<unsigned char>(kind))
           << 56) |
          ((static_cast<std::uint64_t>(snode) & 0xFFFFFFF) << 28) |
@@ -66,13 +30,16 @@ std::uint64_t bkey(std::int64_t snode, std::int64_t slot) {
          (static_cast<std::uint64_t>(slot) & 0xFFFFFFF);
 }
 
-void add_category(CritPathReport::Breakdown& bd, char kind, double dur) {
+void add_category(CritPathReport::Breakdown& bd, TaskTag kind, double dur) {
   switch (kind) {
-    case 'D': bd.potrf += dur; break;
-    case 'F': bd.trsm += dur; break;
-    case 'U': bd.update += dur; break;
-    case 'S': bd.selinv += dur; break;
-    case 'Y': case 'X': case 'C': case 'Z': bd.solve += dur; break;
+    case TaskTag::kDiag: bd.potrf += dur; break;
+    case TaskTag::kFactor: bd.trsm += dur; break;
+    case TaskTag::kUpdate: bd.update += dur; break;
+    case TaskTag::kSelinv: bd.selinv += dur; break;
+    case TaskTag::kSolveFwd:
+    case TaskTag::kSolveBwd:
+    case TaskTag::kContribFwd:
+    case TaskTag::kContribBwd: bd.solve += dur; break;
     default: bd.other += dur; break;
   }
 }
@@ -125,51 +92,37 @@ CritPathReport CritPathAnalyzer::analyze(int top_k) const {
   rep.has_comm_stats = has_comm_stats_;
   rep.comm_stats = comm_stats_;
 
-  // ---- Classify events into task spans and fetch marks.
-  std::vector<Span> spans;
+  // ---- Classify events into task spans and fetch marks; counter marks
+  // are neither. A span's id is its index in `spans`.
+  std::vector<const Tracer::Event*> spans;
   spans.reserve(events_.size());
   // (snode, slot) -> sorted arrival times of fetch marks.
   std::unordered_map<std::uint64_t, std::vector<double>> fetches;
   int max_rank = -1;
-  bool meta_seen = false;
   for (const auto& e : events_) {
     max_rank = std::max(max_rank, e.rank);
     rep.makespan_s = std::max(rep.makespan_s, e.end_s);
-    Span s;
-    s.rank = e.rank;
-    s.begin = e.begin_s;
-    s.end = e.end_s;
-    s.name = &e.name;
-    if (e.meta.kind != 0) {
-      meta_seen = true;
-      s.kind = e.meta.kind;
-      s.snode = e.meta.snode;
-      s.a = e.meta.a;
-      s.b = e.meta.b;
-      s.tgt = e.meta.tgt;
-      s.tgt_slot = e.meta.tgt_slot;
-    } else if (!parse_span_name(e.name, s)) {
-      s.kind = 0;  // recovery mark or foreign event
-    }
-    if (s.kind == 'g') {
-      fetches[bkey(s.snode, std::max<std::int64_t>(s.a, 0))].push_back(s.end);
-      continue;
-    }
-    if (e.end_s > e.begin_s || s.kind != 0) {
-      s.id = static_cast<int>(spans.size());
-      spans.push_back(s);
+    if (e.kind == TaskTag::kFetch) {
+      fetches[bkey(e.snode, std::max<std::int64_t>(e.a, 0))].push_back(
+          e.end_s);
+    } else if (e.kind != TaskTag::kCounter) {
+      spans.push_back(&e);
     }
   }
   for (auto& [key, times] : fetches) std::sort(times.begin(), times.end());
   rep.nranks = max_rank + 1;
   rep.num_spans = spans.size();
-  rep.had_metadata = meta_seen;
+  rep.had_metadata = !fetches.empty();
   if (spans.empty()) return rep;
+  const auto span = [&](int id) -> const Tracer::Event& {
+    return *spans[static_cast<std::size_t>(id)];
+  };
+  const int nspans = static_cast<int>(spans.size());
 
   // ---- Aggregate totals.
-  for (const Span& s : spans) {
-    const double dur = s.end - s.begin;
-    add_category(rep.total, s.kind, dur);
+  for (const Tracer::Event* s : spans) {
+    const double dur = s->end_s - s->begin_s;
+    add_category(rep.total, s->kind, dur);
     rep.busy_s += dur;
   }
   rep.idle_s =
@@ -183,38 +136,33 @@ CritPathReport CritPathAnalyzer::analyze(int top_k) const {
   std::unordered_map<std::uint64_t, std::vector<int>> folds;
   // Per-rank span ids in start order (same-rank serialization edges).
   std::vector<std::vector<int>> by_rank(static_cast<std::size_t>(rep.nranks));
-  for (const Span& s : spans) {
+  for (int id = 0; id < nspans; ++id) {
+    const Tracer::Event& s = span(id);
     switch (s.kind) {
-      case 'D':
-        producers[pkey('D', s.snode, 0)].push_back(s.id);
+      case TaskTag::kDiag:
+      case TaskTag::kSolveFwd:
+      case TaskTag::kSolveBwd:
+        producers[pkey(s.kind, s.snode, 0)].push_back(id);
         break;
-      case 'F':
-        producers[pkey('F', s.snode, std::max<std::int64_t>(s.a, 0))]
-            .push_back(s.id);
-        break;
-      case 'Y':
-      case 'X':
-        producers[pkey(s.kind, s.snode, 0)].push_back(s.id);
-        break;
-      case 'C':
-      case 'Z':
+      case TaskTag::kFactor:
+      case TaskTag::kContribFwd:
+      case TaskTag::kContribBwd:
         producers[pkey(s.kind, s.snode, std::max<std::int64_t>(s.a, 0))]
-            .push_back(s.id);
+            .push_back(id);
         break;
       default:
         break;
     }
     if (s.tgt >= 0) {
-      folds[bkey(s.tgt, std::max<std::int64_t>(s.tgt_slot, 0))]
-          .push_back(s.id);
+      folds[bkey(s.tgt, std::max<std::int64_t>(s.tgt_slot, 0))].push_back(id);
     }
-    by_rank[static_cast<std::size_t>(s.rank)].push_back(s.id);
+    by_rank[static_cast<std::size_t>(s.rank)].push_back(id);
   }
   std::vector<int> rank_pos(spans.size(), -1);
   for (auto& ids : by_rank) {
     std::sort(ids.begin(), ids.end(), [&](int x, int y) {
-      if (spans[x].begin != spans[y].begin) {
-        return spans[x].begin < spans[y].begin;
+      if (span(x).begin_s != span(y).begin_s) {
+        return span(x).begin_s < span(y).begin_s;
       }
       return x < y;
     });
@@ -229,28 +177,23 @@ CritPathReport CritPathAnalyzer::analyze(int top_k) const {
     if (it == producers.end()) return -1;
     int best = -1;
     for (int id : it->second) {
-      if (spans[static_cast<std::size_t>(id)].end <= by + kEps &&
-          (best < 0 || spans[static_cast<std::size_t>(id)].end >
-                           spans[static_cast<std::size_t>(best)].end)) {
+      if (span(id).end_s <= by + kEps &&
+          (best < 0 || span(id).end_s > span(best).end_s)) {
         best = id;
       }
     }
     return best;
   };
-  // Latest span folding into block (tgt, slot) of kind in `kinds`,
-  // completing no later than `by`.
-  auto latest_fold = [&](std::uint64_t key, const char* kinds,
-                         double by) -> int {
+  // Latest span of `kind` folding into block `key`, completing no later
+  // than `by`.
+  auto latest_fold = [&](std::uint64_t key, TaskTag kind, double by) -> int {
     const auto it = folds.find(key);
     if (it == folds.end()) return -1;
     int best = -1;
     for (int id : it->second) {
-      const Span& s = spans[static_cast<std::size_t>(id)];
-      bool match = false;
-      for (const char* c = kinds; *c != '\0'; ++c) match |= (s.kind == *c);
-      if (match && s.end <= by + kEps &&
-          (best < 0 ||
-           s.end > spans[static_cast<std::size_t>(best)].end)) {
+      const Tracer::Event& s = span(id);
+      if (s.kind == kind && s.end_s <= by + kEps &&
+          (best < 0 || s.end_s > span(best).end_s)) {
         best = id;
       }
     }
@@ -259,22 +202,22 @@ CritPathReport CritPathAnalyzer::analyze(int top_k) const {
 
   // ---- Backward walk from the span that ends at the makespan.
   int cur = 0;
-  for (const Span& s : spans) {
-    if (s.end > spans[static_cast<std::size_t>(cur)].end) cur = s.id;
+  for (int id = 0; id < nspans; ++id) {
+    if (span(id).end_s > span(cur).end_s) cur = id;
   }
-  rep.critical_path_s = spans[static_cast<std::size_t>(cur)].end;
+  rep.critical_path_s = span(cur).end_s;
 
   std::size_t guard = spans.size() + 1;
   while (cur >= 0 && guard-- > 0) {
-    const Span& s = spans[static_cast<std::size_t>(cur)];
+    const Tracer::Event& s = span(cur);
     CritPathReport::Segment seg;
-    seg.name = *s.name;
-    seg.kind = s.kind;
+    seg.name = s.name();
+    seg.kind = static_cast<char>(s.kind);
     seg.rank = s.rank;
     seg.snode = s.snode;
-    seg.begin_s = s.begin;
-    seg.end_s = s.end;
-    add_category(rep.path, s.kind, s.end - s.begin);
+    seg.begin_s = s.begin_s;
+    seg.end_s = s.end_s;
+    add_category(rep.path, s.kind, s.end_s - s.begin_s);
     ++rep.path_tasks;
 
     // Candidate predecessors: the latest-finishing input wins.
@@ -285,8 +228,7 @@ CritPathReport CritPathAnalyzer::analyze(int top_k) const {
     bool have_fetch_key = false;
     auto consider = [&](int cand, std::uint64_t fk, bool has_fk) {
       if (cand < 0) return;
-      if (pred < 0 || spans[static_cast<std::size_t>(cand)].end >
-                          spans[static_cast<std::size_t>(pred)].end) {
+      if (pred < 0 || span(cand).end_s > span(pred).end_s) {
         pred = cand;
         fetch_key = fk;
         have_fetch_key = has_fk;
@@ -301,47 +243,51 @@ CritPathReport CritPathAnalyzer::analyze(int top_k) const {
                0, false);
     }
     // Dataflow edges.
+    const double begin = s.begin_s;
     switch (s.kind) {
-      case 'D':
-        consider(latest_fold(bkey(s.snode, 0), "U", s.begin),
+      case TaskTag::kDiag:
+        consider(latest_fold(bkey(s.snode, 0), TaskTag::kUpdate, begin),
                  bkey(s.snode, 0), true);
         break;
-      case 'F': {
-        consider(latest_producer(pkey('D', s.snode, 0), s.begin),
+      case TaskTag::kFactor: {
+        consider(latest_producer(pkey(TaskTag::kDiag, s.snode, 0), begin),
                  bkey(s.snode, 0), true);
         const std::int64_t slot = std::max<std::int64_t>(s.a, 0);
-        consider(latest_fold(bkey(s.snode, slot), "U", s.begin),
+        consider(latest_fold(bkey(s.snode, slot), TaskTag::kUpdate, begin),
                  bkey(s.snode, slot), true);
         break;
       }
-      case 'U':
+      case TaskTag::kUpdate:
         if (s.a >= 0) {
-          consider(latest_producer(pkey('F', s.snode, s.a), s.begin),
-                   bkey(s.snode, s.a), true);
+          consider(
+              latest_producer(pkey(TaskTag::kFactor, s.snode, s.a), begin),
+              bkey(s.snode, s.a), true);
         }
         if (s.b >= 0) {
-          consider(latest_producer(pkey('F', s.snode, s.b), s.begin),
-                   bkey(s.snode, s.b), true);
+          consider(
+              latest_producer(pkey(TaskTag::kFactor, s.snode, s.b), begin),
+              bkey(s.snode, s.b), true);
         }
         break;
-      case 'Y':
-        consider(latest_fold(bkey(s.snode, 0), "C", s.begin),
+      case TaskTag::kSolveFwd:
+        consider(latest_fold(bkey(s.snode, 0), TaskTag::kContribFwd, begin),
                  bkey(s.snode, 0), true);
         break;
-      case 'X':
-        consider(latest_fold(bkey(s.snode, 0), "Z", s.begin),
+      case TaskTag::kSolveBwd:
+        consider(latest_fold(bkey(s.snode, 0), TaskTag::kContribBwd, begin),
                  bkey(s.snode, 0), true);
-        consider(latest_producer(pkey('Y', s.snode, 0), s.begin), 0, false);
+        consider(latest_producer(pkey(TaskTag::kSolveFwd, s.snode, 0), begin),
+                 0, false);
         break;
-      case 'C':
+      case TaskTag::kContribFwd:
         if (s.b >= 0) {
-          consider(latest_producer(pkey('Y', s.b, 0), s.begin),
+          consider(latest_producer(pkey(TaskTag::kSolveFwd, s.b, 0), begin),
                    bkey(s.b, 0), true);
         }
         break;
-      case 'Z':
+      case TaskTag::kContribBwd:
         if (s.b >= 0) {
-          consider(latest_producer(pkey('X', s.b, 0), s.begin),
+          consider(latest_producer(pkey(TaskTag::kSolveBwd, s.b, 0), begin),
                    bkey(s.b, 0), true);
         }
         break;
@@ -353,34 +299,34 @@ CritPathReport CritPathAnalyzer::analyze(int top_k) const {
       // Path start: time before the first task is pre-work (assembly,
       // seeding) — count it as wait so the categories still sum to the
       // makespan.
-      seg.wait_s = std::max(0.0, s.begin);
+      seg.wait_s = std::max(0.0, s.begin_s);
       rep.path.wait += seg.wait_s;
       rep.path_segments.push_back(std::move(seg));
       break;
     }
 
-    const Span& p = spans[static_cast<std::size_t>(pred)];
-    const double gap = std::max(0.0, s.begin - p.end);
+    const Tracer::Event& p = span(pred);
+    const double gap = std::max(0.0, s.begin_s - p.end_s);
     if (gap > 0.0) {
       if (p.rank == s.rank) {
         seg.wait_s = gap;  // local scheduling delay (RTQ backlog)
       } else {
         // Cross-rank handoff: a fetch mark inside the gap splits it
         // into transfer (producer end -> data arrived) and wait (data
-        // arrived -> task started); with no mark (metadata off, or a
+        // arrived -> task started); with no mark (fetch marks off, or a
         // path the engines don't mark) the whole gap is transfer.
-        double arrived = s.begin;
+        double arrived = s.begin_s;
         bool found = false;
         if (have_fetch_key) {
           const auto it = fetches.find(fetch_key);
           if (it != fetches.end()) {
             const auto& times = it->second;
-            auto ub =
-                std::upper_bound(times.begin(), times.end(), s.begin + kEps);
+            auto ub = std::upper_bound(times.begin(), times.end(),
+                                       s.begin_s + kEps);
             while (ub != times.begin()) {
               --ub;
-              if (*ub >= p.end - kEps) {
-                arrived = std::max(*ub, p.end);
+              if (*ub >= p.end_s - kEps) {
+                arrived = std::max(*ub, p.end_s);
                 found = true;
               }
               break;
@@ -388,8 +334,8 @@ CritPathReport CritPathAnalyzer::analyze(int top_k) const {
           }
         }
         if (found) {
-          seg.comm_s = arrived - p.end;
-          seg.wait_s = s.begin - arrived;
+          seg.comm_s = arrived - p.end_s;
+          seg.wait_s = s.begin_s - arrived;
         } else {
           seg.comm_s = gap;
         }
@@ -400,7 +346,6 @@ CritPathReport CritPathAnalyzer::analyze(int top_k) const {
     rep.path_segments.push_back(std::move(seg));
     cur = pred;
   }
-
   // ---- Top-k path segments by span duration.
   rep.top = rep.path_segments;
   std::stable_sort(rep.top.begin(), rep.top.end(),

@@ -1,11 +1,10 @@
 // Trace-driven critical-path profiler (DESIGN.md §4g).
 //
-// CritPathAnalyzer rebuilds the task DAG from a Tracer's event stream —
-// the task spans every engine records ("D k" / "F k:slot" / "U k:si:ti"
-// / "S k" for the factorization phases, "Y k" / "X k" / "C k:slot" /
-// "Z k:slot" for the solve sweeps) plus, on metadata-enabled traces
-// (SolverOptions::trace.metadata), the structured per-event fields (task
-// kind, supernode, slot indices, dependency-edge hints) and the
+// CritPathAnalyzer rebuilds the task DAG from a Tracer's events, reading
+// their fields directly: every task span the engines record (D / F / U
+// / S for the factorization phases, Y / X / C / Z for the solve sweeps)
+// carries its kind, supernode, slot indices and dependency-edge hints,
+// and with TraceOptions::metadata on, the trace also holds the
 // zero-width block-fetch marks ("g k:slot") left on the consumer rank
 // when a remote block or segment finished arriving.
 //
@@ -22,10 +21,8 @@
 // time), and the top-k longest path segments with rank and supernode
 // attribution.
 //
-// Traces without metadata still analyze: kinds are parsed back out of
-// the span names and the walk falls back to rank-serialization edges
-// (gaps then count as wait), so pre-existing traces remain readable —
-// just with less precise attribution.
+// Without fetch marks a cross-rank gap on the path counts wholly as
+// communication.
 //
 // The schedule autotuner that resolves Policy::kAuto lives in
 // core/autotune.hpp; it measures pilots by simulated makespan and does
@@ -79,7 +76,7 @@ struct CritPathReport {
   std::size_t num_events = 0;    // events analyzed (spans + marks)
   std::size_t num_spans = 0;     // task spans (nonzero-width events)
   int path_tasks = 0;            // spans on the critical path
-  bool had_metadata = false;     // dependency edges were available
+  bool had_metadata = false;     // the trace carries fetch marks
   Breakdown path;                // where the critical path's time went
   Breakdown total;               // aggregate busy seconds per category
   double busy_s = 0.0;           // sum of all span durations

@@ -42,7 +42,7 @@ FactorEngine::FactorEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
     : rt_(&rt), sym_(&tg.symbolic()), tg_(&tg), view_(&view), store_(&store),
       offload_(&offload),
       opts_(opts), fan_in_(tg.variant() == Variant::kFanIn),
-      stats_(tracer, opts.trace.metadata), rec_(rec) {
+      tracer_(tracer), rec_(rec) {
   const symbolic::Symbolic& sym = *sym_;
   // Built in place: PerRank is move-only (its fetch cache owns host
   // copies), and resize() would need it copyable.
@@ -237,7 +237,7 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
     auto [entry, inserted] = per_rank_[me].cache.insert(
         bid, RemoteFactor{sig.payload, rank.now(), false}, uses);
     if (!inserted) return;  // duplicate signal: keep the original
-    stats_.fetch_mark(me, sig.k, sig.slot, entry->ready);
+    fetch_mark(me, sig.k, sig.slot, entry->ready);
     deliver(rank, sig.k, sig.slot, entry->ready);
     return;
   }
@@ -259,8 +259,9 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
         // host staging path instead. Counted either way; traced only
         // under fault injection so fault-free traces stay byte-identical.
         ++rank.stats().oom_fallbacks;
-        if (net_.recovery()) {
-          stats_.mark(me, taskrt::kTrace_oom_fallbacks, rank.now());
+        if (net_.recovery() && tracer_ != nullptr) {
+          tracer_->record({.rank = me, .begin_s = rank.now(),
+                           .end_s = rank.now(), .mark = kTrace_oom_fallbacks});
         }
       } else {
         copy = std::shared_ptr<double>(
@@ -288,7 +289,7 @@ void FactorEngine::handle_signal(pgas::Rank& rank, const Signal& sig) {
   auto [entry, inserted] = per_rank_[me].cache.insert(
       bid, RemoteFactor{std::move(copy), ready, on_device}, uses);
   if (!inserted) return;
-  stats_.fetch_mark(me, sig.k, sig.slot, ready);
+  fetch_mark(me, sig.k, sig.slot, ready);
   deliver(rank, sig.k, sig.slot, ready);
 }
 
@@ -378,12 +379,10 @@ void FactorEngine::publish(pgas::Rank& rank, idx_t k, BlockSlot slot) {
     // replicated to the buddy before any consumer depends on them.
     const idx_t bid = store_->block_id(k, slot);
     rec_->complete[bid] = 1;
-    if (rec_->ckpt != nullptr) {
-      net_.with_retry(rank, [&] {
-        rec_->ckpt->save(rank, bid);
-        return rank.now();
-      });
-    }
+    net_.with_retry(rank, [&] {
+      rec_->ckpt->save(rank, bid);
+      return rank.now();
+    });
   }
   share(rank, k, slot);
 }
@@ -430,35 +429,40 @@ void FactorEngine::execute(pgas::Rank& rank, const Task& task) {
     case TaskType::kFactor: execute_factor(rank, task); break;
     case TaskType::kUpdate: execute_update(rank, task); break;
   }
-  if (stats_.tracing()) {
-    switch (task.type) {
-      case TaskType::kDiag:
-        stats_.task_span(rank.id(), taskrt::TaskTag::kDiag, task.k, 0, 0,
-                         begin, rank.now());
-        break;
-      case TaskType::kFactor:
-        stats_.task_span(rank.id(), taskrt::TaskTag::kFactor, task.k,
-                         task.slot, 0, begin, rank.now());
-        break;
-      case TaskType::kUpdate: {
-        // Dependency-edge hint for the analyzer (metadata builds only):
-        // the block this update folded into — (t, 0) for the SYRK task,
-        // (t, slot of row-block s) for GEMM — names the D/F task it
-        // helps unlock.
-        idx_t tgt = -1, tgt_slot = -1;
-        if (stats_.metadata()) {
-          const auto& sn = sym_->snode(task.k);
-          const idx_t s = sn.blocks[task.si - 1].target;
-          const idx_t t = sn.blocks[task.ti - 1].target;
-          tgt = t;
-          tgt_slot = (task.si == task.ti) ? 0 : sym_->find_block(t, s) + 1;
-        }
-        stats_.task_span(rank.id(), taskrt::TaskTag::kUpdate, task.k, task.si,
-                         task.ti, begin, rank.now(), tgt, tgt_slot);
-        break;
-      }
+  if (tracer_ == nullptr) return;
+  Tracer::Event e{.rank = rank.id(), .snode = task.k, .a = 0, .b = 0,
+                  .begin_s = begin, .end_s = rank.now()};
+  switch (task.type) {
+    case TaskType::kDiag:
+      e.kind = TaskTag::kDiag;
+      break;
+    case TaskType::kFactor:
+      e.kind = TaskTag::kFactor;
+      e.a = task.slot;
+      break;
+    case TaskType::kUpdate: {
+      // Dependency-edge hint for the analyzer: the block this update
+      // folded into — (t, 0) for the SYRK task, (t, slot of row-block s)
+      // for GEMM — names the D/F task it helps unlock.
+      const auto& sn = sym_->snode(task.k);
+      const idx_t s = sn.blocks[task.si - 1].target;
+      const idx_t t = sn.blocks[task.ti - 1].target;
+      e.kind = TaskTag::kUpdate;
+      e.a = task.si;
+      e.b = task.ti;
+      e.tgt = t;
+      e.tgt_slot = (task.si == task.ti) ? 0 : sym_->find_block(t, s) + 1;
+      break;
     }
   }
+  tracer_->record(e);
+}
+
+void FactorEngine::fetch_mark(int rank, idx_t k, BlockSlot slot,
+                              double t) const {
+  if (tracer_ == nullptr || !opts_.trace.metadata) return;
+  tracer_->record({.rank = rank, .kind = TaskTag::kFetch, .snode = k,
+                   .a = slot, .begin_s = t, .end_s = t});
 }
 
 void FactorEngine::execute_diag(pgas::Rank& rank, const Task& task) {

@@ -73,7 +73,6 @@
 #include "core/taskrt/flat_map.hpp"
 #include "core/taskrt/ready_queue.hpp"
 #include "core/taskrt/scratch.hpp"
-#include "core/taskrt/stats.hpp"
 #include "core/taskrt/use_cache.hpp"
 #include "core/trace.hpp"
 #include "pgas/runtime.hpp"
@@ -219,6 +218,9 @@ class FactorEngine {
   /// attempt, only those with tasks left to run).
   void share(pgas::Rank& rank, idx_t k, BlockSlot slot);
   void execute(pgas::Rank& rank, const Task& task);
+  /// Zero-width "g k:slot" mark on consumer `rank`: remote factor block
+  /// (k, slot) arrived at `t`. Recorded only with TraceOptions::metadata.
+  void fetch_mark(int rank, idx_t k, BlockSlot slot, double t) const;
   void execute_diag(pgas::Rank& rank, const Task& task);
   void execute_factor(pgas::Rank& rank, const Task& task);
   void execute_update(pgas::Rank& rank, const Task& task);
@@ -245,7 +247,7 @@ class FactorEngine {
   SolverOptions opts_;
   /// Pull mode (fan-in): updates land in aggregates (see the header).
   bool fan_in_;
-  taskrt::EngineStats stats_;
+  Tracer* tracer_;
   /// Resilience hand-off (null without buddy checkpointing). The solver
   /// owns it; it outlives every factorization attempt's engine.
   RecoveryContext* rec_ = nullptr;

@@ -157,14 +157,12 @@ struct SolveOptions {
 /// same rule.
 int rhs_panel_width(const SolveOptions& solve, int nrhs);
 
-/// Tracing detail (DESIGN.md §4g). With `metadata` off (the default) an
-/// attached Tracer records exactly the historical event stream — same
-/// events, same names — so the golden schedule hashes, which fold every
-/// event's rank and name, stay bit-identical. Turning it on adds (a)
-/// structured per-event metadata (task kind, supernode, slot indices,
-/// dependency-edge hints) and (b) zero-width block-fetch marks on the
-/// consumer rank, which together let core::CritPathAnalyzer rebuild the
-/// task DAG and split cross-rank gaps into comm vs. wait.
+/// Tracing detail (DESIGN.md §4g). An attached Tracer always records
+/// each task's fields (kind, supernode, slot indices, dependency-edge
+/// hints). `metadata` adds zero-width block-fetch marks on the consumer
+/// rank, which let core::CritPathAnalyzer split cross-rank gaps into
+/// comm vs. wait. Off by default: the golden schedule hashes, which fold
+/// every event's rank and name, were taken without them.
 struct TraceOptions {
   bool metadata = false;
 };

@@ -7,7 +7,7 @@
 
 #include "blas/blas.hpp"
 #include "core/solver.hpp"
-#include "core/taskrt/stats.hpp"
+#include "core/trace.hpp"
 #include "sparse/permute.hpp"
 
 namespace sympack::core {
@@ -79,7 +79,7 @@ SelectedInverse selected_inversion(const SymPackSolver& solver) {
   // Selected inversion runs serially on the caller thread (no simulated
   // ranks), so its "S k" spans use wall-clock time relative to the sweep
   // start, on tid 0.
-  taskrt::EngineStats stats(solver.tracer());
+  Tracer* tracer = solver.tracer();
   const auto wall0 = std::chrono::steady_clock::now();
   const auto elapsed_s = [wall0] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -90,7 +90,7 @@ SelectedInverse selected_inversion(const SymPackSolver& solver) {
   // Root-to-leaf sweep: ancestors' selected inverse entries are complete
   // before any descendant needs to gather them.
   for (idx_t k = ns - 1; k >= 0; --k) {
-    const double span_begin = stats.tracing() ? elapsed_s() : 0.0;
+    const double span_begin = tracer != nullptr ? elapsed_s() : 0.0;
     const auto& sn = sym.snode(k);
     const int w = static_cast<int>(sn.width());
     const int b = static_cast<int>(sn.nrows_below());
@@ -175,9 +175,9 @@ SelectedInverse selected_inversion(const SymPackSolver& solver) {
             diag[r + static_cast<std::size_t>(c) * w];
       }
     }
-    if (stats.tracing()) {
-      stats.task_span(/*rank=*/0, taskrt::TaskTag::kSelinv, k, 0, 0,
-                      span_begin, elapsed_s());
+    if (tracer != nullptr) {
+      tracer->record({.rank = 0, .kind = TaskTag::kSelinv, .snode = k, .a = 0,
+                      .b = 0, .begin_s = span_begin, .end_s = elapsed_s()});
     }
   }
   return inv;

@@ -46,13 +46,12 @@ SolveEngine::SolveEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
                          Offload& offload, const SolverOptions& opts,
                          Tracer* tracer)
     : rt_(&rt), sym_(&tg.symbolic()), tg_(&tg), view_(&view), store_(&store),
-      offload_(&offload), opts_(opts), stats_(tracer, opts.trace.metadata) {
+      offload_(&offload), opts_(opts), tracer_(tracer) {
   const symbolic::Symbolic& sym = *sym_;
   const idx_t ns = sym.num_snodes();
   target_blocks_.resize(ns);
   owned_diag_.assign(rt.nranks(), 0);
-  owned_contrib_fwd_.assign(rt.nranks(), 0);
-  owned_contrib_bwd_.assign(rt.nranks(), 0);
+  owned_contrib_.assign(rt.nranks(), 0);
   const auto& map = tg.mapping();
   for (idx_t k = 0; k < ns; ++k) {
     ++owned_diag_[map(k, k)];
@@ -62,8 +61,7 @@ SolveEngine::SolveEngine(pgas::Runtime& rt, const symbolic::TaskGraph& tg,
       const idx_t s = sn.blocks[slot - 1].target;
       target_blocks_[s].emplace_back(k, slot);
       // Each block produces exactly one contribution in each sweep.
-      ++owned_contrib_fwd_[map(s, k)];
-      ++owned_contrib_bwd_[map(s, k)];
+      ++owned_contrib_[map(s, k)];
     }
   }
   seg_.resize(ns);
@@ -179,8 +177,6 @@ void SolveEngine::drive_phase(bool backward) {
 pgas::Step SolveEngine::step(pgas::Rank& rank, bool backward) {
   const int me = rank.id();
   PerRank& pr = per_rank_[me];
-  const idx_t owned_contrib =
-      backward ? owned_contrib_bwd_[me] : owned_contrib_fwd_[me];
   return net_.step(
       rank, [&](const Msg& m) { handle_msg(rank, m, backward); },
       [&pr] { return pr.tasks.try_pop(); },
@@ -193,7 +189,7 @@ pgas::Step SolveEngine::step(pgas::Rank& rank, bool backward) {
       },
       [&] {
         return pr.done_diag == owned_diag_[me] &&
-               pr.done_contrib == owned_contrib;
+               pr.done_contrib == owned_contrib_[me];
       });
 }
 
@@ -206,11 +202,11 @@ void SolveEngine::execute_diag(pgas::Rank& rank, idx_t k, bool backward) {
                           store_->numeric() ? seg_[k].data() : nullptr, w);
   deps_.set_ready(k, rank.now());
   ++per_rank_[rank.id()].done_diag;
-  if (stats_.tracing()) {
-    stats_.task_span(rank.id(),
-                     backward ? taskrt::TaskTag::kSolveBwd
-                              : taskrt::TaskTag::kSolveFwd,
-                     k, 0, 0, begin, rank.now());
+  if (tracer_ != nullptr) {
+    tracer_->record({.rank = rank.id(),
+                     .kind = backward ? TaskTag::kSolveBwd : TaskTag::kSolveFwd,
+                     .snode = k, .a = 0, .b = 0, .begin_s = begin,
+                     .end_s = rank.now()});
   }
   publish_solution(rank, k, backward);
 }
@@ -330,7 +326,7 @@ void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
       });
       segment = std::move(copy);
     }
-    stats_.fetch_mark(me, msg.k, 0, ready);
+    fetch_mark(me, msg.k, 0, ready);
     // Task::operand outlives the message, so the segment stays in the
     // use cache until the last of these tasks has read it. The link
     // delivers each segment to a rank once per sweep, so the insert
@@ -345,7 +341,7 @@ void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
   if (msg.eager_bytes > 0) {
     // Eager: apply the inline partial sum directly (the apply action is
     // submitted before the message drops its payload).
-    stats_.fetch_mark(me, msg.panel, msg.slot, rank.now());
+    fetch_mark(me, msg.panel, msg.slot, rank.now());
     apply_contribution(rank, msg.panel, msg.slot, msg.payload.get(),
                        rank.now(), backward, /*pull_bytes=*/0);
     return;
@@ -355,9 +351,16 @@ void SolveEngine::handle_msg(pgas::Rank& rank, const Msg& msg,
   const double ready = net_.with_retry(rank, [&] {
     return rank.rget(msg.data, nullptr, msg.bytes, pgas::MemKind::kHost);
   });
-  stats_.fetch_mark(me, msg.panel, msg.slot, ready);
+  fetch_mark(me, msg.panel, msg.slot, ready);
   apply_contribution(rank, msg.panel, msg.slot, msg.payload.get(), ready,
                      backward, msg.bytes);
+}
+
+void SolveEngine::fetch_mark(int rank, idx_t k, BlockSlot slot,
+                             double t) const {
+  if (tracer_ == nullptr || !opts_.trace.metadata) return;
+  tracer_->record({.rank = rank, .kind = TaskTag::kFetch, .snode = k,
+                   .a = slot, .begin_s = t, .end_s = t});
 }
 
 void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
@@ -433,14 +436,14 @@ void SolveEngine::execute_contrib(pgas::Rank& rank, const Task& task,
   ++pr.done_contrib;
 
   // Fan the partial sum in to the segment owner.
-  if (stats_.tracing()) {
+  if (tracer_ != nullptr) {
     // b = the supernode whose solution segment this contribution
     // consumed; tgt = the segment it folds into (its Y/X diag task).
-    stats_.task_span(rank.id(),
-                     backward ? taskrt::TaskTag::kContribBwd
-                              : taskrt::TaskTag::kContribFwd,
-                     panel, slot, backward ? s : panel, begin, rank.now(),
-                     dest, 0);
+    tracer_->record(
+        {.rank = rank.id(),
+         .kind = backward ? TaskTag::kContribBwd : TaskTag::kContribFwd,
+         .snode = panel, .a = slot, .b = backward ? s : panel, .tgt = dest,
+         .tgt_slot = 0, .begin_s = begin, .end_s = rank.now()});
   }
   if (local) {
     contribution_landed(rank, dest, rank.now());

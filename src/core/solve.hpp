@@ -64,7 +64,6 @@
 #include "core/taskrt/endpoint.hpp"
 #include "core/taskrt/ready_queue.hpp"
 #include "core/taskrt/scratch.hpp"
-#include "core/taskrt/stats.hpp"
 #include "core/taskrt/use_cache.hpp"
 #include "core/trace.hpp"
 #include "pgas/runtime.hpp"
@@ -157,6 +156,9 @@ class SolveEngine {
   void gather(double* x) const;
   pgas::Step step(pgas::Rank& rank, bool backward);
   void handle_msg(pgas::Rank& rank, const Msg& msg, bool backward);
+  /// Zero-width "g k:slot" mark on consumer `rank`: a remote segment or
+  /// partial sum arrived at `t`. Recorded only with TraceOptions::metadata.
+  void fetch_mark(int rank, idx_t k, BlockSlot slot, double t) const;
   void execute_diag(pgas::Rank& rank, idx_t k, bool backward);
   void execute_contrib(pgas::Rank& rank, const Task& task, bool backward);
   void publish_solution(pgas::Rank& rank, idx_t k, bool backward);
@@ -183,7 +185,7 @@ class SolveEngine {
   BlockStore* store_;
   Offload* offload_;
   SolverOptions opts_;
-  taskrt::EngineStats stats_;
+  Tracer* tracer_;
   int nrhs_ = 1;  // columns carried by the sweep in flight
   double join_wall_s_ = 0.0;
 
@@ -200,10 +202,10 @@ class SolveEngine {
   /// enqueues contribution tasks and kContrib decrements a dependency
   /// counter, neither of which is idempotent. Reset between sweeps.
   taskrt::Endpoint<Msg> net_;
-  // Per-rank totals for termination.
+  // Per-rank totals for termination (the same in both sweeps: each
+  // block produces exactly one contribution per sweep).
   std::vector<idx_t> owned_diag_;
-  std::vector<idx_t> owned_contrib_fwd_;
-  std::vector<idx_t> owned_contrib_bwd_;
+  std::vector<idx_t> owned_contrib_;
 };
 
 }  // namespace sympack::core

@@ -223,8 +223,7 @@ void SymPackSolver::factorize() {
   // ledger per numeric factorization (refactorize starts clean).
   RecoveryContext* rec = nullptr;
   if (opts_.resilience.buddy_replicas > 0) {
-    ckpt_ = std::make_unique<CheckpointStore>(
-        *rt_, *store_, opts_.resilience.buddy_replicas, tracer_);
+    ckpt_ = std::make_unique<CheckpointStore>(*rt_, *store_, tracer_);
     rec_ = RecoveryContext{};
     rec_.ckpt = ckpt_.get();
     rec_.complete.assign(static_cast<std::size_t>(store_->num_blocks()), 0);

@@ -42,7 +42,6 @@
 
 #include "core/options.hpp"
 #include "core/taskrt/reliable.hpp"
-#include "core/taskrt/stats.hpp"
 #include "core/trace.hpp"
 #include "pgas/runtime.hpp"
 #include "support/random.hpp"
@@ -117,8 +116,6 @@ class Endpoint {
            bytes < static_cast<std::size_t>(comm_.eager_bytes);
   }
 
-  [[nodiscard]] const CommOptions& comm() const { return comm_; }
-
   /// Send `m` to rank `to`: a plain signal RPC with faults off;
   /// ledgered + sequenced through the ReliableLink under injection.
   /// Counts one eager_sends when the message carries an inlined payload
@@ -128,8 +125,8 @@ class Endpoint {
     if (inline_payload_bytes(m) > 0) {
       ++rank.stats().eager_sends;
       if (tracer_ != nullptr) {
-        tracer_->record(rank.id(), kTrace_eager_sends, rank.now(),
-                        rank.now());
+        tracer_->record({.rank = rank.id(), .begin_s = rank.now(),
+                         .end_s = rank.now(), .mark = kTrace_eager_sends});
       }
     }
     if (!recovery_) {
@@ -319,8 +316,8 @@ class Endpoint {
       if (p == me || rt_->rank(p).alive()) continue;
       ++rank.stats().peer_deaths_detected;
       if (tracer_ != nullptr) {
-        tracer_->record(me, kTrace_peer_deaths_detected, rank.now(),
-                        rank.now());
+        tracer_->record({.rank = me, .begin_s = rank.now(), .end_s = rank.now(),
+                         .mark = kTrace_peer_deaths_detected});
       }
       throw pgas::RankDeathError(p, me, rank.now());
     }
@@ -338,8 +335,8 @@ class Endpoint {
       return;
     }
     if (tracer_ != nullptr && rank.has_unflushed_signals_to(to)) {
-      tracer_->record(rank.id(), kTrace_coalesced_signals, rank.now(),
-                      rank.now());
+      tracer_->record({.rank = rank.id(), .begin_s = rank.now(),
+                       .end_s = rank.now(), .mark = kTrace_coalesced_signals});
     }
     rank.rpc_coalesced(to, std::forward<Fn>(fn), payload_bytes);
   }
@@ -374,7 +371,8 @@ class Endpoint {
     Slot& s = slots_[me];
     ++rank.stats().dropped_detected;
     if (tracer_ != nullptr) {
-      tracer_->record(me, kTrace_dropped_detected, rank.now(), rank.now());
+      tracer_->record({.rank = me, .begin_s = rank.now(), .end_s = rank.now(),
+                       .mark = kTrace_dropped_detected});
     }
     for (int p = 0; p < rt_->nranks(); ++p) {
       if (p == me) continue;
@@ -393,8 +391,8 @@ class Endpoint {
     for (std::uint64_t s = from_seq; s < log.size(); ++s) {
       ++producer.stats().retransmits;
       if (tracer_ != nullptr) {
-        tracer_->record(producer.id(), kTrace_retransmits, producer.now(),
-                        producer.now());
+        tracer_->record({.rank = producer.id(), .begin_s = producer.now(),
+                         .end_s = producer.now(), .mark = kTrace_retransmits});
       }
       post(producer, consumer, s, log[s]);
     }

@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/taskrt/stats.hpp"
 #include "core/trace.hpp"
 #include "pgas/runtime.hpp"
 #include "support/backoff.hpp"
@@ -172,7 +171,8 @@ double with_rma_retry(pgas::Rank& rank, const support::BackoffPolicy& policy,
       const double delay = backoff.next_delay(rng);
       waited_s += delay;
       if (tracer != nullptr) {
-        tracer->record(rank.id(), kTrace_retries, rank.now(), rank.now());
+        tracer->record({.rank = rank.id(), .begin_s = rank.now(),
+                        .end_s = rank.now(), .mark = kTrace_retries});
       }
       rank.advance(delay);
     }

@@ -9,16 +9,33 @@
 
 namespace sympack::core {
 
-void Tracer::record(int rank, std::string name, double begin_s,
-                    double end_s) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_.push_back(Event{rank, std::move(name), begin_s, end_s, Meta{}});
+std::string Tracer::Event::name() const {
+  if (kind == TaskTag::kCounter) return mark != nullptr ? mark : "";
+  const char tag = static_cast<char>(kind);
+  const auto k = static_cast<long long>(snode);
+  char buf[72];
+  switch (kind) {
+    case TaskTag::kUpdate:
+      std::snprintf(buf, sizeof buf, "%c %lld:%lld:%lld", tag, k,
+                    static_cast<long long>(a), static_cast<long long>(b));
+      break;
+    case TaskTag::kFactor:
+    case TaskTag::kContribFwd:
+    case TaskTag::kContribBwd:
+    case TaskTag::kFetch:
+      std::snprintf(buf, sizeof buf, "%c %lld:%lld", tag, k,
+                    static_cast<long long>(a));
+      break;
+    default:
+      std::snprintf(buf, sizeof buf, "%c %lld", tag, k);
+      break;
+  }
+  return buf;
 }
 
-void Tracer::record(int rank, std::string name, double begin_s, double end_s,
-                    const Meta& meta) {
+void Tracer::record(const Event& event) {
   std::lock_guard<std::mutex> lock(mutex_);
-  events_.push_back(Event{rank, std::move(name), begin_s, end_s, meta});
+  events_.push_back(event);
 }
 
 std::vector<Tracer::Event> Tracer::events() const {
@@ -45,25 +62,19 @@ std::string Tracer::to_chrome_json() const {
   for (const auto& e : events_) {
     if (!first) out << ",\n";
     first = false;
-    // Names are escaped and carried at full length: the pre-fix emitter
-    // pushed them through an unescaped %s into a fixed 160-byte buffer,
-    // so a long or quote-bearing name truncated the record mid-token and
-    // broke the whole document.
-    out << R"({"name":")" << support::json_escape(e.name) << '"';
+    out << R"({"name":")" << support::json_escape(e.name()) << '"';
     std::snprintf(num, sizeof num,
                   R"(,"ph":"X","pid":0,"tid":%d,"ts":%.3f,"dur":%.3f)",
                   e.rank, e.begin_s * 1e6, (e.end_s - e.begin_s) * 1e6);
     out << num;
-    if (e.meta.kind != 0) {
-      const char cat[2] = {e.meta.kind, '\0'};
-      out << R"(,"cat":")" << support::json_escape(cat) << '"';
-      out << R"(,"args":{"kind":")" << support::json_escape(cat)
-          << R"(","snode":)" << e.meta.snode;
-      if (e.meta.a >= 0) out << R"(,"a":)" << e.meta.a;
-      if (e.meta.b >= 0) out << R"(,"b":)" << e.meta.b;
-      if (e.meta.tgt >= 0) {
-        out << R"(,"tgt":)" << e.meta.tgt << R"(,"tgt_slot":)"
-            << e.meta.tgt_slot;
+    if (e.kind != TaskTag::kCounter) {
+      const char cat = static_cast<char>(e.kind);
+      out << R"(,"cat":")" << cat << R"(","args":{"kind":")" << cat
+          << R"(","snode":)" << e.snode;
+      if (e.a >= 0) out << R"(,"a":)" << e.a;
+      if (e.b >= 0) out << R"(,"b":)" << e.b;
+      if (e.tgt >= 0) {
+        out << R"(,"tgt":)" << e.tgt << R"(,"tgt_slot":)" << e.tgt_slot;
       }
       out << '}';
     }

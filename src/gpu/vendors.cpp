@@ -1,7 +1,5 @@
 #include "gpu/vendors.hpp"
 
-#include <stdexcept>
-
 namespace sympack::gpu {
 
 void apply_device_vendor(pgas::MachineModel& model, DeviceVendor vendor) {
@@ -41,19 +39,6 @@ const char* vendor_name(DeviceVendor vendor) {
     case DeviceVendor::kIntelPvc: return "intel-pvc";
   }
   return "?";
-}
-
-DeviceVendor parse_vendor(const std::string& name) {
-  if (name == "nvidia" || name == "nvidia-a100" || name == "cuda") {
-    return DeviceVendor::kNvidiaA100;
-  }
-  if (name == "amd" || name == "amd-mi250x" || name == "hip") {
-    return DeviceVendor::kAmdMi250x;
-  }
-  if (name == "intel" || name == "intel-pvc" || name == "oneapi") {
-    return DeviceVendor::kIntelPvc;
-  }
-  throw std::invalid_argument("unknown device vendor: " + name);
 }
 
 }  // namespace sympack::gpu

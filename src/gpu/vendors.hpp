@@ -12,8 +12,6 @@
 // they parameterize the simulation only.
 #pragma once
 
-#include <string>
-
 #include "pgas/machine_model.hpp"
 
 namespace sympack::gpu {
@@ -28,6 +26,5 @@ enum class DeviceVendor {
 void apply_device_vendor(pgas::MachineModel& model, DeviceVendor vendor);
 
 const char* vendor_name(DeviceVendor vendor);
-DeviceVendor parse_vendor(const std::string& name);
 
 }  // namespace sympack::gpu

@@ -28,13 +28,6 @@ double MachineModel::transfer_time(std::size_t bytes, bool same_node,
   return t;
 }
 
-double MachineModel::mpi_transfer_time(std::size_t bytes, bool same_node,
-                                       MemKind src, MemKind dst) const {
-  if (same_node) return transfer_time(bytes, true, src, dst);
-  // CUDA-enabled Cray MPICH uses GDR too; only the latency differs.
-  return mpi_latency_s + static_cast<double>(bytes) / net_bandwidth_Bps;
-}
-
 double MachineModel::hd_copy_time(std::size_t bytes) const {
   return pcie_latency_s + static_cast<double>(bytes) / pcie_bandwidth_Bps;
 }

@@ -72,11 +72,6 @@ struct MachineModel {
   [[nodiscard]] double transfer_time(std::size_t bytes, bool same_node,
                                      MemKind src, MemKind dst) const;
 
-  /// The MPI_Get comparator used by the Fig. 5 benchmark (always the
-  /// GDR-accelerated path).
-  [[nodiscard]] double mpi_transfer_time(std::size_t bytes, bool same_node,
-                                         MemKind src, MemKind dst) const;
-
   /// Host <-> device copy within one rank (PCIe).
   [[nodiscard]] double hd_copy_time(std::size_t bytes) const;
 

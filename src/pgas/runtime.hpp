@@ -176,7 +176,6 @@ class Rank {
   [[nodiscard]] int node() const;
   /// Device this rank is bound to (paper §4.2: p mod d within the node).
   [[nodiscard]] int device() const;
-  [[nodiscard]] Runtime& runtime() { return *runtime_; }
 
   // --- Simulated clock.
   [[nodiscard]] double now() const { return clock_; }

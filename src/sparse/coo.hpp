@@ -18,7 +18,6 @@ class CooBuilder {
   void add(idx_t i, idx_t j, double value);
 
   [[nodiscard]] idx_t n() const { return n_; }
-  [[nodiscard]] std::size_t entries() const { return rows_.size(); }
 
   /// Build the lower-CSC matrix: sorts, sums duplicates, and inserts
   /// explicit zero diagonal entries for columns that lack one (the solver

@@ -23,8 +23,6 @@ class AsciiTable {
   void print(std::ostream& os) const;
   [[nodiscard]] std::string to_string() const;
 
-  [[nodiscard]] std::size_t rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

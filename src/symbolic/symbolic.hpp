@@ -87,8 +87,6 @@ struct Supernode {
   [[nodiscard]] idx_t nrows_below() const {
     return static_cast<idx_t>(below.size());
   }
-  /// Total panel rows: diagonal block + below rows.
-  [[nodiscard]] idx_t panel_rows() const { return width() + nrows_below(); }
 };
 
 class Symbolic {

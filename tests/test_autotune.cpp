@@ -45,12 +45,8 @@ TEST(Vendors, NvidiaPresetMatchesDefaultModel) {
 }
 
 TEST(Vendors, ParseAndName) {
-  EXPECT_EQ(gpu::parse_vendor("cuda"), gpu::DeviceVendor::kNvidiaA100);
-  EXPECT_EQ(gpu::parse_vendor("hip"), gpu::DeviceVendor::kAmdMi250x);
-  EXPECT_EQ(gpu::parse_vendor("oneapi"), gpu::DeviceVendor::kIntelPvc);
   EXPECT_STREQ(gpu::vendor_name(gpu::DeviceVendor::kAmdMi250x),
                "amd-mi250x");
-  EXPECT_THROW(gpu::parse_vendor("tpu"), std::invalid_argument);
 }
 
 TEST(Vendors, SolverRunsCorrectlyOnEveryVendor) {

@@ -1,19 +1,19 @@
-// Tests for the trace/JSON emission fixes and the critical-path
+// Tests for the trace events, their JSON emission and the critical-path
 // analyzer (core/critpath.hpp):
 //
-//   * Tracer::to_chrome_json with hostile task names — quotes,
-//     backslashes, control characters, and names far beyond the old
-//     fixed 160-byte formatting buffer — must still emit valid JSON
-//     (the pre-fix serializer truncated and never escaped).
+//   * Tracer::Event::name() derives every task kind's name and every
+//     counters.def trace name from the fields; the golden schedule
+//     hashes fold these strings.
+//   * Tracer::to_chrome_json prints each field record byte for byte.
 //   * A full factor + solve trace round-trips through the serializer
 //     and parses.
 //   * bench::JsonReport renders non-finite doubles as null, not as the
 //     unparseable bare tokens nan/inf, and quotes and escapes strings.
 //   * DepTracker::satisfy asserts on a decrement below zero in debug
 //     builds (a duplicate signal that escaped the dedup layer).
-//   * CritPathAnalyzer on a hand-built five-task DAG: known critical
+//   * CritPathAnalyzer on a hand-built five-event DAG: known critical
 //     path, per-category breakdown, comm/wait split at a fetch-marked
-//     cross-rank handoff, and the name-parse fallback for plain traces.
+//     cross-rank handoff, and the whole gap as comm without the mark.
 //   * Policy::kAuto resolves to a concrete policy whose simulated
 //     makespan is no worse than every fixed policy (the pilots are
 //     protocol-only and sim-exact, so this holds by construction).
@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -40,42 +41,74 @@ namespace sympack {
 namespace {
 
 // ---------------------------------------------------------------------
-// Tracer JSON emission.
+// Tracer events and their JSON emission.
 
-TEST(TracerJson, HostileNamesStillEmitValidJson) {
-  core::Tracer tracer;
-  // Quote, backslash, newline, tab, a raw control byte, and padding well
-  // past the old 160-byte snprintf buffer.
-  std::string evil = "evil\"name\\with\nbad\tcontrols\x01";
-  evil.append(200, 'x');
-  tracer.record(0, evil, 0.0, 1.0);
-  tracer.record(1, "plain", 0.5, 2.0);
+TEST(TracerEvent, NameIsDerivedFromTheFields) {
+  using core::TaskTag;
+  const auto name = [](TaskTag kind, std::int64_t k, std::int64_t a,
+                       std::int64_t b) {
+    return core::Tracer::Event{.kind = kind, .snode = k, .a = a, .b = b}
+        .name();
+  };
+  // The values the engines record: D, S, Y and X carry a = b = 0, a
+  // fetch mark b = -1.
+  EXPECT_EQ(name(TaskTag::kDiag, 42, 0, 0), "D 42");
+  EXPECT_EQ(name(TaskTag::kFactor, 42, 3, 0), "F 42:3");
+  EXPECT_EQ(name(TaskTag::kUpdate, 42, 3, 1), "U 42:3:1");
+  EXPECT_EQ(name(TaskTag::kSelinv, 7, 0, 0), "S 7");
+  EXPECT_EQ(name(TaskTag::kSolveFwd, 7, 0, 0), "Y 7");
+  EXPECT_EQ(name(TaskTag::kSolveBwd, 7, 0, 0), "X 7");
+  EXPECT_EQ(name(TaskTag::kContribFwd, 7, 2, 9), "C 7:2");
+  EXPECT_EQ(name(TaskTag::kContribBwd, 7, 2, 5), "Z 7:2");
+  EXPECT_EQ(name(TaskTag::kFetch, 7, 2, -1), "g 7:2");
+  EXPECT_EQ(name(TaskTag::kUpdate, 123456789012, 4000000000, 7),
+            "U 123456789012:4000000000:7");
 
-  const std::string doc = tracer.to_chrome_json();
-  std::string err;
-  EXPECT_TRUE(support::json_validate(doc, &err)) << err;
-  // The raw quote/control bytes must not appear unescaped.
-  EXPECT_NE(doc.find("evil\\\"name\\\\with\\nbad\\tcontrols\\u0001"),
-            std::string::npos);
-  // Nothing got truncated: the long tail survives.
-  EXPECT_NE(doc.find(std::string(200, 'x')), std::string::npos);
+  // A counter mark prints its counters.def trace name, row by row.
+  std::vector<std::string> marks;
+#define SYMPACK_RECOVERY_COUNTER(field, label, trace_name) \
+  marks.push_back(core::Tracer::Event{.mark = core::kTrace_##field}.name());
+#define SYMPACK_COMM_COUNTER(field, label, trace_name) \
+  SYMPACK_RECOVERY_COUNTER(field, label, trace_name)
+#define SYMPACK_SYMBOLIC_COUNTER(field, label, trace_name) \
+  SYMPACK_RECOVERY_COUNTER(field, label, trace_name)
+#include "core/taskrt/counters.def"
+#undef SYMPACK_RECOVERY_COUNTER
+#undef SYMPACK_COMM_COUNTER
+#undef SYMPACK_SYMBOLIC_COUNTER
+  EXPECT_EQ(marks, (std::vector<std::string>{
+                       "rma-retry", "retransmit", "re-request", "dup-dropped",
+                       "ooo-stashed", "rpc-deferred", "oom-fallback",
+                       "peer-death", "ckpt-save", "ckpt-restore",
+                       "block-reassembled", "eager-send", "coalesced-signal",
+                       "rma-exhausted", "symbolic-build", "symbolic-pull",
+                       "symbolic-bytes"}));
 }
 
+// Task events and fetch marks print their fields as "cat" and "args"
+// (a, b and the target hint only when set); counter marks print neither.
 TEST(TracerJson, MetadataEventsCarryArgsAndValidate) {
   core::Tracer tracer;
-  core::Tracer::Meta meta;
-  meta.kind = 'U';
-  meta.snode = 7;
-  meta.a = 2;
-  meta.b = 1;
-  meta.tgt = 9;
-  meta.tgt_slot = 3;
-  tracer.record(0, "U 7:2:1", 1.0, 2.0, meta);
+  tracer.record({.rank = 0, .kind = core::TaskTag::kUpdate, .snode = 7,
+                 .a = 2, .b = 1, .tgt = 9, .tgt_slot = 3, .begin_s = 1.0,
+                 .end_s = 2.0});
+  tracer.record({.rank = 1, .kind = core::TaskTag::kFetch, .snode = 7,
+                 .a = 2, .begin_s = 2.5, .end_s = 2.5});
+  tracer.record({.rank = 1, .begin_s = 3.0, .end_s = 3.0,
+                 .mark = core::kTrace_retries});
   const std::string doc = tracer.to_chrome_json();
+  EXPECT_EQ(doc,
+            "[{\"name\":\"U 7:2:1\",\"ph\":\"X\",\"pid\":0,\"tid\":0,"
+            "\"ts\":1000000.000,\"dur\":1000000.000,\"cat\":\"U\","
+            "\"args\":{\"kind\":\"U\",\"snode\":7,\"a\":2,\"b\":1,"
+            "\"tgt\":9,\"tgt_slot\":3}},\n"
+            "{\"name\":\"g 7:2\",\"ph\":\"X\",\"pid\":0,\"tid\":1,"
+            "\"ts\":2500000.000,\"dur\":0.000,\"cat\":\"g\","
+            "\"args\":{\"kind\":\"g\",\"snode\":7,\"a\":2}},\n"
+            "{\"name\":\"rma-retry\",\"ph\":\"X\",\"pid\":0,\"tid\":1,"
+            "\"ts\":3000000.000,\"dur\":0.000}]\n");
   std::string err;
   EXPECT_TRUE(support::json_validate(doc, &err)) << err;
-  EXPECT_NE(doc.find("\"cat\""), std::string::npos);
-  EXPECT_NE(doc.find("\"args\""), std::string::npos);
 }
 
 TEST(TracerJson, FactorAndSolveTraceRoundTrips) {
@@ -173,31 +206,26 @@ TEST(DepTrackerDeathTest, DuplicateSatisfyAssertsInDebug) {
 //
 // Critical path: D 2 <- U <- F <- D 1, four tasks, ending at 5.0.
 
-std::vector<core::Tracer::Event> hand_built_dag(bool with_meta) {
-  auto ev = [&](int rank, const char* name, double b, double e,
-                core::Tracer::Meta m) {
-    core::Tracer::Event out;
-    out.rank = rank;
-    out.name = name;
-    out.begin_s = b;
-    out.end_s = e;
-    if (with_meta) out.meta = m;
-    return out;
+std::vector<core::Tracer::Event> hand_built_dag(bool with_fetch_mark) {
+  using core::TaskTag;
+  std::vector<core::Tracer::Event> dag = {
+      {.rank = 0, .kind = TaskTag::kDiag, .snode = 1, .a = 0, .b = 0,
+       .begin_s = 0.1, .end_s = 1.0},
+      {.rank = 0, .kind = TaskTag::kFactor, .snode = 1, .a = 1, .b = 0,
+       .begin_s = 1.0, .end_s = 2.0},
+      {.rank = 1, .kind = TaskTag::kFetch, .snode = 1, .a = 1,
+       .begin_s = 2.5, .end_s = 2.5},
+      {.rank = 1, .kind = TaskTag::kUpdate, .snode = 1, .a = 1, .b = 1,
+       .tgt = 2, .tgt_slot = 0, .begin_s = 3.0, .end_s = 4.0},
+      {.rank = 1, .kind = TaskTag::kDiag, .snode = 2, .a = 0, .b = 0,
+       .begin_s = 4.0, .end_s = 5.0},
   };
-  core::Tracer::Meta d1{'D', 1, -1, -1, -1, -1};
-  core::Tracer::Meta f11{'F', 1, 1, -1, -1, -1};
-  core::Tracer::Meta g11{'g', 1, 1, -1, -1, -1};
-  core::Tracer::Meta u{'U', 1, 1, 1, 2, 0};
-  core::Tracer::Meta d2{'D', 2, -1, -1, -1, -1};
-  return {
-      ev(0, "D 1", 0.1, 1.0, d1),      ev(0, "F 1:1", 1.0, 2.0, f11),
-      ev(1, "g 1:1", 2.5, 2.5, g11),   ev(1, "U 1:1:1", 3.0, 4.0, u),
-      ev(1, "D 2", 4.0, 5.0, d2),
-  };
+  if (!with_fetch_mark) dag.erase(dag.begin() + 2);
+  return dag;
 }
 
 TEST(CritPath, HandBuiltDagBreakdown) {
-  core::CritPathAnalyzer analyzer(hand_built_dag(/*with_meta=*/true));
+  core::CritPathAnalyzer analyzer(hand_built_dag(/*with_fetch_mark=*/true));
   const auto rep = analyzer.analyze(/*top_k=*/10);
 
   EXPECT_TRUE(rep.had_metadata);
@@ -235,15 +263,18 @@ TEST(CritPath, HandBuiltDagBreakdown) {
   EXPECT_TRUE(support::json_validate(rep.to_json(), &err)) << err;
 }
 
-TEST(CritPath, NameParseFallbackWithoutMetadata) {
-  core::CritPathAnalyzer analyzer(hand_built_dag(/*with_meta=*/false));
+TEST(CritPath, HandoffGapIsCommWithoutFetchMark) {
+  core::CritPathAnalyzer analyzer(hand_built_dag(/*with_fetch_mark=*/false));
   const auto rep = analyzer.analyze();
 
-  // Names alone carry kind/snode/slots but no fold-target hints; the
-  // chain still reconstructs through producer edges and same-rank order.
+  // The same path, but nothing marks when block (1,1) arrived on rank 1:
+  // the whole rank-0 -> rank-1 gap [2.0,3.0] counts as transfer.
   EXPECT_FALSE(rep.had_metadata);
+  EXPECT_EQ(rep.num_events, 4u);
   EXPECT_EQ(rep.path_tasks, 4);
   EXPECT_DOUBLE_EQ(rep.critical_path_s, 5.0);
+  EXPECT_NEAR(rep.path.comm, 1.0, 1e-12);
+  EXPECT_NEAR(rep.path.wait, 0.1, 1e-12);
   EXPECT_NEAR(rep.path.compute() + rep.path.comm + rep.path.wait,
               rep.critical_path_s, 1e-12);
 }

@@ -61,8 +61,9 @@ std::uint64_t schedule_hash(const core::Tracer& tracer,
   std::uint64_t h = 14695981039346656037ull;
   for (const auto& e : tracer.events()) {
     const std::int32_t rank = e.rank;
+    const std::string name = e.name();
     fnv_mix(h, &rank, sizeof rank);
-    fnv_mix(h, e.name.data(), e.name.size());
+    fnv_mix(h, name.data(), name.size());
   }
   const std::uint64_t counters[] = {
       stats.rpcs_sent,      stats.rpcs_executed,      stats.gets,

@@ -369,7 +369,7 @@ TEST_P(UpdateTableOnce, EveryUpdateRunsExactlyOnce) {
   engine.run();
   std::map<std::string, int> runs;
   for (const core::Tracer::Event& ev : tracer.events()) {
-    if (ev.name.rfind("U ", 0) == 0) ++runs[ev.name];
+    if (ev.kind == core::TaskTag::kUpdate) ++runs[ev.name()];
   }
   EXPECT_EQ(static_cast<idx_t>(runs.size()), parts.tg.total_updates());
   for (const auto& [name, n] : runs) EXPECT_EQ(n, 1) << name;
@@ -643,7 +643,9 @@ TEST(ThreadedTracer, ConcurrentRecordAndReadAreRaceFree) {
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&tracer, w] {
       for (int i = 0; i < kEventsPerWriter; ++i) {
-        tracer.record(w, "D " + std::to_string(i), i * 1e-6, i * 1e-6 + 5e-7);
+        tracer.record({.rank = w, .kind = core::TaskTag::kDiag, .snode = i,
+                       .a = 0, .b = 0, .begin_s = i * 1e-6,
+                       .end_s = i * 1e-6 + 5e-7});
       }
     });
   }

@@ -1,7 +1,7 @@
 // sympack-critpath: trace-driven critical-path profiler CLI.
 //
 // Runs a factorization (and a solve) of one of the paper's proxy
-// matrices on the simulated cluster with structured trace metadata
+// matrices on the simulated cluster with the trace's fetch marks
 // enabled, feeds the traces through core::CritPathAnalyzer, and reports
 // where the makespan went: per-category compute on the critical path
 // (potrf / trsm / update / solve), communication, and idle wait — plus
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
   sopts.policy = core::parse_policy(policy_name);
   sopts.numeric = numeric;
   sopts.symbolic.shard = opts.get_bool("shard", false);
-  sopts.trace.metadata = true;  // structured events for the analyzer
+  sopts.trace.metadata = true;  // fetch marks split gaps into comm/wait
 
   core::SymPackSolver solver(rt, sopts);
   core::Tracer tracer;
